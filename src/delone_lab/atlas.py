@@ -18,9 +18,6 @@ from .core import BALL_TOL, ExactPointSet, Region, make_patch_key
 from .errors import InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
-_PACK_BOUND = 1 << 20  # scalar row packing is valid below this magnitude
-
-
 @dataclass
 class PatchClass:
     key: tuple
@@ -54,20 +51,6 @@ class AtlasResult:
             if c.key == key:
                 return c
         return None
-
-
-def _pack_scalar(arr: np.ndarray) -> Optional[np.ndarray]:
-    """Rows of small ints to order-preserving int64 scalars, or None."""
-    if arr.size == 0:
-        return np.zeros(arr.shape[0], dtype=np.int64)
-    if arr.shape[1] > 3:
-        return None
-    if int(arr.max()) >= _PACK_BOUND or int(arr.min()) <= -_PACK_BOUND:
-        return None
-    out = arr[:, 0].astype(np.int64) + _PACK_BOUND
-    for i in range(1, arr.shape[1]):
-        out = (out << 21) | (arr[:, i].astype(np.int64) + _PACK_BOUND)
-    return out
 
 
 def _sort_addresses(addr: np.ndarray) -> np.ndarray:
@@ -112,7 +95,7 @@ def compute_atlas(
 
     thresh2 = T * T if shape == "ball" else (T / 2.0) ** 2
 
-    if n == 1 and _pack_scalar(ps.addresses) is not None:
+    if n == 1:
         groups, flags, flag_count, engine = _engine_sorted_line(
             ps, center_idx, thresh2, flag_cap
         )
@@ -120,10 +103,11 @@ def compute_atlas(
         ps.rank == n
         and n <= 3
         and np.array_equal(ps.projection, np.eye(n))
-        and _pack_scalar(ps.addresses) is not None
+        # the occupancy array spans the addresses' box; sparse sets go to kdtree
+        and np.prod(np.ptp(ps.addresses, axis=0) + 2.0 * T + 1.0) <= 64 * len(ps) + (1 << 22)
     ):
         groups, flags, flag_count, engine = _engine_lattice(
-            ps, center_idx, T, shape, thresh2, flag_cap
+            ps, center_idx, shape, thresh2, flag_cap
         )
     else:
         groups, flags, flag_count, engine = _engine_kdtree(
@@ -168,23 +152,16 @@ def _engine_sorted_line(ps, center_idx, thresh2, flag_cap):
     near = inc & (np.abs(d2 - thresh2) < BALL_TOL)
 
     diffs = addr_sorted[idx_c] - caddr[:, None, :]  # (m, w, rank)
-    packed = _pack_scalar(diffs.reshape(-1, ps.rank))
-    if packed is None:
-        return _python_classify(ps, center_idx, idx_c, inc, near, flag_cap) + ("sorted-line",)
-    packed = packed.reshape(diffs.shape[0], w)
-    sentinel = np.int64(2**62)
-    canon = np.where(inc, packed, sentinel)
-    canon.sort(axis=1)
-    _, first_pos, inverse = np.unique(
-        canon, axis=0, return_index=True, return_inverse=True
-    )
+    # canonical rows: the included differences in lex order, then filler
+    diffs[~inc] = np.iinfo(np.int64).max
+    m, rank = diffs.shape[0], ps.rank
+    keys = [diffs[:, :, j].ravel() for j in range(rank - 1, -1, -1)]
+    order = np.lexsort(keys + [np.repeat(np.arange(m), w)])
+    canon = diffs.reshape(m * w, rank)[order].reshape(m, w * rank)
 
     groups = {}
-    for cls_id, rep in enumerate(first_pos):
-        cols = np.nonzero(inc[rep])[0]
-        dvecs = addr_sorted[idx_c[rep, cols]] - caddr[rep]
-        key = make_patch_key(map(tuple, dvecs.tolist()))
-        groups[key] = caddr[inverse == cls_id]
+    for rep, centers in _group_rows(canon, caddr):
+        groups[make_patch_key(map(tuple, diffs[rep][inc[rep]].tolist()))] = centers
 
     flags = []
     flag_count = int(near.sum())
@@ -195,33 +172,56 @@ def _engine_sorted_line(ps, center_idx, thresh2, flag_cap):
     return groups, flags, flag_count, "sorted-line"
 
 
-def _engine_lattice(ps, center_idx, T, shape, thresh2, flag_cap):
-    """Identity-projection engine: offset table plus packed membership."""
+def _group_rows(rows, caddr):
+    """(representative row, centers) for each class of equal rows.
+
+    Each row is padded to whole 8-byte words and read as one scalar (a
+    uint64, or a void of several words), so a 1-D unique groups the rows;
+    one stable argsort of the inverse splits the centers.
+    """
+    m = rows.shape[0]
+    raw = np.ascontiguousarray(rows).view(np.uint8).reshape(m, -1)
+    words = -(-raw.shape[1] // 8)
+    buf = np.zeros((m, 8 * words), dtype=np.uint8)
+    buf[:, : raw.shape[1]] = raw
+    scalar = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
+    _, first, inverse = np.unique(
+        buf.view(scalar).ravel(), return_index=True, return_inverse=True
+    )
+    order = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse))[:-1]
+    return zip(first.tolist(), np.split(caddr[order], bounds))
+
+
+def _engine_lattice(ps, center_idx, shape, thresh2, flag_cap):
+    """Identity-projection engine: offset table plus dense occupancy lookup."""
     n = ps.dimension
-    if shape == "ball":
-        reach = math.floor(math.sqrt(T * T + BALL_TOL))
-        rng = np.arange(-reach, reach + 1, dtype=np.int64)
-        grids = np.meshgrid(*([rng] * n), indexing="ij")
-        offs = np.stack([g.ravel() for g in grids], axis=1)
-        d2 = np.sum(offs.astype(float) ** 2, axis=1)
-        offs = offs[d2 <= thresh2 + BALL_TOL]
-    else:
-        reach = math.floor(math.sqrt(thresh2 + BALL_TOL))
-        rng = np.arange(-reach, reach + 1, dtype=np.int64)
-        grids = np.meshgrid(*([rng] * n), indexing="ij")
-        offs = np.stack([g.ravel() for g in grids], axis=1)
-    offs = np.asarray(sorted(map(tuple, offs.tolist())), dtype=np.int64)
-    K = offs.shape[0]
+    reach = math.floor(math.sqrt(thresh2 + BALL_TOL))
+    rng = np.arange(-reach, reach + 1, dtype=np.int64)
+    # "ij" order ravels the offsets lexicographically
+    grids = np.meshgrid(*([rng] * n), indexing="ij")
+    offs = np.stack([g.ravel() for g in grids], axis=1)
     off_d2 = np.sum(offs.astype(float) ** 2, axis=1)
     if shape == "ball":
+        keep = off_d2 <= thresh2 + BALL_TOL
+        offs, off_d2 = offs[keep], off_d2[keep]
         off_near = np.abs(off_d2 - thresh2) < BALL_TOL
     else:
         per_axis = offs.astype(float) ** 2
         off_near = np.any(np.abs(per_axis - thresh2) < BALL_TOL, axis=1)
     off_dist = np.sqrt(off_d2)
+    K = offs.shape[0]
 
-    table = np.sort(_pack_scalar(ps.addresses))
-    caddr = ps.addresses[center_idx]
+    # occupancy over the addresses' box grown by reach, flat in C order
+    addr = ps.addresses
+    lo = addr.min(axis=0) - reach
+    dims = addr.max(axis=0) + reach + 1 - lo
+    strides = np.cumprod(np.append(dims[1:], 1)[::-1])[::-1]
+    occ = np.zeros(int(np.prod(dims)), dtype=bool)
+    occ[(addr - lo) @ strides] = True
+    caddr = addr[center_idx]
+    flat_c = (caddr - lo) @ strides
+    flat_o = offs @ strides
     m = caddr.shape[0]
 
     rows_acc = []
@@ -230,11 +230,7 @@ def _engine_lattice(ps, center_idx, T, shape, thresh2, flag_cap):
     chunk = max(1, (1 << 20) // max(K, 1))
     for s in range(0, m, chunk):
         cs = caddr[s : s + chunk]
-        queries = cs[:, None, :] + offs[None, :, :]
-        packed = _pack_scalar(queries.reshape(-1, n)).reshape(cs.shape[0], K)
-        pos = np.searchsorted(table, packed)
-        pos_c = np.minimum(pos, table.size - 1)
-        found = table[pos_c] == packed
+        found = occ[flat_c[s : s + chunk, None] + flat_o[None, :]]
         rows_acc.append(np.packbits(found, axis=1))
         near_hits = found & off_near[None, :]
         near_total += int(near_hits.sum())
@@ -244,14 +240,10 @@ def _engine_lattice(ps, center_idx, T, shape, thresh2, flag_cap):
                 flags.append((tuple(cs[r].tolist()), float(off_dist[c])))
 
     rows = np.concatenate(rows_acc, axis=0)
-    uniq, first_pos, inverse = np.unique(
-        rows, axis=0, return_index=True, return_inverse=True
-    )
     groups = {}
-    for cls_id, rep in enumerate(first_pos):
+    for rep, centers in _group_rows(rows, caddr):
         bits = np.unpackbits(rows[rep])[:K].astype(bool)
-        key = make_patch_key(map(tuple, offs[bits].tolist()))
-        groups[key] = caddr[inverse == cls_id]
+        groups[make_patch_key(map(tuple, offs[bits].tolist()))] = centers
     return groups, flags, near_total, "lattice"
 
 
@@ -291,23 +283,6 @@ def _engine_kdtree(ps, center_idx, shape, thresh2, flag_cap):
                 flags.append((tuple(ps.addresses[i].tolist()), float(d)))
     groups = {k: np.asarray(v, dtype=np.int64) for k, v in groups.items()}
     return groups, flags, flag_count, "kdtree"
-
-
-def _python_classify(ps, center_idx, idx_c, inc, near, flag_cap):
-    """Slow fallback for exotic ranks in the 1D engine."""
-    caddr = ps.addresses[center_idx]
-    order = np.argsort(ps.points[:, 0], kind="stable")
-    addr_sorted = ps.addresses[order]
-    groups = {}
-    flags = []
-    flag_count = int(near.sum())
-    for row in range(caddr.shape[0]):
-        cols = np.nonzero(inc[row])[0]
-        dvecs = addr_sorted[idx_c[row, cols]] - caddr[row]
-        key = make_patch_key(map(tuple, dvecs.tolist()))
-        groups.setdefault(key, []).append(caddr[row])
-    groups = {k: np.asarray(v, dtype=np.int64) for k, v in groups.items()}
-    return groups, flags, flag_count
 
 
 def cubical_atlas(ps: ExactPointSet, T: float, flag_cap: int = 1000) -> AtlasResult:

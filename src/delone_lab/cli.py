@@ -4,8 +4,9 @@ Every command assembles a config dict (generator, parameters, windows, seed),
 runs one analysis, and emits a flat artifact that embeds the config. CSV
 artifacts start with a single `# {json}` comment line; JSON artifacts carry
 the config under a "config" key. Identical config and seed give byte-identical
-output. Each data row ends with a tag column: exact, certified-bracket, or
-sampled, reflecting the producing module's contract.
+output. Each data row ends with a tag column: exact, certified-bracket,
+sampled, or float-sum (a floating-point sum such as a diffraction
+intensity), reflecting the producing module's contract.
 
 Exit codes: 1 bad config or input, 2 resource budget exhausted, 3 file I/O,
 4 verification failure.
@@ -301,6 +302,7 @@ def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
         "M_shift_lower",
         "M_shift_upper",
         "certified_floor",
+        "notes",
         "tag",
     ]
     rows = []
@@ -308,7 +310,10 @@ def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
         res = repetitivity_function(ps, T, resolution=resolution)
         lo, hi = res.prime()
         rows.append(
-            [T, res.n_lower, res.M_lower, res.M_upper, lo, hi, res.certified_floor, "certified-bracket"]
+            [
+                T, res.n_lower, res.M_lower, res.M_upper, lo, hi, res.certified_floor,
+                "; ".join(res.notes), "certified-bracket",
+            ]
         )
     _emit(config, columns, rows, fmt, out)
 
@@ -321,20 +326,20 @@ def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
 def frequencies(set_name, params, seed, out, fmt, window, t_value, key):
     """Per-volume counts of one patch class over a ladder of windows."""
     source, ps, region = _build(set_name, _parse_params(params), window)
-    if key is not None:
-        offsets = _parse_json_text(key, "--key")
-        patch_key = make_patch_key(offsets)
-    else:
-        full = compute_atlas(ps, t_value)
-        biggest = max(full.classes, key=lambda c: (c.centers.shape[0], c.key))
-        patch_key = biggest.key
     if region.kind != "box":
         raise InvalidArgument("frequencies needs a box window")
-    # count inside fractions of the certified part of the window, so every
-    # ladder rung is fully covered by classified centers
+    full = compute_atlas(ps, t_value)
+    if key is not None:
+        patch_key = make_patch_key(_parse_json_text(key, "--key"))
+    else:
+        patch_key = max(full.classes, key=lambda c: (c.centers.shape[0], c.key)).key
+    # count inside fractions of the certified part of the window, scaled
+    # about its center, so every ladder rung is fully covered by classified
+    # centers wherever the window sits
     certified = region.erode(t_value + 1e-9)
+    mid_half = [((lo + hi) / 2, (hi - lo) / 2) for (lo, hi) in certified.intervals]
     ladder = [
-        Region.box([(lo * s, hi * s) for (lo, hi) in certified.intervals])
+        Region.box([(c - h * s, c + h * s) for (c, h) in mid_half])
         for s in (0.4, 0.6, 0.8, 1.0)
     ]
     config = _config(
@@ -348,7 +353,7 @@ def frequencies(set_name, params, seed, out, fmt, window, t_value, key):
     )
     columns = ["region", "count", "volume", "frequency", "tag"]
     rows = []
-    for row in patch_frequency(ps, patch_key, t_value, ladder):
+    for row in patch_frequency(ps, patch_key, t_value, ladder, atlas=full):
         rows.append(
             [
                 json.dumps(row.region.to_json(), sort_keys=True),
@@ -430,11 +435,11 @@ def diffraction(set_name, params, seed, out, fmt, window, t_value, kmax, kcount,
     )
     if peaks_only:
         columns = ["k", "intensity", "tag"]
-        rows = [[float(p.k[0]), float(p.intensity), "exact"] for p in detect_peaks(spec)]
+        rows = [[float(p.k[0]), float(p.intensity), "float-sum"] for p in detect_peaks(spec)]
     else:
         columns = ["k", "intensity", "tag"]
         rows = [
-            [float(k), float(v), "exact"]
+            [float(k), float(v), "float-sum"]
             for k, v in zip(grid[:, 0], spec.intensity)
         ]
     _emit(config, columns, rows, fmt, out)

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .atlas import compute_atlas
+from .atlas import AtlasResult, compute_atlas
 from .core import ExactPointSet, Region, make_patch_key
 from .errors import InsufficientWindow, InvalidArgument
 from .generators import PointSetSource
@@ -187,14 +187,22 @@ class FrequencyRow:
 
 
 def patch_frequency(
-    ps: ExactPointSet, key: tuple, T: float, regions: Sequence[Region]
+    ps: ExactPointSet,
+    key: tuple,
+    T: float,
+    regions: Sequence[Region],
+    atlas: Optional[AtlasResult] = None,
 ) -> List[FrequencyRow]:
     """Count centers of one patch class inside each region, per unit volume.
 
     Regions must sit inside the atlas's certified region so no center is
-    missed. A key that never occurs gives honest zero counts.
+    missed. A key that never occurs gives honest zero counts. A ball atlas
+    of ps at T that is already at hand can be passed in.
     """
-    atlas = compute_atlas(ps, T)
+    if atlas is None:
+        atlas = compute_atlas(ps, T)
+    elif atlas.T != T or atlas.shape != "ball":
+        raise InvalidArgument("atlas was computed for a different T or shape")
     key = make_patch_key(key)
     cls = atlas.class_for(key)
     out = []

@@ -12,9 +12,10 @@ from delone_lab.atlas import (
     entropy_probe,
     patch_count_profile,
 )
-from delone_lab.core import Region, make_patch_key
+from delone_lab.core import ExactPointSet, Region, make_patch_key
 from delone_lab.errors import InvalidArgument, WindowTooSmall
 from delone_lab.generators import (
+    gen_deleted_lines,
     gen_fibonacci,
     gen_integer_lattice,
     gen_product,
@@ -108,6 +109,87 @@ class TestPuncturedLattice:
         assert sizes[:4] == [1, 1, 1, 1]
         full = make_patch_key([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
         assert at.class_for(full).centers.shape[0] == sizes[-1]
+
+
+class TestLatticeEngine:
+    """Dense occupancy lookup; rows of K bits group as one or several words."""
+
+    FAR = 1 << 21
+
+    def holes(self, c):
+        src = gen_integer_lattice(2, deletions=[(c, c), (c + 3, c + 1)])
+        return src.materialize(Region.box([(c - 9, c + 9)] * 2))
+
+    def test_far_window_matches_origin_translated(self):
+        near, far = self.holes(0), self.holes(self.FAR)
+        a, b = compute_atlas(near, 2.000001), compute_atlas(far, 2.000001)
+        assert a.engine == b.engine == "lattice"
+        assert as_dict(b) == brute_atlas(far, 2.000001)
+        assert a.keys() == b.keys()
+        for ca, cb in zip(a.classes, b.classes):
+            assert np.array_equal(ca.centers + self.FAR, cb.centers)
+
+    def test_single_word_rows_2d(self):
+        ps = self.holes(0)
+        at = compute_atlas(ps, 4.000001)  # K = 49 offsets
+        assert at.engine == "lattice"
+        assert max(len(k) for k in at.keys()) <= 64
+        assert as_dict(at) == brute_atlas(ps, 4.000001)
+
+    def test_multi_word_rows_3d_ball(self):
+        src = gen_integer_lattice(3, deletions=[(4, 4, 4), (-5, 0, 1)])
+        ps = src.materialize(Region.box([(-6.5, 6.5)] * 3))
+        at = compute_atlas(ps, 4.000001)  # K = 257 offsets
+        assert at.engine == "lattice"
+        assert max(len(k) for k in at.keys()) == 257
+        assert max(c.centers.shape[0] for c in at.classes) > 1
+        assert as_dict(at) == brute_atlas(ps, 4.000001)
+
+    def test_3d_cube(self):
+        ps = gen_deleted_lines([2]).materialize(Region.box([(-5, 5)] * 3))
+        at = compute_atlas(ps, 4.000001, shape="cube")
+        assert at.engine == "lattice"
+        assert as_dict(at) == brute_atlas(ps, 4.000001, shape="cube")
+
+    def test_empty_window_edge(self):
+        # no points on two faces of the window: patches reach past the
+        # addresses' box, which the occupancy array must cover
+        edge = [(-7, k) for k in range(-7, 8)] + [(k, -7) for k in range(-6, 8)]
+        ps = gen_integer_lattice(2, deletions=edge).materialize(Region.box([(-7.5, 7.5)] * 2))
+        at = compute_atlas(ps, 2.000001)
+        assert at.engine == "lattice"
+        assert as_dict(at) == brute_atlas(ps, 2.000001)
+
+    def test_sparse_subset_of_zn_uses_kdtree(self):
+        # two clusters 10^6 apart: an occupancy array over their box would
+        # need 10^12 cells
+        block = np.array([(x, y) for x in range(4) for y in range(4)])
+        addr = np.concatenate([block, block + 10**6])
+        ps = ExactPointSet(2, 2, np.eye(2), addr, Region.box([(0, 10**6 + 3)] * 2))
+        at = compute_atlas(ps, 1.0)
+        assert at.engine == "kdtree"
+        assert as_dict(at) == brute_atlas(ps, 1.0)
+
+    def test_far_line_stays_on_sorted_line(self):
+        ps = gen_integer_lattice(1).materialize(Region.box([(self.FAR - 20, self.FAR + 20)]))
+        at = compute_atlas(ps, 3.0)
+        assert at.engine == "sorted-line"
+        assert as_dict(at) == brute_atlas(ps, 3.0)
+
+
+class TestSortedLine:
+    def test_coincident_points_in_mixed_order(self):
+        # addresses (k, 0) and (k - 1, 1) both sit at x = k; their order
+        # after the position sort alternates, so rows must be canonicalised
+        rows = []
+        for k in range(-12, 13):
+            pair = [(k, 0), (k - 1, 1)]
+            rows += pair if k % 2 else pair[::-1]
+        ps = ExactPointSet(1, 2, np.ones((2, 1)), np.array(rows), Region.box([(-12, 12)]))
+        at = compute_atlas(ps, 1.5)
+        assert at.engine == "sorted-line"
+        assert at.n_lower == 2
+        assert as_dict(at) == brute_atlas(ps, 1.5)
 
 
 class TestFibonacciAtlas:

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import delone_lab.verify as verify_mod
+from delone_lab.atlas import compute_atlas
 from delone_lab.cli import main
-from delone_lab.core import FloatPointSet, Region
+from delone_lab.core import FloatPointSet, Region, make_patch_key
 from delone_lab.errors import ResourceLimit
+from delone_lab.generators import build_source
 from delone_lab.verify import CheckResult
 
 
@@ -86,11 +88,64 @@ class TestAnalysisCommands:
         config, header, rows = parse_csv(capsys.readouterr().out)
         assert header == [
             "T", "classes", "M_lower", "M_upper",
-            "M_shift_lower", "M_shift_upper", "certified_floor", "tag",
+            "M_shift_lower", "M_shift_upper", "certified_floor", "notes", "tag",
         ]
         (row,) = rows
         assert row[-1] == "certified-bracket"
         assert float(row[4]) == pytest.approx(float(row[2]) + 1.5)
+
+    def test_repetitivity_notes_column(self, capsys):
+        # Z has covering radius 1/2: above T = 0.3, below T = 2
+        code = run_cli(["repetitivity", "--set", "zn", "--window", "20", "--T", "0.3,2.000001"])
+        assert code == 0
+        _, header, rows = parse_csv(capsys.readouterr().out)
+        assert [float(r[2]) for r in rows] == [0.5, 0.5]
+        notes = [r[header.index("notes")] for r in rows]
+        assert "window effects may over-report M_lower" in notes[0]
+        assert notes[1] == ""
+
+    def test_frequencies_far_window_ladder(self, capsys):
+        window = json.dumps({"kind": "box", "intervals": [[300000, 304000]]})
+        T = 2.000001
+        assert run_cli(["frequencies", "--set", "fibonacci", "--window", window]) == 0
+        config, _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 4
+        # brute force: the patch key of every point, from its distances alone
+        src = build_source("fibonacci", {})
+        ps = src.materialize(Region.from_json(config["window"]))
+        x, addr = ps.points[:, 0], ps.addresses
+        key = make_patch_key(config["key"])
+        certified = ps.region.erode(T)
+        for r in rows:
+            (lo, hi), = json.loads(r[0])["intervals"]
+            want = 0
+            for i in np.nonzero((x >= lo) & (x <= hi))[0]:
+                assert certified.contains(ps.points[i : i + 1])[0]
+                near = np.abs(x - x[i]) <= T + 1e-9
+                want += make_patch_key((addr[near] - addr[i]).tolist()) == key
+            assert int(r[1]) == want > 0
+
+    def test_frequencies_centered_ladder_scales_the_box(self, capsys):
+        assert run_cli(["frequencies", "--set", "zn", "--window", "30"]) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        (lo, hi), = Region.centered_box(1, 30.0).erode(2.000001 + 1e-9).intervals
+        got = [json.loads(r[0])["intervals"] for r in rows]
+        assert got == [[[lo * s, hi * s]] for s in (0.4, 0.6, 0.8, 1.0)]
+
+    def test_frequencies_computes_one_atlas(self, capsys, monkeypatch):
+        import delone_lab.cli as cli_mod
+        import delone_lab.ergodic as ergodic_mod
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return compute_atlas(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "compute_atlas", counted)
+        monkeypatch.setattr(ergodic_mod, "compute_atlas", counted)
+        assert run_cli(["frequencies", "--set", "zn", "--window", "30"]) == 0
+        assert len(calls) == 1
 
     def test_frequencies_with_key(self, capsys):
         code = run_cli(
@@ -117,11 +172,13 @@ class TestAnalysisCommands:
         assert run_cli(args) == 0
         _, _, rows = parse_csv(capsys.readouterr().out)
         assert len(rows) == 11
+        assert all(r[-1] == "float-sum" for r in rows)
 
         assert run_cli(args + ["--peaks"]) == 0
         _, header, rows = parse_csv(capsys.readouterr().out)
         assert "intensity" in header
         assert [float(r[0]) for r in rows] == [0.0, 1.0]
+        assert all(r[-1] == "float-sum" for r in rows)
 
     def test_address_report(self, capsys):
         assert run_cli(["address", "--set", "fibonacci", "--window", "60"]) == 0

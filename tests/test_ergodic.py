@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from delone_lab.atlas import compute_atlas
 from delone_lab.core import Region
 from delone_lab.errors import InsufficientWindow, InvalidArgument
 from delone_lab.ergodic import (
@@ -112,6 +113,18 @@ class TestPatchFrequency:
         key = tuple((k,) for k in range(-2, 3))
         with pytest.raises(InsufficientWindow):
             patch_frequency(ps, key, 2.0, [Region.box([(-49, 49)])])
+
+    def test_given_atlas_is_used_and_checked(self):
+        ps = gen_fibonacci().materialize(Region.box([(-60, 60)]))
+        regions = [Region.box([(-40, 40)]), Region.box([(-55, 55)])]
+        at = compute_atlas(ps, 1.2)
+        assert patch_frequency(ps, ((0, 0),), 1.2, regions, atlas=at) == patch_frequency(
+            ps, ((0, 0),), 1.2, regions
+        )
+        with pytest.raises(InvalidArgument):
+            patch_frequency(ps, ((0, 0),), 2.0, regions, atlas=at)
+        with pytest.raises(InvalidArgument):
+            patch_frequency(ps, ((0, 0),), 1.2, regions, atlas=compute_atlas(ps, 1.2, "cube"))
 
 
 class TestOscillation:
