@@ -280,7 +280,10 @@ def atlas(set_name, params, seed, out, fmt, window, t_list, shape):
 @_common_options
 @click.option("--window", default="60", show_default=True)
 @click.option("--T", "t_list", default=DEFAULT_T, show_default=True)
-@click.option("--resolution", default=None, type=float, help="grid step for n >= 2 covering radii")
+@click.option(
+    "--resolution", default=None, type=float,
+    help="covering-radius tolerance for n >= 2: each bracket is at most half this wide",
+)
 def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
     """Certified brackets for the repetitivity function and its shift."""
     source, ps, region = _build(set_name, _parse_params(params), window)

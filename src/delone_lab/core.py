@@ -235,8 +235,9 @@ class ExactPointSet:
         if region.dimension != dimension:
             raise InvalidArgument("region dimension mismatch")
         if addresses.shape[0] > 0:
-            uniq = np.unique(addresses, axis=0)
-            if uniq.shape[0] != addresses.shape[0]:
+            # one void scalar per row: a 1-D unique, not the slow axis=0 sort
+            rows = np.ascontiguousarray(addresses).view(np.dtype((np.void, 8 * rank)))
+            if np.unique(rows.ravel()).shape[0] != addresses.shape[0]:
                 raise InvalidArgument("addresses must be distinct")
         self.dimension = int(dimension)
         self.rank = int(rank)
@@ -373,7 +374,8 @@ def delone_constants(ps, resolution: Optional[float] = None) -> tuple:
     r is half the minimum pairwise distance, exact. R is the covering radius
     of the points over the region eroded by a first-pass estimate, so points
     missing beyond the window cannot deflate it; in dimension one it is exact,
-    otherwise it is the upper end of a grid bracket.
+    otherwise it is the upper end of a certified bracket at most resolution/2
+    wide.
     """
     from .repetitivity import covering_radius
 

@@ -2,16 +2,16 @@
 
 M(T) is the largest covering radius over the center sets of the T-patch
 classes. On a finite window it is reported as a bracket: exact in dimension
-one, a grid bracket otherwise, and always limited to an evaluation region
-eroded far enough that unseen centers outside the window cannot hide closer
-recurrences than the patch radius itself.
+one, a certified branch-and-bound bracket otherwise, and always limited to an
+evaluation region eroded far enough that unseen centers outside the window
+cannot hide closer recurrences than the patch radius itself.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,7 @@ from .core import ExactPointSet, Region
 from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
-GRID_SAMPLE_BUDGET = 4_000_000  # hard cap on covering-radius grid points
+GRID_SAMPLE_BUDGET = 4_000_000  # cap on distance evaluations per covering-radius call
 
 
 def covering_radius(
@@ -30,10 +30,9 @@ def covering_radius(
     """Bracket (lower, upper) for sup over the region of dist(t, centers).
 
     Dimension one is exact (midpoints and endpoints decide the sup). Higher
-    dimensions sample a grid: lower = max sampled distance over in-region
-    grid points, upper adds half the grid cell diagonal. If the requested
-    resolution would exceed the global sample budget it is coarsened, which
-    only widens the bracket.
+    dimensions branch and bound over origin-anchored dyadic cubes meeting the
+    region, to a bracket at most resolution/2 wide; past GRID_SAMPLE_BUDGET
+    distance evaluations it comes back wider, still certified.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.shape[0] == 0:
@@ -65,40 +64,52 @@ def covering_radius(
         val = float(max(cand))
         return val, val
 
-    box = region.bounding_box()
-    lens = [b - a for a, b in box.intervals]
+    lo_box, hi_box = np.array(region.bounding_box().intervals).T
+    lens = hi_box - lo_box
     if resolution is None:
-        resolution = max(max(lens) / 100.0, 1e-9)
-    counts = [max(1, math.ceil(L / resolution)) for L in lens]
-    total = float(np.prod([float(c) for c in counts]))
-    if total > GRID_SAMPLE_BUDGET:
-        scale = (total / GRID_SAMPLE_BUDGET) ** (1.0 / n)
-        counts = [max(1, math.ceil(c / scale)) for c in counts]
-    axes = []
-    eff = []
-    for (a, b), c in zip(box.intervals, counts):
-        step = (b - a) / c
-        eff.append(step)
-        axes.append(a + step * (np.arange(c) + 0.5))
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    half_diag = 0.5 * math.sqrt(sum(s * s for s in eff))
+        resolution = max(float(lens.max()) / 100.0, 1e-9)
+    if not resolution > 0:
+        raise InvalidArgument("resolution must be positive")
+    # a box is its bounding box met with a ball of infinite radius
+    ball = region.kind == "ball"
+    c0 = np.asarray(region.center) if ball else (lo_box + hi_box) / 2.0
+    rad2 = region.radius**2 if ball else math.inf
 
-    if region.kind == "ball":
-        c = np.asarray(region.center)
-        d_center = np.linalg.norm(pts - c, axis=1)
-        cell_touches = d_center <= region.radius + half_diag
-        pts = pts[cell_touches]
-        in_region = np.linalg.norm(pts - c, axis=1) <= region.radius
-    else:
-        in_region = np.ones(pts.shape[0], dtype=bool)
+    def meets(p, h):  # which cells of half-side h centered at p meet the region
+        gap = np.maximum(np.abs(p - c0) - h, 0.0)
+        near = np.all((p + h >= lo_box) & (p - h <= hi_box), axis=1)
+        return near & (np.sum(gap * gap, axis=1) <= rad2)
+
+    # first level: a power of two at most the mean center spacing and the box side
+    spacing = (float(np.prod(lens)) / centers.shape[0]) ** (1.0 / n)
+    side = 2.0 ** math.floor(math.log2(min(spacing, float(lens.max()))))
+    while np.prod(np.ceil(hi_box / side) - np.floor(lo_box / side)) > GRID_SAMPLE_BUDGET:
+        side *= 2.0
+    first = np.floor(lo_box / side)
+    counts = (np.ceil(hi_box / side) - first).astype(np.int64)
+    cells = (np.indices(counts).reshape(n, -1).T + first + 0.5) * side
+    corners = np.indices((2,) * n).reshape(n, -1).T - 0.5
 
     from scipy.spatial import cKDTree
 
     workers = int(os.environ.get("DELONE_LAB_THREADS", "-1") or "-1")
-    dists, _ = cKDTree(centers).query(pts, workers=workers)
-    upper = float(np.max(dists)) + half_diag
-    lower = float(np.max(dists[in_region])) if np.any(in_region) else 0.0
+    tree = cKDTree(centers)
+    lower, upper, evaluations = float(tree.query(c0)[0]), -math.inf, 1
+    while cells.shape[0]:
+        cells = cells[meets(cells, side / 2.0)]
+        # threads cost more than they save on small batches
+        d, _ = tree.query(cells, workers=workers if cells.shape[0] >= 4096 else 1)
+        evaluations += cells.shape[0]
+        lower = float(np.max(d[meets(cells, 0.0)], initial=lower))
+        bound = d + math.sqrt(n) * side / 2.0
+        done = bound - lower <= resolution / 2.0
+        upper = float(np.max(bound[done], initial=upper))
+        cells, bound = cells[~done], bound[~done]
+        if evaluations + cells.shape[0] * corners.shape[0] > GRID_SAMPLE_BUDGET:
+            upper = float(np.max(bound, initial=upper))
+            break
+        side /= 2.0
+        cells = (cells[:, None, :] + corners * side).reshape(-1, n)
     return lower, upper
 
 
@@ -152,33 +163,31 @@ def repetitivity_function(
         d, _ = cKDTree(ps.points).query(ps.points, k=2)
         r = float(d[:, 1].min()) / 2.0
         resolution = min(r / 4.0, T / 100.0)
-    per = []
-    notes = []
+    per, notes = [], []
     for cls in atlas.classes:
         pos = cls.centers.astype(float) @ ps.projection
         lo, hi = covering_radius(pos, eval_region, resolution=resolution)
-        per.append(
-            ClassCovering(key=cls.key, lower=lo, upper=hi, n_centers=cls.centers.shape[0])
-        )
+        per.append(ClassCovering(cls.key, lo, hi, cls.centers.shape[0]))
     if not per:
         raise WindowTooSmall("no certified patch centers in the window")
     M_lower = max(c.lower for c in per)
     M_upper = max(c.upper for c in per)
     floor_val = max(min(c.lower, T) for c in per)
+    tol = resolution / 2.0 if resolution else math.inf
+    wide = [c.upper - c.lower for c in per if c.upper - c.lower > tol]
+    if wide:
+        notes.append(
+            "%d classes reached the covering-radius evaluation cap; widest bracket "
+            "%.6g against tolerance %.6g" % (len(wide), max(wide), tol)
+        )
     if M_lower > T:
         notes.append(
             "some class covers the evaluation region only beyond distance T; "
             "window effects may over-report M_lower"
         )
     return RepetitivityResult(
-        T=T,
-        M_lower=M_lower,
-        M_upper=M_upper,
-        certified_floor=floor_val,
-        n_lower=atlas.n_lower,
-        per_class=per,
-        evaluation_region=eval_region,
-        notes=notes,
+        T=T, M_lower=M_lower, M_upper=M_upper, certified_floor=floor_val,
+        n_lower=atlas.n_lower, per_class=per, evaluation_region=eval_region, notes=notes,
     )
 
 
@@ -339,27 +348,18 @@ def symbolic_recurrence_oracle(word: Sequence, length: int):
     if len(w) < length:
         raise InvalidArgument("word shorter than the factor length")
     try:
-        data = bytes(int(c) for c in w)
+        seq = bytes(int(c) for c in w)  # byte slices hash fast
     except (ValueError, TypeError):
-        data = None
+        seq = tuple(w)
     last: dict = {}
     best: dict = {}
-    if data is not None:
-        for i in range(len(data) - length + 1):
-            f = data[i : i + length]
-            if f in last:
-                g = i - last[f]
-                if g > best.get(f, 0):
-                    best[f] = g
-            last[f] = i
-    else:
-        for i in range(len(w) - length + 1):
-            f = tuple(w[i : i + length])
-            if f in last:
-                g = i - last[f]
-                if g > best.get(f, 0):
-                    best[f] = g
-            last[f] = i
+    for i in range(len(seq) - length + 1):
+        f = seq[i : i + length]
+        if f in last:
+            g = i - last[f]
+            if g > best.get(f, 0):
+                best[f] = g
+        last[f] = i
     if len(best) < len(last):
         return math.inf
     return max(best.values())

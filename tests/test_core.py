@@ -126,6 +126,41 @@ class TestExactPointSet:
                 region=Region.box([(-1, 1)]),
             )
 
+    @staticmethod
+    def rank_set(addresses, rank):
+        return ExactPointSet(
+            dimension=1,
+            rank=rank,
+            projection=np.ones((rank, 1)),
+            addresses=np.asarray(addresses, dtype=np.int64).reshape(-1, rank),
+            region=Region.box([(-1, 1)]),
+        )
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_duplicate_rows_rejected_at_every_rank(self, rank):
+        rows = np.arange(5 * rank, dtype=np.int64).reshape(5, rank) - 7
+        dup = np.concatenate([rows, rows[3:4]])
+        with pytest.raises(InvalidArgument, match="addresses must be distinct"):
+            self.rank_set(dup, rank)
+        assert len(self.rank_set(rows, rank)) == 5
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_rows_differing_in_sign_or_high_bits_accepted(self, rank):
+        base = np.full(rank, 5, dtype=np.int64)
+        rows = [base, -base, base + (1 << 40), base - (1 << 62)]
+        for j in range(rank):
+            flip = base.copy()
+            flip[j] = -flip[j]
+            high = base.copy()
+            high[j] |= 1 << 61
+            rows += [flip, high]
+        rows = np.unique(np.array(rows), axis=0)
+        assert len(self.rank_set(rows, rank)) == rows.shape[0]
+
+    def test_empty_addresses_accepted(self):
+        for rank in (1, 3):
+            assert len(self.rank_set(np.zeros((0, rank)), rank)) == 0
+
     def test_projection_shape_enforced(self):
         with pytest.raises(InvalidArgument):
             ExactPointSet(
@@ -204,8 +239,8 @@ class TestDeloneConstants:
         ps = gen_integer_lattice(2).materialize(Region.box([(-8, 8)] * 2))
         r, R = delone_constants(ps, resolution=0.02)
         assert r == pytest.approx(0.5)
-        # true covering radius is sqrt(2)/2; the grid bracket may overshoot
-        # by at most one cell diagonal
+        # true covering radius is sqrt(2)/2; the certified bracket may
+        # overshoot it by at most half the resolution
         assert math.sqrt(2) / 2 - 1e-9 <= R <= math.sqrt(2) / 2 + 0.05
 
     def test_needs_two_points(self):

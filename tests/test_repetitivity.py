@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from delone_lab import repetitivity
 from delone_lab.contfrac import ContinuedFraction, recurrence_formula
-from delone_lab.core import Region
+from delone_lab.core import ExactPointSet, Region
 from delone_lab.errors import InsufficientData, InvalidArgument, WindowTooSmall
 from delone_lab.generators import GOLDEN_TAU, gen_fibonacci, gen_integer_lattice
 from delone_lab.repetitivity import (
@@ -57,6 +58,118 @@ class TestCoveringRadius:
         )
         assert lo <= truth <= hi
         assert hi - lo < 0.03
+
+
+def largest_empty_circle(centers, box):
+    """Exact sup over a 2-D box of the distance to the nearest center.
+
+    The sup sits at a Voronoi vertex inside the box, where a Voronoi edge
+    crosses the boundary, or at a corner (Toussaint 1983). The bisectors of
+    all center pairs contain every Voronoi edge, so their crossings with the
+    box edges are a superset of the edge crossings; every candidate lies in
+    the box, so the largest distance over the candidates is the sup.
+    """
+    from scipy.spatial import Voronoi, cKDTree
+
+    (x0, x1), (y0, y1) = box
+    cand = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
+    v = Voronoi(centers).vertices
+    cand += [tuple(p) for p in v if x0 <= p[0] <= x1 and y0 <= p[1] <= y1]
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            mid = (centers[i] + centers[j]) / 2.0
+            d = centers[j] - centers[i]
+            # bisector: (z - mid) . d = 0
+            if d[1] != 0.0:
+                for x in (x0, x1):
+                    y = mid[1] - (x - mid[0]) * d[0] / d[1]
+                    if y0 <= y <= y1:
+                        cand.append((x, y))
+            if d[0] != 0.0:
+                for y in (y0, y1):
+                    x = mid[0] - (y - mid[1]) * d[1] / d[0]
+                    if x0 <= x <= x1:
+                        cand.append((x, y))
+    dist, _ = cKDTree(centers).query(np.array(cand))
+    return float(dist.max())
+
+
+def z2(half):
+    xs = np.arange(-half, half + 1)
+    return np.array([(x, y) for x in xs for y in xs], dtype=float)
+
+
+class TestBranchAndBound:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_box_against_largest_empty_circle(self, seed):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-5.0, 5.0, size=(int(rng.integers(4, 40)), 2))
+        lo = rng.uniform(-4.0, 0.0, size=2)
+        box = list(zip(lo, lo + rng.uniform(0.5, 6.0, size=2)))
+        resolution = float(rng.choice([0.01, 0.05, 0.2]))
+        exact = largest_empty_circle(centers, box)
+        lower, upper = covering_radius(centers, Region.box(box), resolution=resolution)
+        assert lower - 1e-9 <= exact <= upper + 1e-9
+        assert upper - lower <= resolution / 2.0
+
+    def test_ball_one_off_center_point(self):
+        center, rho = np.array([1.0, -0.5]), 2.5
+        point = np.array([[0.3, 0.4]])
+        exact = float(np.linalg.norm(point[0] - center)) + rho
+        lower, upper = covering_radius(point, Region.ball(center, rho), resolution=0.01)
+        assert lower - 1e-12 <= exact <= upper + 1e-12
+        assert upper - lower <= 0.005
+
+    def test_z2_in_ball(self):
+        truth = math.sqrt(2.0) / 2.0
+        for c, rho in (([0.0, 0.0], 2.0), ([0.3, -0.2], 3.7)):
+            lower, upper = covering_radius(z2(6), Region.ball(c, rho), resolution=0.01)
+            assert lower - 1e-12 <= truth <= upper + 1e-12
+            assert upper - lower <= 0.005
+
+    def test_3d_overlaps_reference_grid(self):
+        rng = np.random.default_rng(7)
+        centers = rng.uniform(-1.5, 1.5, size=(25, 3))
+        box = [(-1.0, 1.0), (-0.5, 1.0), (-1.0, 0.25)]
+        lower, upper = covering_radius(centers, Region.box(box), resolution=0.02)
+        assert upper - lower <= 0.01
+        step = 0.025
+        axes = [a + step * (np.arange(round((b - a) / step)) + 0.5) for a, b in box]
+        samples = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        dist = np.min(np.linalg.norm(samples[:, None, :] - centers[None], axis=2), axis=1)
+        g_lower = float(dist.max())
+        g_upper = g_lower + math.sqrt(3.0) * step / 2.0
+        assert max(lower, g_lower) <= min(upper, g_upper) + 1e-12
+
+    def test_integer_translates_and_erosions_agree(self):
+        centers = z2(30)
+        brackets = set()
+        for shift in ((0, 0), (3, -2), (-7, 5)):
+            for half in (20.0, 16.0, 11.0):
+                box = Region.box([(s - half, s + half) for s in shift])
+                brackets.add(covering_radius(centers, box, resolution=0.05))
+        assert len(brackets) == 1
+        lower, upper = brackets.pop()
+        assert lower - 1e-12 <= math.sqrt(2.0) / 2.0 <= upper + 1e-12
+
+    def test_resolution_must_be_positive(self):
+        for bad in (0.0, -0.1, math.nan):
+            with pytest.raises(InvalidArgument):
+                covering_radius(z2(2), Region.box([(-1, 1)] * 2), resolution=bad)
+
+    def test_evaluation_cap_is_reported(self, monkeypatch):
+        # every point of the sphere is a maximizer, so no tolerance is reached
+        monkeypatch.setattr(repetitivity, "GRID_SAMPLE_BUDGET", 50_000)
+        ps = ExactPointSet(2, 2, np.eye(2), np.array([[0, 0]]), Region.ball([0.0, 0.0], 10.0))
+        res = repetitivity_function(ps, 1.0, resolution=1e-6)
+        assert res.M_lower <= 8.0 <= res.M_upper
+        assert res.M_upper - res.M_lower > 5e-7
+        assert "1 classes reached the covering-radius evaluation cap" in res.notes[0]
+
+    def test_no_cap_note_within_tolerance(self):
+        ps = gen_integer_lattice(2).materialize(Region.box([(-8, 8)] * 2))
+        res = repetitivity_function(ps, 1.0, resolution=0.02)
+        assert res.notes == []
 
 
 class TestRepetitivityFunction:
