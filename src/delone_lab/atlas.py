@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import BALL_TOL, ExactPointSet, Region, make_patch_key
+from .core import BALL_TOL, ExactPointSet, Region, make_patch_key, row_scalars
 from .errors import InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
@@ -175,18 +175,11 @@ def _engine_sorted_line(ps, center_idx, thresh2, flag_cap):
 def _group_rows(rows, caddr):
     """(representative row, centers) for each class of equal rows.
 
-    Each row is padded to whole 8-byte words and read as one scalar (a
-    uint64, or a void of several words), so a 1-D unique groups the rows;
-    one stable argsort of the inverse splits the centers.
+    A 1-D unique over one scalar per row groups the rows; one stable argsort
+    of the inverse splits the centers.
     """
-    m = rows.shape[0]
-    raw = np.ascontiguousarray(rows).view(np.uint8).reshape(m, -1)
-    words = -(-raw.shape[1] // 8)
-    buf = np.zeros((m, 8 * words), dtype=np.uint8)
-    buf[:, : raw.shape[1]] = raw
-    scalar = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
     _, first, inverse = np.unique(
-        buf.view(scalar).ravel(), return_index=True, return_inverse=True
+        row_scalars(rows), return_index=True, return_inverse=True
     )
     order = np.argsort(inverse, kind="stable")
     bounds = np.cumsum(np.bincount(inverse))[:-1]

@@ -202,6 +202,22 @@ def validate_patch_key(key: tuple) -> None:
 # Point sets
 
 
+def row_scalars(rows: np.ndarray) -> np.ndarray:
+    """One scalar per row of a 2-D array, equal exactly when the rows are.
+
+    Each row is padded to whole 8-byte words and read as one uint64, or one
+    void of several words, so a 1-D np.unique groups rows without the slow
+    axis=0 sort.
+    """
+    m = rows.shape[0]
+    raw = np.ascontiguousarray(rows).view(np.uint8).reshape(m, -1)
+    words = -(-raw.shape[1] // 8)
+    buf = np.zeros((m, 8 * words), dtype=np.uint8)
+    buf[:, : raw.shape[1]] = raw
+    scalar = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
+    return buf.view(scalar).ravel()
+
+
 class ExactPointSet:
     """Finite point set with integer addresses and a float projection.
 
@@ -235,9 +251,7 @@ class ExactPointSet:
         if region.dimension != dimension:
             raise InvalidArgument("region dimension mismatch")
         if addresses.shape[0] > 0:
-            # one void scalar per row: a 1-D unique, not the slow axis=0 sort
-            rows = np.ascontiguousarray(addresses).view(np.dtype((np.void, 8 * rank)))
-            if np.unique(rows.ravel()).shape[0] != addresses.shape[0]:
+            if np.unique(row_scalars(addresses)).shape[0] != addresses.shape[0]:
                 raise InvalidArgument("addresses must be distinct")
         self.dimension = int(dimension)
         self.rank = int(rank)

@@ -22,6 +22,7 @@ from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
 GRID_SAMPLE_BUDGET = 4_000_000  # cap on distance evaluations per covering-radius call
+THREADED_QUERY_MIN = 4096  # smaller cKDTree batches run faster on one thread
 
 
 def covering_radius(
@@ -31,8 +32,10 @@ def covering_radius(
 
     Dimension one is exact (midpoints and endpoints decide the sup). Higher
     dimensions branch and bound over origin-anchored dyadic cubes meeting the
-    region, to a bracket at most resolution/2 wide; past GRID_SAMPLE_BUDGET
-    distance evaluations it comes back wider, still certified.
+    region, to a bracket at most resolution/2 wide with both ends rounded
+    outward. Past GRID_SAMPLE_BUDGET distance evaluations, or once cells are
+    as fine as floats resolve at the region's coordinates, it comes back
+    wider, still certified.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if centers.shape[0] == 0:
@@ -64,53 +67,65 @@ def covering_radius(
         val = float(max(cand))
         return val, val
 
-    lo_box, hi_box = np.array(region.bounding_box().intervals).T
+    # a box is its bounding box met with a ball of infinite radius
+    ball = region.kind == "ball"
+    rad = region.radius if ball else math.inf
+    c0 = np.asarray(region.center) if ball else np.mean(region.intervals, axis=1)
+    lo_box, hi_box = (c0 - rad, c0 + rad) if ball else np.array(region.intervals).T
     lens = hi_box - lo_box
     if resolution is None:
         resolution = max(float(lens.max()) / 100.0, 1e-9)
     if not resolution > 0:
         raise InvalidArgument("resolution must be positive")
-    # a box is its bounding box met with a ball of infinite radius
-    ball = region.kind == "ball"
-    c0 = np.asarray(region.center) if ball else (lo_box + hi_box) / 2.0
-    rad2 = region.radius**2 if ball else math.inf
+    # relative slack that rounds every computed distance and ball test outward
+    slack = 8.0 * n * math.ulp(1.0)
 
-    def meets(p, h):  # which cells of half-side h centered at p meet the region
+    def meets(p, h, grow):  # which cells of half-side h centered at p meet the region
         gap = np.maximum(np.abs(p - c0) - h, 0.0)
         near = np.all((p + h >= lo_box) & (p - h <= hi_box), axis=1)
-        return near & (np.sum(gap * gap, axis=1) <= rad2)
+        return near & (np.sum(gap * gap, axis=1) <= rad * rad * grow)
 
-    # first level: a power of two at most the mean center spacing and the box side
+    from scipy.spatial import cKDTree
+
+    workers = int(os.environ.get("DELONE_LAB_THREADS", "-1") or "-1")
+    tree = cKDTree(centers)
+    best = float(tree.query(c0)[0])  # largest distance seen at a point of the region
+    if rad == 0:  # the region is a single point
+        return best * (1.0 - slack), best * (1.0 + slack)
+
+    # first level: a power of two at most the mean center spacing and the box side;
+    # cells never get finer than `finest`, so every cell center is an exact float
     spacing = (float(np.prod(lens)) / centers.shape[0]) ** (1.0 / n)
     side = 2.0 ** math.floor(math.log2(min(spacing, float(lens.max()))))
-    while np.prod(np.ceil(hi_box / side) - np.floor(lo_box / side)) > GRID_SAMPLE_BUDGET:
+    finest = 8.0 * math.ulp(1.0) * float(np.abs([lo_box, hi_box]).max())
+    while (
+        side <= finest
+        or np.prod(np.ceil(hi_box / side) - np.floor(lo_box / side)) > GRID_SAMPLE_BUDGET
+    ):
         side *= 2.0
     first = np.floor(lo_box / side)
     counts = (np.ceil(hi_box / side) - first).astype(np.int64)
     cells = (np.indices(counts).reshape(n, -1).T + first + 0.5) * side
     corners = np.indices((2,) * n).reshape(n, -1).T - 0.5
 
-    from scipy.spatial import cKDTree
-
-    workers = int(os.environ.get("DELONE_LAB_THREADS", "-1") or "-1")
-    tree = cKDTree(centers)
-    lower, upper, evaluations = float(tree.query(c0)[0]), -math.inf, 1
+    upper, evaluations = -math.inf, 1
     while cells.shape[0]:
-        cells = cells[meets(cells, side / 2.0)]
-        # threads cost more than they save on small batches
-        d, _ = tree.query(cells, workers=workers if cells.shape[0] >= 4096 else 1)
+        cells = cells[meets(cells, side / 2.0, 1.0 + slack)]
+        threaded = cells.shape[0] >= THREADED_QUERY_MIN
+        d, _ = tree.query(cells, workers=workers if threaded else 1)
         evaluations += cells.shape[0]
-        lower = float(np.max(d[meets(cells, 0.0)], initial=lower))
-        bound = d + math.sqrt(n) * side / 2.0
-        done = bound - lower <= resolution / 2.0
+        best = float(np.max(d[meets(cells, 0.0, 1.0 - slack)], initial=best))
+        bound = (d + math.sqrt(n) * side / 2.0) * (1.0 + slack)
+        done = bound - best * (1.0 - slack) <= resolution / 2.0
         upper = float(np.max(bound[done], initial=upper))
         cells, bound = cells[~done], bound[~done]
-        if evaluations + cells.shape[0] * corners.shape[0] > GRID_SAMPLE_BUDGET:
+        too_many = evaluations + cells.shape[0] * corners.shape[0] > GRID_SAMPLE_BUDGET
+        if too_many or side <= finest:
             upper = float(np.max(bound, initial=upper))
             break
         side /= 2.0
         cells = (cells[:, None, :] + corners * side).reshape(-1, n)
-    return lower, upper
+    return best * (1.0 - slack), upper
 
 
 @dataclass
@@ -163,11 +178,14 @@ def repetitivity_function(
         d, _ = cKDTree(ps.points).query(ps.points, k=2)
         r = float(d[:, 1].min()) / 2.0
         resolution = min(r / 4.0, T / 100.0)
-    per, notes = [], []
+    per = []
+    notes = []
     for cls in atlas.classes:
         pos = cls.centers.astype(float) @ ps.projection
         lo, hi = covering_radius(pos, eval_region, resolution=resolution)
-        per.append(ClassCovering(cls.key, lo, hi, cls.centers.shape[0]))
+        per.append(
+            ClassCovering(key=cls.key, lower=lo, upper=hi, n_centers=cls.centers.shape[0])
+        )
     if not per:
         raise WindowTooSmall("no certified patch centers in the window")
     M_lower = max(c.lower for c in per)
@@ -177,8 +195,9 @@ def repetitivity_function(
     wide = [c.upper - c.lower for c in per if c.upper - c.lower > tol]
     if wide:
         notes.append(
-            "%d classes reached the covering-radius evaluation cap; widest bracket "
-            "%.6g against tolerance %.6g" % (len(wide), max(wide), tol)
+            "%d classes stopped short of the covering-radius tolerance (evaluation "
+            "cap or float precision); widest bracket %.6g against tolerance %.6g"
+            % (len(wide), max(wide), tol)
         )
     if M_lower > T:
         notes.append(
@@ -186,8 +205,14 @@ def repetitivity_function(
             "window effects may over-report M_lower"
         )
     return RepetitivityResult(
-        T=T, M_lower=M_lower, M_upper=M_upper, certified_floor=floor_val,
-        n_lower=atlas.n_lower, per_class=per, evaluation_region=eval_region, notes=notes,
+        T=T,
+        M_lower=M_lower,
+        M_upper=M_upper,
+        certified_floor=floor_val,
+        n_lower=atlas.n_lower,
+        per_class=per,
+        evaluation_region=eval_region,
+        notes=notes,
     )
 
 
@@ -348,18 +373,27 @@ def symbolic_recurrence_oracle(word: Sequence, length: int):
     if len(w) < length:
         raise InvalidArgument("word shorter than the factor length")
     try:
-        seq = bytes(int(c) for c in w)  # byte slices hash fast
+        data = bytes(int(c) for c in w)
     except (ValueError, TypeError):
-        seq = tuple(w)
+        data = None
     last: dict = {}
     best: dict = {}
-    for i in range(len(seq) - length + 1):
-        f = seq[i : i + length]
-        if f in last:
-            g = i - last[f]
-            if g > best.get(f, 0):
-                best[f] = g
-        last[f] = i
+    if data is not None:
+        for i in range(len(data) - length + 1):
+            f = data[i : i + length]
+            if f in last:
+                g = i - last[f]
+                if g > best.get(f, 0):
+                    best[f] = g
+            last[f] = i
+    else:
+        for i in range(len(w) - length + 1):
+            f = tuple(w[i : i + length])
+            if f in last:
+                g = i - last[f]
+                if g > best.get(f, 0):
+                    best[f] = g
+            last[f] = i
     if len(best) < len(last):
         return math.inf
     return max(best.values())
