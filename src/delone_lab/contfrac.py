@@ -13,7 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
 from .errors import InvalidArgument, NeedsMoreTerms, ResourceLimit
+
+_INT64_MAX = 2**63 - 1
 
 
 class ContinuedFraction:
@@ -119,6 +123,39 @@ class ContinuedFraction:
                 return flo
             k += 1
 
+    def floor_multiples(self, js) -> np.ndarray:
+        """floor(j * alpha) for every entry of an int64 array, exact (1-D).
+
+        The vector form of floor_multiple: each entry resolves at the first
+        convergent bracket whose two floors agree, and only unresolved entries
+        go one convergent deeper. An entry whose products |j| * max(p, q)
+        could overflow int64 is handed to floor_multiple (Python ints).
+        """
+        js = np.asarray(js, dtype=np.int64).reshape(-1)
+        out = np.zeros(js.shape, dtype=np.int64)
+        todo = np.flatnonzero(js)
+        k = 1
+        while todo.size:
+            if self.is_rational:
+                (plo, qlo) = (phi, qhi) = self.convergent(len(self._quotients))
+            else:
+                (plo, qlo), (phi, qhi) = self._bounds_pq(k)
+            lim = _INT64_MAX // max(plo, qlo, phi, qhi)
+            j = js[todo]
+            safe = (j <= lim) & (j >= -lim)
+            for i in todo[~safe].tolist():
+                out[i] = self.floor_multiple(int(js[i]))
+            todo, j = todo[safe], j[safe]
+            if not todo.size:
+                break
+            flo = (j * plo) // qlo
+            fhi = (j * phi) // qhi
+            same = flo == fhi
+            out[todo[same]] = flo[same]
+            todo = todo[~same]
+            k += 1
+        return out
+
     def _bounds_pq(self, k: int) -> tuple:
         p1, q1 = self.convergent(k)
         p2, q2 = self.convergent(k + 1)
@@ -131,16 +168,11 @@ class ContinuedFraction:
         return self.floor_multiple(k + 1) - self.floor_multiple(k)
 
     def beatty_word(self, start: int, count: int) -> list:
-        """Symbols b_start .. b_{start+count-1} with one exact floor per step."""
+        """Symbols b_start .. b_{start+count-1}, differences of exact floors."""
         if count < 0:
             raise InvalidArgument("count must be >= 0")
-        out = []
-        prev = self.floor_multiple(start)
-        for k in range(start, start + count):
-            cur = self.floor_multiple(k + 1)
-            out.append(cur - prev)
-            prev = cur
-        return out
+        floors = self.floor_multiples(np.arange(start, start + count + 1, dtype=np.int64))
+        return np.diff(floors).tolist()
 
     # -- constructors --------------------------------------------------------
 

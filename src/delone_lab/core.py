@@ -210,7 +210,7 @@ def row_scalars(rows: np.ndarray) -> np.ndarray:
     axis=0 sort.
     """
     m = rows.shape[0]
-    raw = np.ascontiguousarray(rows).view(np.uint8).reshape(m, -1)
+    raw = np.ascontiguousarray(rows).view(np.uint8)  # (m, bytes per row)
     words = -(-raw.shape[1] // 8)
     buf = np.zeros((m, 8 * words), dtype=np.uint8)
     buf[:, : raw.shape[1]] = raw

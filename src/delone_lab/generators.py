@@ -122,50 +122,31 @@ def gen_beatty(alpha, tau: float) -> PointSetSource:
     if not (tau > 1.0) or not math.isfinite(tau):
         raise InvalidArgument("tau must be a finite number > 1")
 
+    # After i steps from x_0 = 0 the chain has taken v = floor(i alpha) long
+    # gaps and u = i - v unit gaps, so x_i = u + tau v for every integer i.
+    slope = 1.0 + (tau - 1.0) * cf.value_float()
+
+    def x_of(i: int) -> float:
+        v = int(cf.floor_multiples([i])[0])
+        return (i - v) + tau * v
+
     def mat(region: Region) -> ExactPointSet:
         a, b = _interval_of(region)
-        addrs = []  # (unit_gaps, tau_gaps) walked from the origin point x_0 = 0
-
-        def pos(u: int, v: int) -> float:
-            return u + tau * v
-
-        # forward: x_0, x_1, ...; gap between x_i and x_{i+1} is b_i
-        u = v = 0
-        prev_floor = 0
-        i = 0
-        while True:
-            p = pos(u, v)
-            if p > b + tau + 1.0:
-                break
-            if a - 1e-9 <= p <= b + 1e-9:
-                addrs.append((u, v))
-            cur = cf.floor_multiple(i + 1)
-            if cur - prev_floor:
-                v += 1
-            else:
-                u += 1
-            prev_floor = cur
-            i += 1
-        # backward: gap between x_{i-1} and x_i is b_{i-1}
-        u = v = 0
-        prev_floor = 0
-        i = 0
-        back = []
-        while True:
-            cur = cf.floor_multiple(i - 1)
-            if prev_floor - cur:
-                v -= 1
-            else:
-                u -= 1
-            prev_floor = cur
-            i -= 1
-            p = pos(u, v)
-            if p < a - tau - 1.0:
-                break
-            if a - 1e-9 <= p <= b + 1e-9:
-                back.append((u, v))
-        addrs = back[::-1] + addrs
-        arr = np.array(addrs, dtype=np.int64).reshape(-1, 2)
+        # index range from the mean slope, widened until both exact end
+        # points lie outside the window; x_i increases with i
+        lo, hi = math.floor(a / slope), math.ceil(b / slope)
+        step = 1
+        while x_of(lo) >= a - 1e-9:
+            lo, step = lo - step, 2 * step
+        step = 1
+        while x_of(hi) <= b + 1e-9:
+            hi, step = hi + step, 2 * step
+        i = np.arange(lo, hi + 1, dtype=np.int64)
+        v = cf.floor_multiples(i)
+        u = i - v
+        p = u + tau * v
+        keep = (a - 1e-9 <= p) & (p <= b + 1e-9)
+        arr = np.stack([u[keep], v[keep]], axis=1)
         proj = np.array([[1.0], [tau]])
         return ExactPointSet(1, 2, proj, arr, region)
 
@@ -206,22 +187,14 @@ def gen_cut_project_1d(alpha) -> PointSetSource:
     af = cf.value_float()
     norm = math.sqrt(1.0 + af * af)
 
-    def p_of(m: int) -> int:
-        if m == 0:
-            return 0
-        return cf.floor_multiple(m) + 1
-
     def mat(region: Region) -> ExactPointSet:
         a, b = _interval_of(region)
-        m_lo = math.floor(a / norm) - 2
-        m_hi = math.ceil(b / norm) + 2
-        addrs = []
-        for m in range(m_lo, m_hi + 1):
-            p = p_of(m)
-            t = (m + p * af) / norm
-            if a - 1e-9 <= t <= b + 1e-9:
-                addrs.append((m, p))
-        arr = np.array(addrs, dtype=np.int64).reshape(-1, 2)
+        m = np.arange(math.floor(a / norm) - 2, math.ceil(b / norm) + 3, dtype=np.int64)
+        # p = ceil(alpha m), which is floor(alpha m) + 1 for m != 0
+        p = np.where(m == 0, 0, cf.floor_multiples(m) + 1)
+        t = (m + p * af) / norm
+        keep = (a - 1e-9 <= t) & (t <= b + 1e-9)
+        arr = np.stack([m[keep], p[keep]], axis=1)
         proj = np.array([[1.0 / norm], [af / norm]])
         return ExactPointSet(1, 2, proj, arr, region)
 
@@ -233,7 +206,7 @@ def gen_cut_project_1d(alpha) -> PointSetSource:
         materialize_fn=mat,
         declared_r=0.5 / norm,
         declared_R=(1.0 + af) / (2.0 * norm),
-        extras={"cf": cf, "alpha_float": af, "p_of": p_of, "norm": norm},
+        extras={"cf": cf, "alpha_float": af, "norm": norm},
     )
 
 
@@ -368,6 +341,10 @@ def _exact_even_root(a: int, n: int) -> int:
     raise InvalidArgument(f"a_k = {a} is not an exact n-th power")
 
 
+# cells per cell_is_white call when counting a box, which bounds its memory
+WHITE_COUNT_CHUNK = 1 << 16
+
+
 class TwoColorStructure:
     """Level-K hierarchical coloring of Z^n cells.
 
@@ -434,12 +411,15 @@ class TwoColorStructure:
 
     def white_count_in_box(self, lo: Sequence[int], hi: Sequence[int]) -> int:
         """Exact number of white cells c with lo <= c < hi per axis."""
-        axes = [np.arange(int(l), int(h), dtype=np.int64) for l, h in zip(lo, hi)]
-        if any(ax.size == 0 for ax in axes):
-            return 0
-        grids = np.meshgrid(*axes, indexing="ij")
-        cells = np.stack([g.ravel() for g in grids], axis=1)
-        return int(np.count_nonzero(self.cell_is_white(cells)))
+        shape = [max(0, int(h) - int(l)) for l, h in zip(lo, hi)]
+        corner = np.array([int(l) for l in lo], dtype=np.int64)
+        total = math.prod(shape)
+        white = 0
+        for s in range(0, total, WHITE_COUNT_CHUNK):
+            flat = np.arange(s, min(s + WHITE_COUNT_CHUNK, total), dtype=np.int64)
+            cells = np.stack(np.unravel_index(flat, shape), axis=1) + corner
+            white += int(np.count_nonzero(self.cell_is_white(cells)))
+        return white
 
     def rho(self, k: int) -> Fraction:
         val = Fraction(1, 2) + Fraction((-1) ** k, 2) * self.partial_product(k)

@@ -15,8 +15,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import ExactPointSet, Region, unit_ball_volume
+from .core import ExactPointSet, Region, row_scalars, unit_ball_volume
 from .errors import InvalidArgument, WindowTooSmall
+
+
+# difference rows per autocorrelation chunk, which bounds its memory
+DIFF_CHUNK_ROWS = 1 << 22
 
 
 @dataclass
@@ -64,15 +68,24 @@ def autocorrelation(
     sel = d2 < T * T  # strict by definition
     addr = ps.addresses[sel]
     P = addr.shape[0]
-    counts: dict = {}
-    chunk = max(1, (1 << 22) // max(P, 1))
+    if P:
+        # translating the addresses keeps their differences; the narrowest
+        # signed type holding +-span packs short rows into one 8-byte word
+        addr = addr - addr.min(axis=0)
+        addr = addr.astype(np.min_scalar_type(-int(addr.max()) - 1))
+    rows, cnts = [np.zeros((0, ps.rank), dtype=addr.dtype)], [np.zeros(0, dtype=np.int64)]
+    chunk = max(1, DIFF_CHUNK_ROWS // max(P, 1))
     for s in range(0, P, chunk):
         block = addr[s : s + chunk]
         diffs = (block[:, None, :] - addr[None, :, :]).reshape(-1, ps.rank)
-        uniq, cnt = np.unique(diffs, axis=0, return_counts=True)
-        for row, k in zip(uniq.tolist(), cnt.tolist()):
-            t = tuple(row)
-            counts[t] = counts.get(t, 0) + int(k)
+        _, first, cnt = np.unique(row_scalars(diffs), return_index=True, return_counts=True)
+        rows.append(diffs[first])
+        cnts.append(cnt)
+    rows = np.concatenate(rows)
+    _, first, inverse = np.unique(row_scalars(rows), return_index=True, return_inverse=True)
+    total = np.zeros(first.size, dtype=np.int64)
+    np.add.at(total, inverse, np.concatenate(cnts))
+    counts = dict(zip(map(tuple, rows[first].tolist()), total.tolist()))
     norm = unit_ball_volume(n) * T**n
     # the measure is symmetric by construction; check it stayed that way
     for t, k in counts.items():

@@ -21,7 +21,13 @@ from delone_lab.errors import (
     InsufficientData,
     InvalidArgument,
 )
-from delone_lab.generators import GOLDEN_TAU, gen_beatty, gen_fibonacci, gen_integer_lattice
+from delone_lab.generators import (
+    GOLDEN_TAU,
+    build_source,
+    gen_beatty,
+    gen_fibonacci,
+    gen_integer_lattice,
+)
 
 
 def in_span(basis, row):
@@ -144,6 +150,31 @@ class TestLipschitz:
         ps = gen_integer_lattice(1).materialize(Region.box([(-0.5, 0.5)]))
         with pytest.raises(InsufficientData):
             lipschitz_constant(ps)
+
+    @pytest.mark.parametrize(
+        "src, window",
+        [
+            (gen_fibonacci(), [(-300, 300)]),
+            (gen_beatty("golden", 2.0), [(-150, 150)]),
+            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-9, 9)] * 2),
+            (build_source("product", {"factors": [{"set": "fibonacci"}] * 2}), [(-11, 11)] * 2),
+        ],
+        ids=["fibonacci", "degenerate-beatty", "z2-holes", "fib-x-fib"],
+    )
+    def test_upper_triangle_equals_full_matrix(self, src, window):
+        ps = src.materialize(Region.box(window))
+        amap = build_address_map(ps)
+        coords = amap.phi(ps.addresses).astype(float)
+        dx = ps.points[:, None, :] - ps.points[None, :, :]
+        dphi = coords[:, None, :] - coords[None, :, :]
+        nx = np.sqrt(np.sum(dx * dx, axis=2))
+        np.fill_diagonal(nx, np.inf)
+        with np.errstate(divide="ignore"):
+            full = float(np.max(np.sqrt(np.sum(dphi * dphi, axis=2)) / nx))
+        rep = lipschitz_constant(ps, amap)
+        assert len(ps) > 32  # several row blocks
+        assert rep.value == full
+        assert rep.pairs_used == len(ps) * (len(ps) - 1) // 2
 
 
 class TestLinearFit:

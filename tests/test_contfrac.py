@@ -7,6 +7,7 @@ irrationals, checked before anything that depends on floor_multiple.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,27 @@ def silver() -> ContinuedFraction:
     return ContinuedFraction([2], extend=lambda k: 2)
 
 
+def stair() -> ContinuedFraction:
+    return ContinuedFraction([1, 2, 3, 4, 5], extend=lambda k: (k - 1) % 5 + 1)
+
+
+ALPHAS = {
+    "golden": ContinuedFraction.golden,
+    "silver": silver,
+    "stair": stair,
+    "rational": lambda: ContinuedFraction.parse("cf:1,2,3,4,5,6,7,8,9,10"),
+}
+INT64_MAX = 2**63 - 1
+# small, window-sized, and at the int64 edge, where products of j with a
+# convergent overflow and the kernel must fall back to Python ints
+INT64_ENTRIES = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(-(10**6), 10**6),
+    st.integers(-INT64_MAX - 1, INT64_MAX),
+    st.sampled_from([0, 1, -1, INT64_MAX, -INT64_MAX, -INT64_MAX - 1, 2**62, -(2**62), 2**40]),
+)
+
+
 class TestExactFloors:
     def test_golden_floors_match_isqrt_oracle(self):
         g = ContinuedFraction.golden()
@@ -56,6 +78,41 @@ class TestExactFloors:
         # floor(-x) = -floor(x) - 1 for irrational x > 0
         for j in range(1, 50):
             assert g.floor_multiple(-j) == -floor_golden(j) - 1
+
+
+class TestVectorFloors:
+    @given(st.sampled_from(sorted(ALPHAS)), st.lists(INT64_ENTRIES, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_floor(self, name, js):
+        cf = ALPHAS[name]()
+        got = cf.floor_multiples(np.array(js, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [cf.floor_multiple(j) for j in js]
+
+    def test_golden_window_far_from_origin(self):
+        g = ContinuedFraction.golden()
+        js = np.arange(-300_500, -299_000)
+        js = np.concatenate([js, -js, np.arange(-500, 500)])
+        want = [floor_golden(j) if j >= 0 else -floor_golden(-j) - 1 for j in js.tolist()]
+        assert g.floor_multiples(js).tolist() == want
+
+    def test_python_fallback_only_near_the_int64_edge(self, monkeypatch):
+        g = ContinuedFraction.golden()
+        calls = []
+        scalar = ContinuedFraction.floor_multiple
+        monkeypatch.setattr(
+            ContinuedFraction, "floor_multiple", lambda self, j: calls.append(j) or scalar(self, j)
+        )
+        js = np.array([2**62, 5, -(2**62), 0, 10**12, -INT64_MAX - 1], dtype=np.int64)
+        got = g.floor_multiples(js)
+        assert sorted(calls) == sorted([2**62, -(2**62), -INT64_MAX - 1])
+        assert got[1] == 3 and got[3] == 0 and got[4] == floor_golden(10**12)
+        assert got[0] == floor_golden(2**62)
+
+    def test_empty_and_list_input(self):
+        g = ContinuedFraction.golden()
+        assert g.floor_multiples(np.zeros(0, dtype=np.int64)).shape == (0,)
+        assert g.floor_multiples([0, 1, 2, 3, -1]).tolist() == [0, 0, 1, 1, -1]
 
 
 class TestWords:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from delone_lab import generators
 from delone_lab.contfrac import ContinuedFraction
 from delone_lab.core import Region
 from delone_lab.errors import InvalidArgument, WindowTooSmall
@@ -25,6 +26,83 @@ from delone_lab.generators import (
 
 def isqrt_floor_golden(k: int) -> int:
     return (math.isqrt(5 * k * k) - k) // 2
+
+
+def signed(floor_nonneg):
+    """Extend an exact floor(k alpha), k >= 0, to k < 0 (alpha irrational)."""
+    return lambda k: floor_nonneg(k) if k >= 0 else -floor_nonneg(-k) - 1
+
+
+RATIONAL_CF = "cf:1,2,3,4,5,6,7,8,9,10"
+RATIONAL = ContinuedFraction.parse(RATIONAL_CF).value()
+# (alpha spec, tau, exact floor(k alpha) computed apart from contfrac)
+CHAINS = {
+    "fibonacci": ("golden", GOLDEN_TAU, signed(isqrt_floor_golden)),
+    "golden-silver-tau": ("golden", 1.0 + math.sqrt(2.0), signed(isqrt_floor_golden)),
+    "golden-long-gap": ("golden", 7.5, signed(isqrt_floor_golden)),
+    "silver": (
+        ContinuedFraction([2], extend=lambda k: 2),
+        1.3,
+        signed(lambda k: math.isqrt(2 * k * k) - k),
+    ),
+    "rational": (RATIONAL_CF, 1.7, lambda k: k * RATIONAL.numerator // RATIONAL.denominator),
+}
+# at the origin, 3e5 away on both sides, empty, sub-unit and point-edged
+WINDOWS = [
+    (-50.0, 50.0),
+    (300_000.0, 304_000.0),
+    (-304_000.0, -300_000.0),
+    (0.2, 0.3),
+    (0.9, 1.1),
+    (300_000.25, 300_000.75),
+    (0.0, 1.0),
+    (-7.3, 11.9),
+]
+_WALKS = {}
+
+
+def walk_oracle(name, a, b):
+    """(u, v) addresses in [a, b] of the chain walked one gap at a time.
+
+    From x_0 = 0 the gap after x_i is tau when floor((i+1) alpha) -
+    floor(i alpha) = 1 and 1 otherwise; both directions are walked once to
+    305 000 and cached, then cut to the window with the generator's float
+    rule a - 1e-9 <= u + tau v <= b + 1e-9.
+    """
+    _, tau, floor = CHAINS[name]
+    if name not in _WALKS:
+        addrs = {0: (0, 0)}
+        for step in (1, -1):
+            u = v = 0
+            i = 0
+            while abs(u + tau * v) <= 305_000:
+                nxt = i + step
+                if abs(floor(nxt) - floor(i)):
+                    v += step
+                else:
+                    u += step
+                i = nxt
+                addrs[i] = (u, v)
+        _WALKS[name] = [addrs[i] for i in sorted(addrs)]
+    return [[u, v] for u, v in _WALKS[name] if a - 1e-9 <= u + tau * v <= b + 1e-9]
+
+
+def strip_oracle(a, b):
+    """(m, p) addresses in [a, b] of the golden cut-and-project chain.
+
+    Brute force over m with p the one integer in [alpha m, alpha m + 1),
+    from exact isqrt floors; p = 0 at m = 0.
+    """
+    floor = signed(isqrt_floor_golden)
+    af = (math.sqrt(5.0) - 1.0) / 2.0
+    norm = math.sqrt(1.0 + af * af)
+    out = []
+    # t = m norm + (p - alpha m) alpha / norm, so m lies near t / norm
+    for m in range(math.floor(a / norm) - 10, math.ceil(b / norm) + 10):
+        p = 0 if m == 0 else floor(m) + 1
+        if a - 1e-9 <= (m + p * af) / norm <= b + 1e-9:
+            out.append([m, p])
+    return out
 
 
 class TestIntegerLattice:
@@ -98,6 +176,32 @@ class TestBeatty:
         # alternating pattern: no two equal gaps in a row
         assert all(gaps[i] != gaps[i + 1] for i in range(len(gaps) - 1))
 
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_box_and_ball_match_walk(self, name, window):
+        alpha, tau, _ = CHAINS[name]
+        src = gen_beatty(alpha, tau)
+        a, b = window
+        c, r = (a + b) / 2, (b - a) / 2
+        box = src.materialize(Region.box([window]))
+        ball = src.materialize(Region.ball([c], r))
+        assert box.addresses.dtype == np.int64
+        assert box.addresses.tolist() == walk_oracle(name, a, b)
+        assert ball.addresses.tolist() == walk_oracle(name, c - r, c + r)
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_subwindows_are_restrictions(self, name):
+        alpha, tau, _ = CHAINS[name]
+        src = gen_beatty(alpha, tau)
+        big = src.materialize(Region.box([(299_990.0, 300_400.0)]))
+        x = big.addresses[:, 0] + tau * big.addresses[:, 1]
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a, b = np.sort(rng.uniform(299_990.0, 300_400.0, size=2))
+            sub = src.materialize(Region.box([(a, b)]))
+            keep = (a - 1e-9 <= x) & (x <= b + 1e-9)
+            assert sub.addresses.tolist() == big.addresses[keep].tolist()
+
     def test_tau_validation(self):
         with pytest.raises(InvalidArgument):
             gen_beatty(ContinuedFraction.golden(), 1.0)
@@ -145,9 +249,48 @@ class TestCutProject:
             else:
                 assert p == cf.floor_multiple(int(m)) + 1
 
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_box_and_ball_match_strip_oracle(self, window):
+        a, b = window
+        c, r = (a + b) / 2, (b - a) / 2
+        box = self.src.materialize(Region.box([window]))
+        ball = self.src.materialize(Region.ball([c], r))
+        assert box.addresses.tolist() == strip_oracle(a, b)
+        assert ball.addresses.tolist() == strip_oracle(c - r, c + r)
+
+    def test_subwindows_are_restrictions(self):
+        big = self.src.materialize(Region.box([(-300_400.0, -299_990.0)]))
+        m, p = big.addresses[:, 0], big.addresses[:, 1]
+        t = (m + p * self.alpha) / self.norm
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            a, b = np.sort(rng.uniform(-300_400.0, -299_990.0, size=2))
+            sub = self.src.materialize(Region.box([(a, b)]))
+            keep = (a - 1e-9 <= t) & (t <= b + 1e-9)
+            assert sub.addresses.tolist() == big.addresses[keep].tolist()
+
     def test_rational_rejected(self):
         with pytest.raises(InvalidArgument):
             gen_cut_project_1d(ContinuedFraction.parse("0.5"))
+
+
+class TestOffsetIndependence:
+    @pytest.mark.parametrize(
+        "src",
+        [gen_fibonacci(), gen_beatty("golden", math.sqrt(2.0)), gen_cut_project_1d("golden")],
+        ids=["fibonacci", "beatty", "cut_project"],
+    )
+    def test_far_window_makes_no_scalar_floor_calls(self, src, monkeypatch):
+        calls = []
+        scalar = ContinuedFraction.floor_multiple
+        monkeypatch.setattr(
+            ContinuedFraction, "floor_multiple", lambda self, j: calls.append(j) or scalar(self, j)
+        )
+        near = src.materialize(Region.box([(-2000.0, 2000.0)]))
+        near_calls = len(calls)
+        far = src.materialize(Region.box([(300_000.0, 304_000.0)]))
+        assert len(near) > 2000 and len(far) > 2000
+        assert len(calls) - near_calls == near_calls <= 2
 
 
 class TestProduct:
@@ -275,6 +418,22 @@ class TestTwoColor:
             else:
                 cell = int(math.floor(pos + 0.5))
                 assert abs(abs(pos - cell) - 1.0 / 3.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "chunk, boxes",
+        [(7, [(-300, -17), (-20, 50), (5, 5), (9, 3)]), (1 << 16, [(-150_000, 70_001)])],
+    )
+    def test_white_count_in_chunks_matches_cells(self, chunk, boxes, monkeypatch):
+        monkeypatch.setattr(generators, "WHITE_COUNT_CHUNK", chunk)
+        st = gen_two_color(1, [16, 32, 64, 128]).extras["structure"]
+        for lo, hi in boxes:
+            cells = np.arange(lo, max(lo, hi))
+            assert st.white_count_in_box([lo], [hi]) == int(np.count_nonzero(st.cell_is_white(cells)))
+        st2 = gen_two_color(2, [256, 1024]).extras["structure"]
+        lo, hi = [-40, -9], [23, 31]
+        grid = np.stack(np.meshgrid(np.arange(-40, 23), np.arange(-9, 31), indexing="ij"), axis=-1)
+        want = int(np.count_nonzero(st2.cell_is_white(grid.reshape(-1, 2))))
+        assert st2.white_count_in_box(lo, hi) == want
 
     def test_white_count_half_per_level(self):
         # each scale places exactly half its new color budget as white blocks

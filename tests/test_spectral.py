@@ -8,6 +8,7 @@ import pytest
 
 from delone_lab.core import Region, unit_ball_volume
 from delone_lab.errors import InvalidArgument, WindowTooSmall
+from delone_lab import spectral
 from delone_lab.generators import gen_fibonacci, gen_integer_lattice
 from delone_lab.spectral import (
     SpectrumEstimate,
@@ -36,6 +37,20 @@ class TestAutocorrelation:
 
     def test_matches_brute_force(self):
         assert self.ac.counts == brute_pair_counts(self.ps, 10.0)
+
+    def test_chunks_merge_to_brute_force(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DIFF_CHUNK_ROWS", 1000)
+        ps = gen_fibonacci().materialize(Region.box([(-70, 70)]))
+        ac = autocorrelation(ps, 60.0, center=[0.5])
+        assert 1000 // ac.point_count < ac.point_count // 4  # at least four chunks
+        assert ac.counts == brute_pair_counts(ps, 60.0, center=[0.5])
+        assert all(type(k) is int for k in ac.counts.values())
+        assert all(type(v) is int for diff in ac.counts for v in diff)
+
+    def test_empty_ball(self):
+        ps = gen_fibonacci().materialize(Region.box([(0.1, 0.4)]))
+        ac = autocorrelation(ps, 0.1, center=[0.25])
+        assert ac.point_count == 0 and ac.counts == {}
 
     def test_triangle_counts(self):
         assert self.ac.point_count == 19
