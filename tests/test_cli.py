@@ -12,7 +12,7 @@ import pytest
 import delone_lab.verify as verify_mod
 from delone_lab.atlas import compute_atlas
 from delone_lab.cli import main
-from delone_lab.core import FloatPointSet, Region, make_patch_key
+from delone_lab.core import ExactPointSet, FloatPointSet, Region, make_patch_key
 from delone_lab.errors import ResourceLimit
 from delone_lab.generators import build_source
 from delone_lab.verify import CheckResult
@@ -69,6 +69,84 @@ class TestGenerate:
         assert run_cli(["generate", "--set", "zn", "--window", "3"]) == 0
         config, _, _ = parse_csv(capsys.readouterr().out)
         assert config["threads"] == "2"
+
+
+def row_by_row_generate(config, fmt):
+    """A `generate` artifact built one element and one row at a time."""
+    source = build_source(config["set"], config["params"])
+    ps = source.materialize(Region.from_json(config["window"]))
+    columns = ["x%d" % i for i in range(ps.dimension)] + ["a%d" % j for j in range(ps.rank)] + ["tag"]
+    rows = []
+    for pos, addr in zip(ps.points, ps.addresses):
+        rows.append([float(v) for v in pos] + [int(v) for v in addr] + ["exact"])
+    if fmt == "csv":
+        buf = io.StringIO()
+        buf.write("# " + json.dumps(config, sort_keys=True) + "\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(row)
+        return buf.getvalue()
+    point_set = {
+        "dimension": ps.dimension,
+        "rank": ps.rank,
+        "projection": [list(map(float, row)) for row in ps.projection],
+        "addresses": [list(map(int, row)) for row in ps.addresses],
+        "region": ps.region.to_json(),
+    }
+    payload = {"config": config, "columns": columns, "rows": rows, "point_set": point_set}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+class TestGenerateRows:
+    CASES = [
+        ("zn", {"n": 2, "deletions": [[0, 0], [3, 1], [3, 1], [40, 40]]}, [[-12.5, 9], [-4, 11]]),
+        ("product", {"factors": [{"set": "fibonacci"}, {"set": "fibonacci"}]}, [[-7.3, 8.1], [-6.2, 5.9]]),
+        ("deleted_lines", {"a": [2, 10]}, [[-5, 6], [-4, 4], [-6, 3]]),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name, params, window", CASES)
+    def test_bytes_match_row_by_row_reference(self, tmp_path, name, params, window, fmt):
+        art = tmp_path / ("a." + fmt)
+        argv = [
+            "generate", "--set", name, "--params", json.dumps(params),
+            "--window", json.dumps({"kind": "box", "intervals": window}),
+            "--format", fmt, "--out", str(art),
+        ]
+        assert run_cli(argv) == 0
+        text = art.read_text()
+        config = json.loads(text.splitlines()[0][2:]) if fmt == "csv" else json.loads(text)["config"]
+        assert config["count"] > 10
+        assert text == row_by_row_generate(config, fmt)
+
+    def test_csv_never_builds_the_point_set_json(self, capsys, monkeypatch):
+        calls = []
+        orig = ExactPointSet.to_json
+
+        def counted(self):
+            calls.append(len(self))
+            return orig(self)
+
+        monkeypatch.setattr(ExactPointSet, "to_json", counted)
+        assert run_cli(["generate", "--set", "zn", "--n", "2", "--window", "4"]) == 0
+        assert calls == []
+        assert run_cli(["generate", "--set", "zn", "--n", "2", "--window", "4", "--format", "json"]) == 0
+        assert calls == [81]
+        capsys.readouterr()
+
+    def test_import_float_rows_match_elementwise(self, tmp_path, capsys):
+        src = tmp_path / "pts.json"
+        pts = [[0.1, -2.5], [1.0 / 3.0, 7.25], [-0.0, 1e-17]]
+        fps = FloatPointSet(np.array(pts), 1e-3, Region.centered_box(2, 10.0))
+        src.write_text(json.dumps(fps.to_json()))
+        assert json.loads(src.read_text())["points"] == [list(map(float, r)) for r in fps.points]
+        art = tmp_path / "out.csv"
+        assert run_cli(["import-float", str(src), "--out", str(art)]) == 0
+        _, header, rows = parse_csv(art.read_text())
+        assert header == ["x0", "x1", "tag"]
+        assert rows == [[repr(float(v)) for v in r] + ["exact"] for r in fps.points]
+        capsys.readouterr()
 
 
 class TestAnalysisCommands:

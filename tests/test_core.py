@@ -15,8 +15,10 @@ from delone_lab.core import (
     delone_constants,
     load_point_set,
     make_patch_key,
+    narrow_rows,
     natural_distance,
     project,
+    row_scalars,
     save_point_set,
     validate_patch_key,
 )
@@ -156,6 +158,31 @@ class TestExactPointSet:
             rows += [flip, high]
         rows = np.unique(np.array(rows), axis=0)
         assert len(self.rank_set(rows, rank)) == rows.shape[0]
+
+    def test_full_int64_span_is_exact(self):
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        rows = np.array([[lo, 0], [hi, 0], [hi, 1], [lo + 1, 0]], dtype=np.int64)
+        narrow = narrow_rows(rows)
+        assert narrow.dtype == np.uint64
+        assert narrow[:, 0].tolist() == [0, 2**64 - 1, 2**64 - 1, 1]
+        assert narrow[:, 1].tolist() == [0, 0, 1, 0]
+        assert len(self.rank_set(rows, 2)) == 4
+        with pytest.raises(InvalidArgument, match="addresses must be distinct"):
+            self.rank_set(np.concatenate([rows, rows[1:2]]), 2)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_short_spans_pack_into_one_word(self, rank):
+        spans = np.random.default_rng(rank).integers(0, 101, size=(30, rank))
+        spans[0] = 0
+        spans[1, 0] = 200
+        rows = spans - (1 << 50)
+        narrow = narrow_rows(rows)
+        assert narrow.dtype == np.uint8
+        assert row_scalars(narrow).dtype == np.uint64
+        assert np.array_equal(narrow, spans)
+        signed = narrow_rows(rows, signed=True)
+        assert signed.dtype == np.int16  # holds -200 as well as 200
+        assert np.array_equal(signed, spans)
 
     def test_empty_addresses_accepted(self):
         for rank in (1, 3):

@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delone_lab.atlas import compute_atlas
-from delone_lab.core import Region
+from delone_lab.core import ExactPointSet, Region
 from delone_lab.errors import InsufficientWindow, InvalidArgument
 from delone_lab.ergodic import (
+    _slab_counter,
     component_weight,
     density_profile,
     oscillation_probe,
@@ -47,6 +50,94 @@ class TestWeights:
         wd = component_weight(volume_weight(1), 0, label="v0")
         assert wd.label == "v0"
         assert wd.evaluate(Region.box([(0, 5)])) == 5.0
+
+
+# box faces on point coordinates, a hair inside or outside them, or elsewhere
+FACE_SHIFTS = [0.0, 1e-9, -1e-9, 2e-9, -2e-9, 1e-12, 0.5]
+
+
+@st.composite
+def points_and_region(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=0, max_value=40))
+    coord = st.one_of(
+        st.integers(min_value=-6, max_value=6).map(float),  # coincident coordinates
+        st.floats(min_value=-6.0, max_value=6.0, allow_nan=False),
+    )
+    pts = np.array(
+        draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=m, max_size=m)),
+        dtype=float,
+    ).reshape(m, n)
+
+    def face(axis):
+        if m and draw(st.booleans()):
+            base = pts[draw(st.integers(min_value=0, max_value=m - 1)), axis]
+        else:  # anywhere, including far outside the points
+            base = draw(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
+        return base + draw(st.sampled_from(FACE_SHIFTS))
+
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        center = [face(i) for i in range(n)]
+        radius = draw(st.floats(min_value=0.0, max_value=8.0, allow_nan=False))
+        return pts, Region.ball(center, radius)
+    intervals = []
+    for i in range(n):
+        a, b = sorted((face(i), face(i)))
+        intervals.append((a, b if b > a else a + 1.0))
+    return pts, Region.box(intervals)
+
+
+class TestSlabCounter:
+    @settings(max_examples=400, deadline=None)
+    @given(points_and_region())
+    def test_equals_contains_count(self, case):
+        pts, region = case
+        expected = float(np.count_nonzero(region.contains(pts))) if len(pts) else 0.0
+        assert _slab_counter(pts)(region) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_faces_on_and_beside_coordinates(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.integers(-4, 5, size=(200, n)).astype(float) + rng.choice(
+            [0.0, 1e-9, -1e-9, 0.25], size=(200, n)
+        )
+        count = _slab_counter(pts)
+        for shift_a in FACE_SHIFTS:
+            for shift_b in FACE_SHIFTS:
+                box = Region.box([(-2 + shift_a, 1 + shift_b)] * n)
+                assert count(box) == np.count_nonzero(box.contains(pts))
+
+    def test_empty_set_and_boxes_outside(self):
+        for n in (1, 2, 3):
+            assert _slab_counter(np.zeros((0, n)))(Region.centered_box(n, 5.0)) == 0.0
+            pts = np.arange(3 * n, dtype=float).reshape(3, n)
+            far = Region.box([(100.0, 101.0)] * n)
+            assert _slab_counter(pts)(far) == 0.0
+            assert _slab_counter(pts)(Region.ball([-50.0] * n, 3.0)) == 0.0
+
+    def test_dimension_mismatch_raises_like_contains(self):
+        with pytest.raises(InvalidArgument):
+            _slab_counter(np.zeros((4, 1)))(Region.centered_box(2, 1.0))
+        with pytest.raises(InvalidArgument):
+            _slab_counter(np.zeros((4, 2)))(Region.centered_box(1, 1.0))
+
+    def test_white_mask_on_two_color_window(self):
+        src = gen_two_color(2, [100, 400])
+        ps = src.materialize(Region.centered_box(2, 12.0))
+        wd = white_point_count_weight(ps)
+        white = ps.addresses[:, 0] % 3 == 0
+        assert 0 < np.count_nonzero(white) < len(ps)
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            lo = rng.uniform(-14.0, 10.0, size=2)
+            box = Region.box(list(zip(lo, lo + rng.uniform(0.1, 8.0, size=2))))
+            assert wd.evaluate(box) == np.count_nonzero(box.contains(ps.points) & white)
+
+    def test_weights_of_an_empty_set(self):
+        ps = ExactPointSet(2, 2, np.eye(2), np.zeros((0, 2)), Region.centered_box(2, 3.0))
+        box = Region.centered_box(2, 1.0)
+        assert point_count_weight(ps).evaluate(box) == 0.0
+        assert white_point_count_weight(ps).evaluate(box) == 0.0
 
 
 class TestDensityProfile:

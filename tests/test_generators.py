@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delone_lab import generators
 from delone_lab.contfrac import ContinuedFraction
@@ -121,6 +123,30 @@ class TestIntegerLattice:
         assert len(ps) == 119
         as_tuples = {tuple(a) for a in ps.addresses}
         assert (0, 0) not in as_tuples and (1, 1) not in as_tuples
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(min_value=0, max_value=6),
+                # holes inside and outside the window, repeats allowed
+                st.lists(
+                    st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n),
+                    max_size=12,
+                ),
+                st.booleans(),
+            )
+        )
+    )
+    def test_hole_filter_matches_set_membership(self, case):
+        n, half, holes, ball = case
+        region = Region.ball([0.5] * n, half + 0.3) if ball else Region.centered_box(n, half + 0.5)
+        full = gen_integer_lattice(n).materialize(region).addresses
+        dels = set(map(tuple, holes))
+        expected = np.array([row for row in full.tolist() if tuple(row) not in dels], dtype=np.int64)
+        got = gen_integer_lattice(n, deletions=holes).materialize(region).addresses
+        assert np.array_equal(got, expected.reshape(-1, n))
 
     def test_declared_constants(self):
         src = gen_integer_lattice(3)
