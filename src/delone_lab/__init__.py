@@ -16,7 +16,6 @@ from .atlas import (
     PatchClass,
     WindowPolicy,
     compute_atlas,
-    cubical_atlas,
     entropy_probe,
     patch_count_profile,
 )
@@ -76,7 +75,6 @@ from .repetitivity import (
     crystal_gap_probe,
     growth_classification,
     repetitivity_function,
-    repetitivity_prime,
     symbolic_recurrence_oracle,
 )
 from .spectral import (

@@ -9,7 +9,7 @@ and the class count is a certified lower bound for the infinite set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -76,6 +76,10 @@ def compute_atlas(
     uses the axis-aligned closed cube of side T. Membership is decided on
     squared distances with a 1e-9 slack, and near-threshold points are
     flagged (they stay included).
+
+    Subsets of Z^n (n <= 3) with the identity projection go to the lattice
+    engine unless their address box is too sparse for an occupancy array;
+    every other set goes to the kdtree engine.
     """
     if shape not in ("ball", "cube"):
         raise InvalidArgument(f"unknown patch shape {shape!r}")
@@ -95,11 +99,7 @@ def compute_atlas(
 
     thresh2 = T * T if shape == "ball" else (T / 2.0) ** 2
 
-    if n == 1:
-        groups, flags, flag_count, engine = _engine_sorted_line(
-            ps, center_idx, thresh2, flag_cap
-        )
-    elif (
+    if (
         ps.rank == n
         and n <= 3
         and np.array_equal(ps.projection, np.eye(n))
@@ -114,10 +114,7 @@ def compute_atlas(
             ps, center_idx, shape, thresh2, flag_cap
         )
 
-    classes = [
-        PatchClass(key=k, centers=_sort_addresses(np.asarray(v, dtype=np.int64)))
-        for k, v in groups.items()
-    ]
+    classes = [PatchClass(key=k, centers=_sort_addresses(v)) for k, v in groups.items()]
     classes.sort(key=lambda c: c.key)
     flags.sort()
     return AtlasResult(
@@ -129,47 +126,6 @@ def compute_atlas(
         boundary_flags=flags[:flag_cap],
         engine=engine,
     )
-
-
-def _engine_sorted_line(ps, center_idx, thresh2, flag_cap):
-    """1D engine: sort by position, classify contiguous slices in bulk."""
-    pts = ps.points[:, 0]
-    order = np.argsort(pts, kind="stable")
-    xs = pts[order]
-    addr_sorted = ps.addresses[order]
-    pos_of_center = pts[center_idx]
-    caddr = ps.addresses[center_idx]
-
-    rad = math.sqrt(thresh2 + BALL_TOL)
-    los = np.searchsorted(xs, pos_of_center - rad - 1e-12, side="left")
-    his = np.searchsorted(xs, pos_of_center + rad + 1e-12, side="right")
-    w = int((his - los).max())
-    idx = los[:, None] + np.arange(w)[None, :]
-    valid = idx < his[:, None]
-    idx_c = np.minimum(idx, xs.size - 1)
-    d2 = (xs[idx_c] - pos_of_center[:, None]) ** 2
-    inc = valid & (d2 <= thresh2 + BALL_TOL)
-    near = inc & (np.abs(d2 - thresh2) < BALL_TOL)
-
-    diffs = addr_sorted[idx_c] - caddr[:, None, :]  # (m, w, rank)
-    # canonical rows: the included differences in lex order, then filler
-    diffs[~inc] = np.iinfo(np.int64).max
-    m, rank = diffs.shape[0], ps.rank
-    keys = [diffs[:, :, j].ravel() for j in range(rank - 1, -1, -1)]
-    order = np.lexsort(keys + [np.repeat(np.arange(m), w)])
-    canon = diffs.reshape(m * w, rank)[order].reshape(m, w * rank)
-
-    groups = {}
-    for rep, centers in _group_rows(canon, caddr):
-        groups[make_patch_key(map(tuple, diffs[rep][inc[rep]].tolist()))] = centers
-
-    flags = []
-    flag_count = int(near.sum())
-    if flag_count:
-        rows, cols = np.nonzero(near)
-        for r, c in zip(rows[: flag_cap * 2], cols[: flag_cap * 2]):
-            flags.append((tuple(caddr[r].tolist()), float(math.sqrt(d2[r, c]))))
-    return groups, flags, flag_count, "sorted-line"
 
 
 def _group_rows(rows, caddr):
@@ -241,46 +197,66 @@ def _engine_lattice(ps, center_idx, shape, thresh2, flag_cap):
 
 
 def _engine_kdtree(ps, center_idx, shape, thresh2, flag_cap):
-    """Generic engine for any projection; python loop over centers."""
+    """Any projection: one tree query finds every pair within T, and each
+    center's differences, sorted into one row, group like the lattice rows.
+
+    The tree holds positions taken from the addresses less the window's
+    smallest, and a pair's offset is its address difference times the
+    projection, so neither cost nor precision depends on where the window
+    sits.
+    """
     from scipy.spatial import cKDTree
 
-    pts = ps.points
-    tree = cKDTree(pts)
+    addr = ps.addresses
+    N, m = len(ps), center_idx.size
     rad = math.sqrt(thresh2 + BALL_TOL)
-    p = np.inf if shape == "cube" else 2.0
-    neigh = tree.query_ball_point(pts[center_idx], r=rad * (1 + 1e-12), p=p)
+    pairs = cKDTree((addr - addr.min(axis=0)).astype(float) @ ps.projection).query_pairs(
+        rad * (1 + 1e-12), p=np.inf if shape == "cube" else 2.0, output_type="ndarray"
+    )
+    # each center with itself, then every pair in both directions
+    row_of = np.full(N, -1, dtype=np.intp)
+    row_of[center_idx] = np.arange(m)
+    row = row_of[np.concatenate([center_idx, pairs[:, 0], pairs[:, 1]])]
+    nb = np.concatenate([center_idx, pairs[:, 1], pairs[:, 0]])
+    del pairs
+    keep = row >= 0
+    row, nb = row[keep], nb[keep]
+    caddr = addr[center_idx]
+    diffs = addr[nb] - caddr[row]
 
+    per = diffs.astype(float) @ ps.projection
+    per *= per
+    d2 = per.sum(axis=1)
+    if shape == "ball":
+        inc = d2 <= thresh2 + BALL_TOL
+        near = np.abs(d2 - thresh2) < BALL_TOL
+    else:
+        inc = np.all(per <= thresh2 + BALL_TOL, axis=1)
+        near = np.any(np.abs(per - thresh2) < BALL_TOL, axis=1)
+    del per
+
+    # one row per center, its differences in lex order: they share the
+    # center's address, so the neighbours' lex rank orders them
+    lex_rank = np.empty(N, dtype=np.intp)
+    lex_rank[np.lexsort(addr.T[::-1])] = np.arange(N)
+    sel = np.nonzero(inc)[0]
+    sel = sel[np.argsort(row[sel] * N + lex_rank[nb[sel]])]
+    row, diffs, d2, near = row[sel], diffs[sel], d2[sel], near[sel]
+    counts = np.bincount(row, minlength=m)
+    start = np.cumsum(counts) - counts
+
+    # entries shifted to >= 1 so the zero filler never matches one
+    shifted = diffs - (diffs.min(axis=0) - 1)
+    cells = np.zeros((m, int(counts.max()), ps.rank), np.min_scalar_type(int(shifted.max())))
+    cells[row, np.arange(row.size) - start[row]] = shifted
     groups = {}
-    flags = []
-    flag_count = 0
-    for row, i in enumerate(center_idx):
-        cand = np.asarray(neigh[row], dtype=np.int64)
-        delta = pts[cand] - pts[i]
-        if shape == "ball":
-            d2 = np.sum(delta * delta, axis=1)
-            inc = d2 <= thresh2 + BALL_TOL
-            near = inc & (np.abs(d2 - thresh2) < BALL_TOL)
-            dist = np.sqrt(d2)
-        else:
-            per = delta * delta
-            inc = np.all(per <= thresh2 + BALL_TOL, axis=1)
-            near = inc & np.any(np.abs(per - thresh2) < BALL_TOL, axis=1)
-            dist = np.sqrt(np.sum(per, axis=1))
-        dvecs = ps.addresses[cand[inc]] - ps.addresses[i]
-        key = make_patch_key(map(tuple, dvecs.tolist()))
-        groups.setdefault(key, []).append(ps.addresses[i])
-        nn = int(near.sum())
-        flag_count += nn
-        if nn and len(flags) < flag_cap * 2:
-            for d in dist[near]:
-                flags.append((tuple(ps.addresses[i].tolist()), float(d)))
-    groups = {k: np.asarray(v, dtype=np.int64) for k, v in groups.items()}
-    return groups, flags, flag_count, "kdtree"
+    for rep, centers in _group_rows(cells.reshape(m, -1), caddr):
+        patch = diffs[start[rep] : start[rep] + counts[rep]]
+        groups[make_patch_key(map(tuple, patch.tolist()))] = centers
 
-
-def cubical_atlas(ps: ExactPointSet, T: float, flag_cap: int = 1000) -> AtlasResult:
-    """Atlas over cubes of side T. In 1D this must match balls of radius T/2."""
-    return compute_atlas(ps, T, shape="cube", flag_cap=flag_cap)
+    hits = np.nonzero(near)[0][: flag_cap * 2]
+    flags = [(tuple(caddr[row[h]].tolist()), float(math.sqrt(d2[h]))) for h in hits]
+    return groups, flags, int(near.sum()), "kdtree"
 
 
 # ---------------------------------------------------------------------------

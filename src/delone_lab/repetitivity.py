@@ -21,7 +21,7 @@ from .core import ExactPointSet, Region
 from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
-GRID_SAMPLE_BUDGET = 4_000_000  # cap on distance evaluations per covering-radius call
+COVERING_EVAL_BUDGET = 4_000_000  # cap on distance evaluations per covering-radius call
 THREADED_QUERY_MIN = 4096  # smaller cKDTree batches run faster on one thread
 
 
@@ -33,7 +33,7 @@ def covering_radius(
     Dimension one is exact (midpoints and endpoints decide the sup). Higher
     dimensions branch and bound over origin-anchored dyadic cubes meeting the
     region, to a bracket at most resolution/2 wide with both ends rounded
-    outward. Past GRID_SAMPLE_BUDGET distance evaluations, or once cells are
+    outward. Past COVERING_EVAL_BUDGET distance evaluations, or once cells are
     as fine as floats resolve at the region's coordinates, it comes back
     wider, still certified.
     """
@@ -100,7 +100,7 @@ def covering_radius(
     finest = 8.0 * math.ulp(1.0) * float(np.abs([lo_box, hi_box]).max())
     while (
         side <= finest
-        or np.prod(np.ceil(hi_box / side) - np.floor(lo_box / side)) > GRID_SAMPLE_BUDGET
+        or np.prod(np.ceil(hi_box / side) - np.floor(lo_box / side)) > COVERING_EVAL_BUDGET
     ):
         side *= 2.0
     first = np.floor(lo_box / side)
@@ -119,7 +119,7 @@ def covering_radius(
         done = bound - best * (1.0 - slack) <= resolution / 2.0
         upper = float(np.max(bound[done], initial=upper))
         cells, bound = cells[~done], bound[~done]
-        too_many = evaluations + cells.shape[0] * corners.shape[0] > GRID_SAMPLE_BUDGET
+        too_many = evaluations + cells.shape[0] * corners.shape[0] > COVERING_EVAL_BUDGET
         if too_many or side <= finest:
             upper = float(np.max(bound, initial=upper))
             break
@@ -214,10 +214,6 @@ def repetitivity_function(
         evaluation_region=eval_region,
         notes=notes,
     )
-
-
-def repetitivity_prime(result: RepetitivityResult) -> tuple:
-    return result.prime()
 
 
 # ---------------------------------------------------------------------------
@@ -372,28 +368,21 @@ def symbolic_recurrence_oracle(word: Sequence, length: int):
     w = list(word)
     if len(w) < length:
         raise InvalidArgument("word shorter than the factor length")
-    try:
-        data = bytes(int(c) for c in w)
-    except (ValueError, TypeError):
-        data = None
+    # each symbol as a fixed-width code in one byte string: a factor is a slice
+    codes: dict = {}
+    ids = [codes.setdefault(c, len(codes)) for c in w]
+    width = max(1, ((len(codes) - 1).bit_length() + 7) // 8)
+    data = b"".join(k.to_bytes(width, "little") for k in ids)
+    span = length * width
     last: dict = {}
     best: dict = {}
-    if data is not None:
-        for i in range(len(data) - length + 1):
-            f = data[i : i + length]
-            if f in last:
-                g = i - last[f]
-                if g > best.get(f, 0):
-                    best[f] = g
-            last[f] = i
-    else:
-        for i in range(len(w) - length + 1):
-            f = tuple(w[i : i + length])
-            if f in last:
-                g = i - last[f]
-                if g > best.get(f, 0):
-                    best[f] = g
-            last[f] = i
+    for i in range(0, len(data) - span + 1, width):
+        f = data[i : i + span]
+        if f in last:
+            g = (i - last[f]) // width
+            if g > best.get(f, 0):
+                best[f] = g
+        last[f] = i
     if len(best) < len(last):
         return math.inf
     return max(best.values())

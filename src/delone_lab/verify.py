@@ -22,7 +22,7 @@ from .address import (
     meyer_residual,
     path_displacement_distribution,
 )
-from .atlas import compute_atlas, cubical_atlas
+from .atlas import compute_atlas
 from .contfrac import ContinuedFraction, construct_alpha_for_growth, recurrence_formula
 from .core import Region, delone_constants, make_patch_key
 from .ergodic import (
@@ -212,7 +212,7 @@ def cubical_identity_rows(seed: int = 0) -> list:
             continue
         ps = source.materialize(Region.centered_box(1, half))
         for T in t_values:
-            n_cube = cubical_atlas(ps, T).n_lower
+            n_cube = compute_atlas(ps, T, shape="cube").n_lower
             n_ball = compute_atlas(ps, T / 2.0).n_lower
             out.append((label, T, n_cube, n_ball))
     return out

@@ -8,13 +8,13 @@ import pytest
 from delone_lab.atlas import (
     WindowPolicy,
     compute_atlas,
-    cubical_atlas,
     entropy_probe,
     patch_count_profile,
 )
 from delone_lab.core import ExactPointSet, Region, make_patch_key
 from delone_lab.errors import InvalidArgument, WindowTooSmall
 from delone_lab.generators import (
+    gen_cut_project_1d,
     gen_deleted_lines,
     gen_fibonacci,
     gen_integer_lattice,
@@ -170,33 +170,18 @@ class TestLatticeEngine:
         assert at.engine == "kdtree"
         assert as_dict(at) == brute_atlas(ps, 1.0)
 
-    def test_far_line_stays_on_sorted_line(self):
+    def test_far_line_uses_lattice(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(self.FAR - 20, self.FAR + 20)]))
         at = compute_atlas(ps, 3.0)
-        assert at.engine == "sorted-line"
+        assert at.engine == "lattice"
         assert as_dict(at) == brute_atlas(ps, 3.0)
-
-
-class TestSortedLine:
-    def test_coincident_points_in_mixed_order(self):
-        # addresses (k, 0) and (k - 1, 1) both sit at x = k; their order
-        # after the position sort alternates, so rows must be canonicalised
-        rows = []
-        for k in range(-12, 13):
-            pair = [(k, 0), (k - 1, 1)]
-            rows += pair if k % 2 else pair[::-1]
-        ps = ExactPointSet(1, 2, np.ones((2, 1)), np.array(rows), Region.box([(-12, 12)]))
-        at = compute_atlas(ps, 1.5)
-        assert at.engine == "sorted-line"
-        assert at.n_lower == 2
-        assert as_dict(at) == brute_atlas(ps, 1.5)
 
 
 class TestFibonacciAtlas:
     def test_three_classes_frozen_keys(self):
         ps = gen_fibonacci().materialize(Region.box([(-60, 60)]))
         at = compute_atlas(ps, 1.2)
-        assert at.engine == "sorted-line"
+        assert at.engine == "kdtree"
         assert at.keys() == [
             ((-1, 0), (0, 0)),
             ((0, 0),),
@@ -217,14 +202,54 @@ class TestFibonacciAtlas:
     def test_cubical_equals_half_radius_in_1d(self):
         ps = gen_fibonacci().materialize(Region.box([(-60, 60)]))
         for T in (1.2, 2.4, 3.0, 6.0):
-            cube = cubical_atlas(ps, T)
+            cube = compute_atlas(ps, T, shape="cube")
             ball = compute_atlas(ps, T / 2.0)
             assert cube.keys() == ball.keys()
             for ck, bk in zip(cube.classes, ball.classes):
                 assert np.array_equal(ck.centers, bk.centers)
 
 
+def coincident_pairs(c, half=12):
+    """Rank-2 addresses (k, 0) and (k - 1, 1), both at x = k, listed in
+    alternating order around the integer c."""
+    rows = []
+    for k in range(c - half, c + half + 1):
+        pair = [(k, 0), (k - 1, 1)]
+        rows += pair if k % 2 else pair[::-1]
+    return ExactPointSet(1, 2, np.ones((2, 1)), np.array(rows), Region.box([(c - half, c + half)]))
+
+
 class TestEngines:
+    @pytest.mark.parametrize("shape", ["ball", "cube"])
+    @pytest.mark.parametrize("c", [0, 300_000, 10**9])
+    @pytest.mark.parametrize("kind", ["fibonacci", "cut_project", "coincident", "fibxfib"])
+    def test_kdtree_matches_brute_force(self, kind, c, shape):
+        if kind == "coincident":
+            ps = coincident_pairs(c)
+        elif kind == "fibxfib":
+            src = gen_product([gen_fibonacci(), gen_fibonacci()])
+            ps = src.materialize(Region.box([(c - 5, c + 5)] * 2))
+        else:
+            src = gen_fibonacci() if kind == "fibonacci" else gen_cut_project_1d("golden")
+            ps = src.materialize(Region.box([(c - 20, c + 20)]))
+        for T in (1.0, 1.2, 2.0, 3.5):
+            at = compute_atlas(ps, T, shape=shape)
+            assert at.engine == "kdtree"
+            assert as_dict(at) == brute_atlas(ps, T, shape=shape)
+
+    def test_fibonacci_flag_counts_frozen(self):
+        # short gaps are exactly 1; no two points are exactly 2 or 4 apart
+        ps = gen_fibonacci().materialize(Region.box([(-130, 130)]))
+        assert [compute_atlas(ps, T).boundary_flag_count for T in (1.0, 2.0, 4.0)] == [142, 0, 0]
+
+    def test_coincident_points_in_mixed_order(self):
+        # the two points at each x come in alternating address order, so
+        # each center's row must be put in canonical order
+        at = compute_atlas(coincident_pairs(0), 1.5)
+        assert at.engine == "kdtree"
+        assert at.n_lower == 2
+        assert as_dict(at) == brute_atlas(coincident_pairs(0), 1.5)
+
     def test_kdtree_on_product_set(self):
         src = gen_product([gen_fibonacci(), gen_integer_lattice(1)])
         ps = src.materialize(Region.box([(-8, 8), (-8, 8)]))

@@ -15,7 +15,6 @@ from delone_lab.repetitivity import (
     crystal_gap_probe,
     growth_classification,
     repetitivity_function,
-    repetitivity_prime,
     symbolic_recurrence_oracle,
 )
 
@@ -184,7 +183,7 @@ class TestBranchAndBound:
 
     def test_evaluation_cap_is_reported(self, monkeypatch):
         # every point of the sphere is a maximizer, so no tolerance is reached
-        monkeypatch.setattr(repetitivity, "GRID_SAMPLE_BUDGET", 50_000)
+        monkeypatch.setattr(repetitivity, "COVERING_EVAL_BUDGET", 50_000)
         ps = ExactPointSet(2, 2, np.eye(2), np.array([[0, 0]]), Region.ball([0.0, 0.0], 10.0))
         res = repetitivity_function(ps, 1.0, resolution=1e-6)
         assert res.M_lower <= 8.0 <= res.M_upper
@@ -213,7 +212,6 @@ class TestRepetitivityFunction:
         ps = gen_fibonacci().materialize(Region.centered_box(1, 80.0))
         res = repetitivity_function(ps, 1.2)
         assert res.prime() == (res.M_lower + 1.2, res.M_upper + 1.2)
-        assert repetitivity_prime(res) == res.prime()
 
     def test_lattice_half_gap(self):
         ps = gen_integer_lattice(1).materialize(Region.centered_box(1, 40.0))
@@ -304,6 +302,17 @@ class TestSymbolicRecurrence:
 
     def test_single_occurrence_is_unbounded(self):
         assert symbolic_recurrence_oracle("abc", 2) == math.inf
+        assert symbolic_recurrence_oracle([0, 1, 0, 1, 1], 2) == math.inf
+
+    def test_non_integer_symbols_stay_distinct(self):
+        # 1.5 and 1.2 share their integer part but are different symbols
+        assert symbolic_recurrence_oracle([1.5, 1.2] * 4, 1) == 2
+        assert symbolic_recurrence_oracle([(0, 1), "x", None] * 3, 2) == 3
+
+    def test_more_symbols_than_a_byte_holds(self):
+        word = list(range(300)) * 3
+        assert symbolic_recurrence_oracle(word, 1) == 300
+        assert symbolic_recurrence_oracle(word, 2) == 300
 
     def test_golden_word_matches_formula(self):
         cf = ContinuedFraction.golden()
