@@ -8,6 +8,7 @@ that fall in the subregion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -341,10 +342,6 @@ def _exact_even_root(a: int, n: int) -> int:
     raise InvalidArgument(f"a_k = {a} is not an exact n-th power")
 
 
-# cells per cell_is_white call when counting a box, which bounds its memory
-WHITE_COUNT_CHUNK = 1 << 16
-
-
 class TwoColorStructure:
     """Level-K hierarchical coloring of Z^n cells.
 
@@ -369,6 +366,7 @@ class TwoColorStructure:
         self.sides = [1]
         for mk in self.m:
             self.sides.append(self.sides[-1] * mk)  # sides[k] = cells per edge of C_k
+        self._white_tiles: dict = {}  # level -> white tile coordinates
 
     @property
     def levels(self) -> int:
@@ -409,16 +407,77 @@ class TwoColorStructure:
         base = self._pattern_black(x, self.m[0])
         return ~(base ^ inv)
 
+    def _white_tile_coords(self, k: int) -> np.ndarray:
+        """Coordinates of the white tiles of the level-k tile, from _pattern_black."""
+        if k not in self._white_tiles:
+            m = self.m[k - 1]
+            t = np.indices((m,) * self.n).reshape(self.n, -1).T
+            self._white_tiles[k] = t[~self._pattern_black(t, m)]
+        return self._white_tiles[k]
+
+    def _parity_counts(self, k: int, x: tuple, memo: dict) -> tuple:
+        """(even, odd) cells of prod [0, x_i) by the parity of their black
+        digits at levels 1..k, for 0 < x_i <= sides[k]."""
+        if k == 0:
+            return 1, 0
+        if (k, x) in memo:
+            return memo[k, x]
+        side = self.sides[k - 1]
+        white_tiles = self._white_tile_coords(k)
+        # per axis: the whole tiles [0, q) with a full sub-side, then the
+        # partial tile [q, q + 1) holding the remainder r
+        parts = []
+        for xi in x:
+            q, r = divmod(xi, side)
+            parts.append([p for p in ((0, q, side), (q, q + 1, r)) if p[1] > p[0] and p[2]])
+        even = odd = 0
+        for slab in itertools.product(*parts):
+            lo = np.array([p[0] for p in slab])
+            hi = np.array([p[1] for p in slab])
+            tiles = math.prod(p[1] - p[0] for p in slab)
+            inside = np.all((white_tiles >= lo) & (white_tiles < hi), axis=1)
+            white = int(np.count_nonzero(inside))
+            black = tiles - white
+            e, o = self._parity_counts(k - 1, tuple(p[2] for p in slab), memo)
+            even += white * e + black * o
+            odd += white * o + black * e
+        memo[k, x] = (even, odd)
+        return even, odd
+
     def white_count_in_box(self, lo: Sequence[int], hi: Sequence[int]) -> int:
-        """Exact number of white cells c with lo <= c < hi per axis."""
-        shape = [max(0, int(h) - int(l)) for l, h in zip(lo, hi)]
-        corner = np.array([int(l) for l in lo], dtype=np.int64)
-        total = math.prod(shape)
-        white = 0
-        for s in range(0, total, WHITE_COUNT_CHUNK):
-            flat = np.arange(s, min(s + WHITE_COUNT_CHUNK, total), dtype=np.int64)
-            cells = np.stack(np.unravel_index(flat, shape), axis=1) + corner
-            white += int(np.count_nonzero(self.cell_is_white(cells)))
+        """Exact number of white cells c with lo <= c < hi per axis.
+
+        A cell is white iff an even number of its level digits are black, so
+        the count is a digit recursion over whole tiles: a prefix box
+        prod [0, x_i) splits at each level into whole tiles and one partial
+        tile per axis, and a black tile swaps the (even, odd) counts of the
+        level below. Each axis of the box folds through the mirror
+        c -> -1 - c into at most two intervals of [0, side_K), each a
+        difference of two prefixes, combined by inclusion-exclusion. The work
+        does not depend on where the box sits or how large it is; each level's
+        tile pattern is classified once per structure and kept.
+
+        The black tiles of each level are read from _pattern_black over that
+        level's own tile, never from N, a_k or rho, so the count stays an
+        independent check of the closed-form proportions.
+        """
+        lo = [int(v) for v in lo]
+        hi = [int(v) for v in hi]
+        if len(lo) != self.n or len(hi) != self.n:
+            raise InvalidArgument(f"box corners must have {self.n} coordinates")
+        if any(h <= l for l, h in zip(lo, hi)):
+            return 0
+        # each axis folds farthest at l or h - 1: the corners raise past level K
+        self.cell_is_white(np.array([lo, [h - 1 for h in hi]]))
+        # per axis, the folded intervals as a signed sum of prefixes [0, e)
+        terms = []
+        for l, h in zip(lo, hi):
+            folded = [(a, b) for a, b in ((max(l, 0), h), (max(-h, 0), -l)) if b > a]
+            terms.append([(b, 1) for _, b in folded] + [(a, -1) for a, _ in folded if a])
+        white, memo = 0, {}
+        for combo in itertools.product(*terms):
+            even, _ = self._parity_counts(self.levels, tuple(e for e, _ in combo), memo)
+            white += math.prod(c for _, c in combo) * even
         return white
 
     def rho(self, k: int) -> Fraction:

@@ -368,21 +368,23 @@ def symbolic_recurrence_oracle(word: Sequence, length: int):
     w = list(word)
     if len(w) < length:
         raise InvalidArgument("word shorter than the factor length")
-    # each symbol as a fixed-width code in one byte string: a factor is a slice
-    codes: dict = {}
-    ids = [codes.setdefault(c, len(codes)) for c in w]
-    width = max(1, ((len(codes) - 1).bit_length() + 7) // 8)
-    data = b"".join(k.to_bytes(width, "little") for k in ids)
-    span = length * width
-    last: dict = {}
-    best: dict = {}
-    for i in range(0, len(data) - span + 1, width):
-        f = data[i : i + span]
-        if f in last:
-            g = (i - last[f]) // width
-            if g > best.get(f, 0):
-                best[f] = g
-        last[f] = i
-    if len(best) < len(last):
+    # each symbol as its first-occurrence index; a factor is a window row
+    codes = {c: i for i, c in enumerate(dict.fromkeys(w))}
+    ids = np.fromiter(map(codes.__getitem__, w), dtype=np.int64, count=len(w))
+    rows = np.lib.stride_tricks.sliding_window_view(ids, length)
+    # pack each factor exactly into int64 words of up to 62 bits, then sort
+    bits = max(1, (len(codes) - 1).bit_length())
+    per = 62 // bits
+    weights = np.int64(1) << (np.arange(per, dtype=np.int64) * bits)
+    keys = np.stack(
+        [rows[:, j : j + per] @ weights[: length - j] for j in range(0, length, per)],
+        axis=1,
+    )
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new_run = np.any(ranked[1:] != ranked[:-1], axis=1)
+    # starts ascend within each run of equal factors
+    run_sizes = np.diff(np.flatnonzero(np.concatenate(([True], new_run, [True]))))
+    if np.any(run_sizes == 1):
         return math.inf
-    return max(best.values())
+    return int(np.diff(order)[~new_run].max())

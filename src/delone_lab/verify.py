@@ -609,9 +609,7 @@ def suite_two_color(seed: int = 0) -> List[CheckResult]:
     structure = source.extras["structure"]
 
     def pattern_frozen():
-        pat = "".join(
-            "W" if structure.cell_is_white(np.array([c])) else "B" for c in range(16)
-        )
+        pat = "".join("W" if w else "B" for w in structure.cell_is_white(np.arange(16)))
         return pat == "WWWBBWBBBBBBBBBB", "first-scale cells: %s" % pat
 
     s.check("pattern-frozen", pattern_frozen)

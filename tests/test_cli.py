@@ -266,7 +266,35 @@ class TestAnalysisCommands:
         assert float(fields["lipschitz"]) == pytest.approx(1.0)
 
 
+# exact stdout of `verify <suite> --seed 0`; every figure in it is exact
+FROZEN_VERIFY_STDOUT = {
+    "two-color": [
+        "[PASS] two-color/pattern-frozen: first-scale cells: WWWBBWBBBBBBBBBB",
+        "[PASS] two-color/proportions-exact: white proportions s_1: 4/16; s_2: 352/512; "
+        "s_3: 11008/32768; s_4: 2742272/4194304 match both routes",
+        "[PASS] two-color/oscillation-floor: oscillation 0.31787109375 exceeds product floor "
+        "0.3076171875",
+        "[PASS] two-color/coded-points: white addresses map to white cells; "
+        "min-gap radius 0.166666666667",
+        "[PASS] two-color/bracket-sweep: 3 certified T values, 0 bound violations, "
+        "0 trigger errors",
+        "5 checks, 0 failed",
+    ],
+    "words": [
+        "[PASS] words/recurrence-formula-vs-scan: 5 irrationals, l=1..60: 0 mismatches",
+        "[PASS] words/sturmian-complexity: 3 irrationals, k=1..30: 0 deviations from k+1",
+        "[PASS] words/growth-construction: recurrence column beats g(q) on all 8 rows",
+        "3 checks, 0 failed",
+    ],
+}
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("suite", sorted(FROZEN_VERIFY_STDOUT))
+    def test_suite_stdout_frozen(self, suite, capsys):
+        assert run_cli(["verify", suite, "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == FROZEN_VERIFY_STDOUT[suite]
+
     def test_words_suite_passes(self, capsys):
         assert run_cli(["verify", "words"]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delone_lab import generators
 from delone_lab.contfrac import ContinuedFraction
 from delone_lab.core import Region
 from delone_lab.errors import InvalidArgument, WindowTooSmall
 from delone_lab.generators import (
     GOLDEN_TAU,
+    TwoColorStructure,
     build_source,
     gen_beatty,
     gen_cut_project_1d,
@@ -392,6 +392,35 @@ class TestDeletedLines:
         assert src.declared_R == pytest.approx(math.sqrt(5) / 2)
 
 
+ONE_D = TwoColorStructure(1, [16, 32, 64, 128])
+TWO_D = TwoColorStructure(2, [256, 1024])
+
+
+def white_cells_by_cell(structure, lo, hi) -> int:
+    """White cells of the box [lo, hi), one cell_is_white verdict per cell."""
+    axes = [np.arange(l, max(l, h)) for l, h in zip(lo, hi)]
+    cells = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, structure.n)
+    return int(np.count_nonzero(structure.cell_is_white(cells)))
+
+
+@st.composite
+def two_color_boxes(draw, structure, width):
+    """Boxes inside [-S, S)^n: negative, across 0, tile-aligned, empty or inverted."""
+    S = structure.sides[-1]
+    lo, hi = [], []
+    for _ in range(structure.n):
+        side = draw(st.sampled_from(structure.sides[:-1]))
+        l = draw(st.one_of(st.integers(-S, S - 1), st.integers(-width, width)))
+        if draw(st.booleans()):
+            l = side * (l // side)
+        h = l + draw(st.integers(-3, width))
+        if draw(st.booleans()):
+            h = side * (h // side)
+        lo.append(l)
+        hi.append(min(h, S))
+    return lo, hi
+
+
 class TestTwoColor:
     def test_first_scale_pattern(self):
         src = gen_two_color(1, [16, 32, 64, 128])
@@ -446,20 +475,53 @@ class TestTwoColor:
                 assert abs(abs(pos - cell) - 1.0 / 3.0) < 1e-9
 
     @pytest.mark.parametrize(
-        "chunk, boxes",
-        [(7, [(-300, -17), (-20, 50), (5, 5), (9, 3)]), (1 << 16, [(-150_000, 70_001)])],
+        "structure, lo, hi",
+        [
+            (ONE_D, [-300], [-17]),
+            (ONE_D, [-20], [50]),
+            (ONE_D, [5], [5]),
+            (ONE_D, [9], [3]),
+            (ONE_D, [-150_000], [70_001]),
+            (ONE_D, [-32768], [32768]),
+            (TWO_D, [-40, -9], [23, 31]),
+            (TWO_D, [-16, 0], [32, 512]),
+            (TWO_D, [3, -7], [3, 9]),
+        ],
+        ids=[
+            "1d-negative",
+            "1d-across-0",
+            "1d-empty",
+            "1d-inverted",
+            "1d-wide",
+            "1d-aligned",
+            "2d-across-0",
+            "2d-aligned",
+            "2d-empty",
+        ],
     )
-    def test_white_count_in_chunks_matches_cells(self, chunk, boxes, monkeypatch):
-        monkeypatch.setattr(generators, "WHITE_COUNT_CHUNK", chunk)
-        st = gen_two_color(1, [16, 32, 64, 128]).extras["structure"]
-        for lo, hi in boxes:
-            cells = np.arange(lo, max(lo, hi))
-            assert st.white_count_in_box([lo], [hi]) == int(np.count_nonzero(st.cell_is_white(cells)))
-        st2 = gen_two_color(2, [256, 1024]).extras["structure"]
-        lo, hi = [-40, -9], [23, 31]
-        grid = np.stack(np.meshgrid(np.arange(-40, 23), np.arange(-9, 31), indexing="ij"), axis=-1)
-        want = int(np.count_nonzero(st2.cell_is_white(grid.reshape(-1, 2))))
-        assert st2.white_count_in_box(lo, hi) == want
+    def test_white_count_matches_cells(self, structure, lo, hi):
+        assert structure.white_count_in_box(lo, hi) == white_cells_by_cell(structure, lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_white_count_matches_cells_on_random_boxes(self, data):
+        structure, width = data.draw(st.sampled_from([(ONE_D, 5000), (TWO_D, 60)]))
+        lo, hi = data.draw(two_color_boxes(structure, width))
+        assert structure.white_count_in_box(lo, hi) == white_cells_by_cell(structure, lo, hi)
+
+    @pytest.mark.parametrize("structure", [TwoColorStructure(1, [16, 32]), TWO_D], ids=["1d", "2d"])
+    def test_white_count_window_edges(self, structure):
+        n, S = structure.n, structure.sides[-1]
+        whole = structure.white_count_in_box([-S] * n, [S] * n)
+        assert whole == 2**n * structure.white_count_in_box([0] * n, [S] * n)
+        if n == 1:
+            assert whole == white_cells_by_cell(structure, [-S], [S])
+        for lo, hi in (([-S - 1] + [-S] * (n - 1), [S] * n), ([-S] * n, [S] * (n - 1) + [S + 1])):
+            with pytest.raises(WindowTooSmall):
+                structure.white_count_in_box(lo, hi)
+        assert structure.white_count_in_box([S + 5] * n, [S + 5] * n) == 0
+        with pytest.raises(InvalidArgument):
+            structure.white_count_in_box([0] * n, [1] * (n + 1))
 
     def test_white_count_half_per_level(self):
         # each scale places exactly half its new color budget as white blocks

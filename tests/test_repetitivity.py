@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delone_lab import repetitivity
 from delone_lab.contfrac import ContinuedFraction, recurrence_formula
@@ -295,7 +297,54 @@ class TestCrystalGapProbe:
         assert rep.rows[0].lower_bound_ok is None
 
 
+def factor_gaps_by_dict(word, length):
+    """Largest gap between consecutive starts of a length-l factor, by a dict scan."""
+    last, best = {}, {}
+    for i in range(len(word) - length + 1):
+        f = tuple(word[i : i + length])
+        if f in last:
+            best[f] = max(best.get(f, 0), i - last[f])
+        last[f] = i
+    return math.inf if len(best) < len(last) else max(best.values())
+
+
+SYMBOLS = ["a", 1.5, 1.2, (0, 1), None]
+
+
 class TestSymbolicRecurrence:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_dict_scan(self, data):
+        symbols = SYMBOLS[: data.draw(st.integers(1, 5))]
+        base = data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=40))
+        tail = data.draw(st.lists(st.sampled_from(symbols), max_size=10))
+        word = base * data.draw(st.integers(1, 8)) + tail
+        length = data.draw(st.integers(1, min(len(word), 80)))
+        assert symbolic_recurrence_oracle(word, length) == factor_gaps_by_dict(word, length)
+
+    @pytest.mark.parametrize(
+        "alphabet, length",
+        # one key word holds 62 binary symbols (1 bit each) or 20 5-ary ones (3 bits)
+        [(2, 62), (2, 63), (2, 90), (5, 20), (5, 21), (5, 40)],
+    )
+    def test_both_sides_of_a_key_word(self, alphabet, length):
+        # random ends around two blocks in a random order: many distinct
+        # factors agree on long runs
+        rng = np.random.default_rng(alphabet * 100 + length)
+        blocks = rng.integers(0, alphabet, (2, length // 3 + 1)).tolist()
+        head, tail = rng.integers(0, alphabet, (2, length)).tolist()
+        base = head + [c for b in rng.integers(0, 2, 12) for c in blocks[b]] + tail
+        word = [SYMBOLS[c] for c in base * 3]
+        assert symbolic_recurrence_oracle(word, length) == factor_gaps_by_dict(word, length)
+        # a first or last factor that occurs once and differs from a repeated
+        # one only in its first or last symbol, which a truncated key would miss
+        for edged in (
+            [SYMBOLS[(base[-1] + 1) % alphabet]] + word,
+            word + [SYMBOLS[(base[0] + 1) % alphabet]],
+        ):
+            assert symbolic_recurrence_oracle(edged, length) == math.inf
+            assert factor_gaps_by_dict(edged, length) == math.inf
+
     def test_alternating_word(self):
         assert symbolic_recurrence_oracle("abab", 1) == 2
         assert symbolic_recurrence_oracle([0, 1] * 50, 2) == 2
