@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import BALL_TOL, ExactPointSet, Region, make_patch_key, row_scalars
+from .core import BALL_TOL, ExactPointSet, Region, make_patch_key, narrow_rows, row_scalars
 from .errors import InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
@@ -128,18 +128,54 @@ def compute_atlas(
     )
 
 
-def _group_rows(rows, caddr):
-    """(representative row, centers) for each class of equal rows.
+def _inside(table, projection, shape, thresh2):
+    """(included, near, distance) for each address difference in table.
 
-    A 1-D unique over one scalar per row groups the rows; one stable argsort
-    of the inverse splits the centers.
+    Membership is decided on squared distances with BALL_TOL slack; near
+    marks the differences within BALL_TOL of the boundary.
     """
-    _, first, inverse = np.unique(
-        row_scalars(rows), return_index=True, return_inverse=True
-    )
+    per = table.astype(float) @ projection
+    per *= per
+    d2 = per.sum(axis=1)
+    if shape == "ball":
+        inc = d2 <= thresh2 + BALL_TOL
+        near = np.abs(d2 - thresh2) < BALL_TOL
+    else:
+        inc = np.all(per <= thresh2 + BALL_TOL, axis=1)
+        near = np.any(np.abs(per - thresh2) < BALL_TOL, axis=1)
+    return inc, near, np.sqrt(d2)
+
+
+def _classify(chunks, table, near, dist, caddr, flag_cap):
+    """Group centers by patch and build one key per class.
+
+    table holds K address differences in lex order. chunks yields boolean
+    matrices over consecutive blocks of centers: column j of a center's row
+    says whether table[j] lies in its patch. The rows pack into bits and
+    group by a 1-D unique over one scalar per row; flags are the first
+    2 * flag_cap near-threshold hits of each chunk, in (center, column)
+    order, until that many are collected.
+    """
+    packed, flags, near_total, start = [], [], 0, 0
+    for found in chunks:
+        packed.append(np.packbits(found, axis=1))
+        hits = found & near
+        near_total += int(np.count_nonzero(hits))
+        if len(flags) < flag_cap * 2 and hits.any():
+            rr, cc = np.nonzero(hits)
+            for r, c in zip(rr[: flag_cap * 2].tolist(), cc[: flag_cap * 2].tolist()):
+                flags.append((tuple(caddr[start + r].tolist()), float(dist[c])))
+        start += found.shape[0]
+
+    rows = np.concatenate(packed)
+    _, first, inverse = np.unique(row_scalars(rows), return_index=True, return_inverse=True)
     order = np.argsort(inverse, kind="stable")
     bounds = np.cumsum(np.bincount(inverse))[:-1]
-    return zip(first.tolist(), np.split(caddr[order], bounds))
+    groups = {}
+    for rep, centers in zip(first.tolist(), np.split(caddr[order], bounds)):
+        bits = np.unpackbits(rows[rep], count=table.shape[0]).astype(bool)
+        groups[make_patch_key(map(tuple, table[bits].tolist()))] = centers
+    return groups, flags, near_total
 
 
 def _engine_lattice(ps, center_idx, shape, thresh2, flag_cap):
@@ -150,16 +186,8 @@ def _engine_lattice(ps, center_idx, shape, thresh2, flag_cap):
     # "ij" order ravels the offsets lexicographically
     grids = np.meshgrid(*([rng] * n), indexing="ij")
     offs = np.stack([g.ravel() for g in grids], axis=1)
-    off_d2 = np.sum(offs.astype(float) ** 2, axis=1)
-    if shape == "ball":
-        keep = off_d2 <= thresh2 + BALL_TOL
-        offs, off_d2 = offs[keep], off_d2[keep]
-        off_near = np.abs(off_d2 - thresh2) < BALL_TOL
-    else:
-        per_axis = offs.astype(float) ** 2
-        off_near = np.any(np.abs(per_axis - thresh2) < BALL_TOL, axis=1)
-    off_dist = np.sqrt(off_d2)
-    K = offs.shape[0]
+    inc, near, dist = _inside(offs, ps.projection, shape, thresh2)
+    offs = offs[inc]
 
     # occupancy over the addresses' box grown by reach, flat in C order
     addr = ps.addresses
@@ -171,34 +199,17 @@ def _engine_lattice(ps, center_idx, shape, thresh2, flag_cap):
     caddr = addr[center_idx]
     flat_c = (caddr - lo) @ strides
     flat_o = offs @ strides
-    m = caddr.shape[0]
-
-    rows_acc = []
-    near_total = 0
-    flags = []
-    chunk = max(1, (1 << 20) // max(K, 1))
-    for s in range(0, m, chunk):
-        cs = caddr[s : s + chunk]
-        found = occ[flat_c[s : s + chunk, None] + flat_o[None, :]]
-        rows_acc.append(np.packbits(found, axis=1))
-        near_hits = found & off_near[None, :]
-        near_total += int(near_hits.sum())
-        if len(flags) < flag_cap * 2 and near_hits.any():
-            rr, cc = np.nonzero(near_hits)
-            for r, c in zip(rr[: flag_cap * 2], cc[: flag_cap * 2]):
-                flags.append((tuple(cs[r].tolist()), float(off_dist[c])))
-
-    rows = np.concatenate(rows_acc, axis=0)
-    groups = {}
-    for rep, centers in _group_rows(rows, caddr):
-        bits = np.unpackbits(rows[rep])[:K].astype(bool)
-        groups[make_patch_key(map(tuple, offs[bits].tolist()))] = centers
-    return groups, flags, near_total, "lattice"
+    chunk = max(1, (1 << 20) // offs.shape[0])
+    chunks = (
+        occ[flat_c[s : s + chunk, None] + flat_o[None, :]]
+        for s in range(0, caddr.shape[0], chunk)
+    )
+    return _classify(chunks, offs, near[inc], dist[inc], caddr, flag_cap) + ("lattice",)
 
 
 def _engine_kdtree(ps, center_idx, shape, thresh2, flag_cap):
-    """Any projection: one tree query finds every pair within T, and each
-    center's differences, sorted into one row, group like the lattice rows.
+    """Any projection: one tree query finds every pair within T, and the
+    distinct pair differences, in lex order, are the columns of the rows.
 
     The tree holds positions taken from the addresses less the window's
     smallest, and a pair's offset is its address difference times the
@@ -224,39 +235,19 @@ def _engine_kdtree(ps, center_idx, shape, thresh2, flag_cap):
     caddr = addr[center_idx]
     diffs = addr[nb] - caddr[row]
 
-    per = diffs.astype(float) @ ps.projection
-    per *= per
-    d2 = per.sum(axis=1)
-    if shape == "ball":
-        inc = d2 <= thresh2 + BALL_TOL
-        near = np.abs(d2 - thresh2) < BALL_TOL
-    else:
-        inc = np.all(per <= thresh2 + BALL_TOL, axis=1)
-        near = np.any(np.abs(per - thresh2) < BALL_TOL, axis=1)
-    del per
-
-    # one row per center, its differences in lex order: they share the
-    # center's address, so the neighbours' lex rank orders them
-    lex_rank = np.empty(N, dtype=np.intp)
-    lex_rank[np.lexsort(addr.T[::-1])] = np.arange(N)
-    sel = np.nonzero(inc)[0]
-    sel = sel[np.argsort(row[sel] * N + lex_rank[nb[sel]])]
-    row, diffs, d2, near = row[sel], diffs[sel], d2[sel], near[sel]
-    counts = np.bincount(row, minlength=m)
-    start = np.cumsum(counts) - counts
-
-    # entries shifted to >= 1 so the zero filler never matches one
-    shifted = diffs - (diffs.min(axis=0) - 1)
-    cells = np.zeros((m, int(counts.max()), ps.rank), np.min_scalar_type(int(shifted.max())))
-    cells[row, np.arange(row.size) - start[row]] = shifted
-    groups = {}
-    for rep, centers in _group_rows(cells.reshape(m, -1), caddr):
-        patch = diffs[start[rep] : start[rep] + counts[rep]]
-        groups[make_patch_key(map(tuple, patch.tolist()))] = centers
-
-    hits = np.nonzero(near)[0][: flag_cap * 2]
-    flags = [(tuple(caddr[row[h]].tolist()), float(math.sqrt(d2[h]))) for h in hits]
-    return groups, flags, int(near.sum()), "kdtree"
+    # the distinct differences in lex order, and each pair's column among them
+    _, first, col = np.unique(
+        row_scalars(narrow_rows(diffs)), return_index=True, return_inverse=True
+    )
+    table = diffs[first]
+    lex = np.lexsort(table.T[::-1])
+    table, col = table[lex], np.argsort(lex)[col]
+    # an excluded difference keeps its column, which stays all zero
+    inc, near, dist = _inside(table, ps.projection, shape, thresh2)
+    keep = inc[col]
+    found = np.zeros((m, table.shape[0]), dtype=bool)
+    found[row[keep], col[keep]] = True
+    return _classify([found], table, near, dist, caddr, flag_cap) + ("kdtree",)
 
 
 # ---------------------------------------------------------------------------

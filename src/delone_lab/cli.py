@@ -33,7 +33,7 @@ from .address import (
     meyer_residual,
 )
 from .atlas import compute_atlas
-from .core import FloatPointSet, Region, make_patch_key
+from .core import ExactPointSet, FloatPointSet, Region, make_patch_key
 from .ergodic import (
     density_profile,
     patch_frequency,
@@ -537,7 +537,7 @@ def import_float(path, tolerance, out, fmt):
     if "point_set" in obj:  # artifact produced by `generate --format json`
         obj = obj["point_set"]
     if "addresses" in obj:
-        exact = load_point_set_obj(obj)
+        exact = ExactPointSet.from_json(obj)
         pts = exact.points
         region = exact.region
         tol = tolerance if tolerance is not None else 1e-9
@@ -560,12 +560,6 @@ def import_float(path, tolerance, out, fmt):
         columns = ["x%d" % i for i in range(fps.dimension)] + ["tag"]
         rows = [row + ["exact"] for row in fps.points.tolist()]
         _emit(config, columns, rows, fmt, out)
-
-
-def load_point_set_obj(obj: dict):
-    from .core import ExactPointSet
-
-    return ExactPointSet.from_json(obj)
 
 
 # ---------------------------------------------------------------------------

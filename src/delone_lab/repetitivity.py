@@ -87,7 +87,12 @@ def covering_radius(
 
     from scipy.spatial import cKDTree
 
-    workers = int(os.environ.get("DELONE_LAB_THREADS", "-1") or "-1")
+    threads = (os.environ.get("DELONE_LAB_THREADS") or "-1").strip()
+    if threads != "-1" and not (threads.isdecimal() and int(threads) > 0):
+        raise InvalidArgument(
+            "DELONE_LAB_THREADS must be -1 or a positive integer, not %r" % threads
+        )
+    workers = int(threads)
     tree = cKDTree(centers)
     best = float(tree.query(c0)[0])  # largest distance seen at a point of the region
     if rad == 0:  # the region is a single point

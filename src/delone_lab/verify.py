@@ -86,9 +86,7 @@ class _Suite:
     def check(self, name: str, body: Callable[[], tuple]):
         try:
             passed, detail = body()
-        except DeloneLabError as exc:
-            passed, detail = False, "error: %s: %s" % (type(exc).__name__, exc)
-        except (AssertionError, ValueError, ArithmeticError) as exc:
+        except (DeloneLabError, AssertionError, ValueError, ArithmeticError) as exc:
             passed, detail = False, "error: %s: %s" % (type(exc).__name__, exc)
         self.results.append(CheckResult(self.suite, name, bool(passed), detail))
 

@@ -7,6 +7,9 @@ import pytest
 
 from delone_lab.atlas import (
     WindowPolicy,
+    _engine_kdtree,
+    _engine_lattice,
+    _erosion_margin,
     compute_atlas,
     entropy_probe,
     patch_count_profile,
@@ -258,6 +261,17 @@ class TestEngines:
         assert as_dict(at) == brute_atlas(ps, 1.2)
         assert at.n_lower == 3
 
+    def test_pair_in_query_slack_stays_out(self):
+        # the tree query reaches 1e-12 past the ball; a spacing just past
+        # T^2 + BALL_TOL is found by it, yet lies outside every patch
+        x = math.sqrt(1.0 + 1e-9) * (1.0 + 5e-13)
+        addr = np.arange(-6, 7)[:, None]
+        ps = ExactPointSet(1, 1, np.array([[x]]), addr, Region.box([(-6 * x, 6 * x)]))
+        at = compute_atlas(ps, 1.0)
+        assert at.engine == "kdtree"
+        assert at.keys() == [((0,),)]
+        assert as_dict(at) == brute_atlas(ps, 1.0)
+
     def test_empty_certified_region(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(0.55, 1.95)]))
         at = compute_atlas(ps, 0.5)
@@ -277,6 +291,43 @@ class TestEngines:
         ps = gen_integer_lattice(1).materialize(Region.box([(0.2, 0.8)]))
         with pytest.raises(WindowTooSmall):
             compute_atlas(ps, 0.1)
+
+
+class TestEnginesAgree:
+    """Both engines on one dense Z^n center set: same classes, same flags."""
+
+    @staticmethod
+    def case(name):
+        if name.startswith("z2-holes"):
+            c = 10**9 if name.endswith("far") else 0
+            src = gen_integer_lattice(2, deletions=[(c, c), (c + 3, c + 1)])
+            return src.materialize(Region.box([(c - 12, c + 12)] * 2)), (1.0, 2.0, 3.0)
+        if name == "deleted-lines":
+            # K = 123 ball offsets at T=3: each packed row spans two words
+            src = gen_deleted_lines([2, 10])
+            return src.materialize(Region.box([(-8, 8)] * 3)), (2.0, 3.0)
+        ps = gen_integer_lattice(1).materialize(Region.box([(-30, 30)]))
+        return ps, (1.0, 2.0, 3.0, 8.0)
+
+    @pytest.mark.parametrize("shape", ["ball", "cube"])
+    @pytest.mark.parametrize("case", ["z2-holes", "z2-holes-far", "deleted-lines", "z1"])
+    def test_lattice_and_kdtree_agree(self, case, shape):
+        ps, T_values = self.case(case)
+        flagged = 0
+        for T in T_values:
+            certified = ps.region.erode(_erosion_margin(T, shape, ps.region.kind, ps.dimension))
+            center_idx = np.nonzero(certified.contains(ps.points))[0]
+            thresh2 = T * T if shape == "ball" else (T / 2.0) ** 2
+            # a small flag cap, so the flag lists are cut short too
+            lat = _engine_lattice(ps, center_idx, shape, thresh2, 20)
+            kd = _engine_kdtree(ps, center_idx, shape, thresh2, 20)
+            assert (lat[3], kd[3]) == ("lattice", "kdtree")
+            assert lat[0].keys() == kd[0].keys()
+            for key, centers in lat[0].items():
+                assert np.array_equal(centers, kd[0][key])
+            assert lat[1:3] == kd[1:3]
+            flagged += lat[2]
+        assert flagged > 0
 
 
 class TestProfile:

@@ -183,6 +183,19 @@ class TestBranchAndBound:
             with pytest.raises(InvalidArgument):
                 covering_radius(z2(2), Region.box([(-1, 1)] * 2), resolution=bad)
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+    def test_bad_thread_count_rejected_on_small_input(self, threads, monkeypatch):
+        # checked before the batch-size branch, so a 25-point input rejects it too
+        monkeypatch.setenv("DELONE_LAB_THREADS", threads)
+        with pytest.raises(InvalidArgument):
+            covering_radius(z2(2), Region.box([(-1, 1)] * 2), resolution=0.1)
+
+    @pytest.mark.parametrize("threads", ["", "-1", "2"])
+    def test_thread_count_accepted(self, threads, monkeypatch):
+        monkeypatch.setenv("DELONE_LAB_THREADS", threads)
+        lower, upper = covering_radius(z2(2), Region.box([(-1, 1)] * 2), resolution=0.1)
+        assert lower <= math.sqrt(2.0) / 2.0 <= upper
+
     def test_evaluation_cap_is_reported(self, monkeypatch):
         # every point of the sphere is a maximizer, so no tolerance is reached
         monkeypatch.setattr(repetitivity, "COVERING_EVAL_BUDGET", 50_000)
