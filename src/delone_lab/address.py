@@ -177,13 +177,13 @@ def lipschitz_constant(
         # the columns after its rows; at least 16 blocks keep the diagonal
         # blocks' wasted half small
         chunk = max(1, min((1 << 22) // P, -(-P // 16)))
+        from scipy.spatial.distance import cdist
+
         with np.errstate(divide="ignore"):
             for s in range(0, P, chunk):
                 e = min(s + chunk, P)
-                dx = pts[s:e, None, :] - pts[None, s:, :]
-                dphi = coords[s:e, None, :] - coords[None, s:, :]
-                nx = np.sqrt(np.sum(dx * dx, axis=2))
-                nphi = np.sqrt(np.sum(dphi * dphi, axis=2))
+                nx = cdist(pts[s:e], pts[s:])
+                nphi = cdist(coords[s:e], coords[s:])
                 nx[np.arange(s, e)[:, None] >= np.arange(s, P)[None, :]] = np.inf
                 best = max(best, float(np.max(nphi / nx)))
         return LipschitzReport(value=best, pairs_used=used, mode="all-pairs")

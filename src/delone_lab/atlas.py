@@ -53,13 +53,6 @@ class AtlasResult:
         return None
 
 
-def _sort_addresses(addr: np.ndarray) -> np.ndarray:
-    if addr.shape[0] == 0:
-        return addr
-    order = np.lexsort(addr.T[::-1])
-    return addr[order]
-
-
 def _erosion_margin(T: float, shape: str, region_kind: str, n: int) -> float:
     if shape == "ball":
         return T
@@ -114,7 +107,7 @@ def compute_atlas(
             ps, center_idx, shape, thresh2, flag_cap
         )
 
-    classes = [PatchClass(key=k, centers=_sort_addresses(v)) for k, v in groups.items()]
+    classes = [PatchClass(key=k, centers=v) for k, v in groups.items()]
     classes.sort(key=lambda c: c.key)
     flags.sort()
     return AtlasResult(
@@ -169,7 +162,8 @@ def _classify(chunks, table, near, dist, caddr, flag_cap):
 
     rows = np.concatenate(packed)
     _, first, inverse = np.unique(row_scalars(rows), return_index=True, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
+    # centers by class, then by address
+    order = np.lexsort((*caddr.T[::-1], inverse))
     bounds = np.cumsum(np.bincount(inverse))[:-1]
     groups = {}
     for rep, centers in zip(first.tolist(), np.split(caddr[order], bounds)):

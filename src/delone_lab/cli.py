@@ -43,7 +43,7 @@ from .ergodic import (
 )
 from .errors import DeloneLabError, InvalidArgument, ResourceLimit
 from .generators import build_source
-from .repetitivity import repetitivity_function
+from .repetitivity import query_workers, repetitivity_function
 from .spectral import autocorrelation, detect_peaks, diffraction_estimate
 
 EXIT_BAD_CONFIG = 1
@@ -212,6 +212,7 @@ def _common_options(f):
 @click.group(name="delone-lab")
 def cli():
     """Generate Delone-set constructions and compute order invariants."""
+    query_workers()  # a bad DELONE_LAB_THREADS stops every command before it runs
 
 
 @cli.command(

@@ -74,9 +74,6 @@ class ContinuedFraction:
             self._q.append(a * self._q[-1] + self._q[-2])
         return self._p[k + 1], self._q[k + 1]
 
-    def convergents(self, upto: int) -> list:
-        return [self.convergent(k) for k in range(upto + 1)]
-
     def value(self) -> Fraction:
         if not self.is_rational:
             raise InvalidArgument("irrational continued fraction has no exact value")
@@ -162,10 +159,6 @@ class ContinuedFraction:
         if p1 * q2 < p2 * q1:
             return (p1, q1), (p2, q2)
         return (p2, q2), (p1, q1)
-
-    def beatty_symbol(self, k: int) -> int:
-        """b_k = floor((k+1) alpha) - floor(k alpha), a 0/1 symbol."""
-        return self.floor_multiple(k + 1) - self.floor_multiple(k)
 
     def beatty_word(self, start: int, count: int) -> list:
         """Symbols b_start .. b_{start+count-1}, differences of exact floors."""

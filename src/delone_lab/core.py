@@ -124,19 +124,6 @@ class Region:
             return float(np.prod([b - a for a, b in self.intervals]))
         return unit_ball_volume(self.dimension) * self.radius ** self.dimension
 
-    def surface_sum(self) -> float:
-        """For boxes: 2 * vol * sum(1/edge), the total facet area."""
-        if self.kind != "box":
-            raise InvalidArgument("surface_sum is defined for boxes")
-        vol = self.volume()
-        return 2.0 * vol * sum(1.0 / (b - a) for a, b in self.intervals)
-
-    def width(self) -> float:
-        """For boxes: the shortest edge length."""
-        if self.kind != "box":
-            raise InvalidArgument("width is defined for boxes")
-        return min(b - a for a, b in self.intervals)
-
     def contains_region(self, other: "Region", slack: float = 1e-9) -> bool:
         """True if the other region sits inside this one (closed containment)."""
         if other.kind == "box":
@@ -398,6 +385,17 @@ def project(ps: ExactPointSet, address: Sequence[int]) -> np.ndarray:
     return a.astype(float) @ ps.projection
 
 
+def packing_radius(ps) -> float:
+    """Half the minimum pairwise distance, exact; inf for fewer than 2 points."""
+    pts = ps.points
+    if pts.shape[0] < 2:
+        return math.inf
+    from scipy.spatial import cKDTree
+
+    d, _ = cKDTree(pts).query(pts, k=2)
+    return float(d[:, 1].min()) / 2.0
+
+
 def delone_constants(ps, resolution: Optional[float] = None) -> tuple:
     """Estimate (r, R): packing radius and covering radius over the window.
 
@@ -409,14 +407,10 @@ def delone_constants(ps, resolution: Optional[float] = None) -> tuple:
     """
     from .repetitivity import covering_radius
 
-    pts = ps.points if isinstance(ps, ExactPointSet) else ps.points
+    pts = ps.points
     if pts.shape[0] < 2:
         raise InsufficientData("need at least 2 points for Delone constants")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(pts)
-    dists, _ = tree.query(pts, k=2)
-    r = float(dists[:, 1].min()) / 2.0
+    r = packing_radius(ps)
 
     region = ps.region
     if resolution is None:

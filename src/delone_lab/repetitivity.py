@@ -17,12 +17,23 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .atlas import AtlasResult, compute_atlas
-from .core import ExactPointSet, Region
+from .core import ExactPointSet, Region, packing_radius
 from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
 COVERING_EVAL_BUDGET = 4_000_000  # cap on distance evaluations per covering-radius call
 THREADED_QUERY_MIN = 4096  # smaller cKDTree batches run faster on one thread
+
+
+def query_workers() -> int:
+    """cKDTree workers from DELONE_LAB_THREADS: -1 (all cores, the default)
+    or a positive integer; anything else is an InvalidArgument."""
+    threads = (os.environ.get("DELONE_LAB_THREADS") or "-1").strip()
+    if threads != "-1" and not (threads.isdecimal() and int(threads) > 0):
+        raise InvalidArgument(
+            "DELONE_LAB_THREADS must be -1 or a positive integer, not %r" % threads
+        )
+    return int(threads)
 
 
 def covering_radius(
@@ -87,12 +98,7 @@ def covering_radius(
 
     from scipy.spatial import cKDTree
 
-    threads = (os.environ.get("DELONE_LAB_THREADS") or "-1").strip()
-    if threads != "-1" and not (threads.isdecimal() and int(threads) > 0):
-        raise InvalidArgument(
-            "DELONE_LAB_THREADS must be -1 or a positive integer, not %r" % threads
-        )
-    workers = int(threads)
+    workers = query_workers()
     tree = cKDTree(centers)
     best = float(tree.query(c0)[0])  # largest distance seen at a point of the region
     if rad == 0:  # the region is a single point
@@ -178,11 +184,7 @@ def repetitivity_function(
         raise InvalidArgument("atlas was computed for a different T")
     eval_region = ps.region.erode(2.0 * T)
     if resolution is None and ps.dimension > 1:
-        from scipy.spatial import cKDTree
-
-        d, _ = cKDTree(ps.points).query(ps.points, k=2)
-        r = float(d[:, 1].min()) / 2.0
-        resolution = min(r / 4.0, T / 100.0)
+        resolution = min(packing_radius(ps) / 4.0, T / 100.0)
     per = []
     notes = []
     for cls in atlas.classes:

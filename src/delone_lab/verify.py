@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .address import (
 )
 from .atlas import compute_atlas
 from .contfrac import ContinuedFraction, construct_alpha_for_growth, recurrence_formula
-from .core import Region, delone_constants, make_patch_key
+from .core import Region, delone_constants, packing_radius
 from .ergodic import (
     density_profile,
     oscillation_probe,
@@ -33,8 +33,6 @@ from .ergodic import (
 )
 from .errors import DeloneLabError
 from .generators import (
-    GOLDEN_TAU,
-    PointSetSource,
     gen_cut_project_1d,
     gen_deleted_lines,
     gen_fibonacci,
@@ -95,50 +93,37 @@ class _Suite:
 # shared sweep: repetitivity brackets over the built-in constructions
 
 
-def _sweep_plan() -> list:
-    # (label, source factory, window half-width, T values, aperiodic, resolution)
-    return [
-        ("zn-1", lambda: gen_integer_lattice(1), 80.0, (2.0, 4.0, 8.0), False, None),
-        ("zn-2", lambda: gen_integer_lattice(2), 24.0, (2.0, 4.0), False, 0.05),
-        ("fibonacci", gen_fibonacci, 130.0, (1.0, 2.0, 4.0, 8.0), True, None),
-        (
-            "cut-project",
-            lambda: gen_cut_project_1d(ContinuedFraction.golden()),
-            110.0,
-            (1.0, 2.0, 4.0),
-            True,
-            None,
-        ),
-        (
-            "two-color",
-            lambda: gen_two_color(1, [16, 32, 64, 128]),
-            130.0,
-            (2.0, 4.0, 8.0),
-            True,
-            None,
-        ),
-    ]
+# label -> (source factory, window half-width, T values, aperiodic, resolution)
+SWEEP_PLAN = {
+    "zn-1": (lambda: gen_integer_lattice(1), 80.0, (2.0, 4.0, 8.0), False, None),
+    "zn-2": (lambda: gen_integer_lattice(2), 24.0, (2.0, 4.0), False, 0.05),
+    "fibonacci": (gen_fibonacci, 130.0, (1.0, 2.0, 4.0, 8.0), True, None),
+    "cut-project": (
+        lambda: gen_cut_project_1d(ContinuedFraction.golden()),
+        110.0,
+        (1.0, 2.0, 4.0),
+        True,
+        None,
+    ),
+    "two-color": (
+        lambda: gen_two_color(1, [16, 32, 64, 128]),
+        130.0,
+        (2.0, 4.0, 8.0),
+        True,
+        None,
+    ),
+}
 
 
-_SWEEP_CACHE: dict = {}
-
-
-def repetitivity_sweep(seed: int = 0) -> List[SweepRow]:
-    """Certified repetitivity brackets for every (construction, T) pair.
-
-    The same rows back the growth-bound, crystal-trigger and shift-identity
-    checks, so they are computed once per process.
-    """
-    if seed in _SWEEP_CACHE:
-        return _SWEEP_CACHE[seed]
+def repetitivity_sweep(labels: Sequence[str] = tuple(SWEEP_PLAN)) -> List[SweepRow]:
+    """Certified repetitivity brackets for every T of the given plan labels,
+    in label order; only those constructions are built."""
     rows: List[SweepRow] = []
-    for label, factory, half, t_values, aperiodic, resolution in _sweep_plan():
+    for label in labels:
+        factory, half, t_values, aperiodic, resolution = SWEEP_PLAN[label]
         source = factory()
-        region = Region.centered_box(source.dimension, half)
-        ps = source.materialize(region)
-        r_decl = source.declared_r
-        if r_decl is None:
-            r_decl, _ = delone_constants(ps)
+        ps = source.materialize(Region.centered_box(source.dimension, half))
+        r = source.declared_r if source.declared_r is not None else packing_radius(ps)
         for T in t_values:
             res = repetitivity_function(ps, T, resolution=resolution)
             rows.append(
@@ -149,11 +134,10 @@ def repetitivity_sweep(seed: int = 0) -> List[SweepRow]:
                     n_lower=res.n_lower,
                     M_lower=res.M_lower,
                     M_upper=res.M_upper,
-                    r=r_decl,
+                    r=r,
                     aperiodic=aperiodic,
                 )
             )
-    _SWEEP_CACHE[seed] = rows
     return rows
 
 
@@ -200,20 +184,37 @@ def crystal_trigger_errors(rows: Sequence[SweepRow]) -> List[str]:
     return problems
 
 
-def cubical_identity_rows(seed: int = 0) -> list:
-    """1D constructions: class count with cube windows of side T vs balls of
+def cubical_identity_rows(
+    labels: Sequence[str] = ("zn-1", "fibonacci", "cut-project", "two-color"),
+) -> list:
+    """1D plan labels: class count with cube windows of side T vs balls of
     radius T/2. In one dimension the two window shapes coincide."""
     out = []
-    for label, factory, half, t_values, _, _ in _sweep_plan():
-        source = factory()
-        if source.dimension != 1:
-            continue
-        ps = source.materialize(Region.centered_box(1, half))
+    for label in labels:
+        factory, half, t_values, _, _ = SWEEP_PLAN[label]
+        ps = factory().materialize(Region.centered_box(1, half))
         for T in t_values:
             n_cube = compute_atlas(ps, T, shape="cube").n_lower
             n_ball = compute_atlas(ps, T / 2.0).n_lower
             out.append((label, T, n_cube, n_ball))
     return out
+
+
+def bracket_sweep_check(s: "_Suite", label: str):
+    """Growth bound and crystal trigger over one label's sweep rows."""
+
+    def body():
+        rows = repetitivity_sweep([label])
+        bad = bound_violations(rows)
+        probs = crystal_trigger_errors(rows)
+        ok = not bad and not probs and len(rows) == len(SWEEP_PLAN[label][2])
+        return ok, "%d certified T values, %d bound violations, %d trigger errors" % (
+            len(rows),
+            len(bad),
+            len(probs),
+        )
+
+    s.check("bracket-sweep", body)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,7 @@ def deleted_lines_checks(s: "_Suite", a1: int):
     s.check("patch-count-quadratic-bound-a%d" % a1, quadratic_bound)
 
     def discreteness():
-        r, _ = delone_constants(source.materialize(Region.box([(-6, 6)] * 3)))
+        r = packing_radius(source.materialize(Region.box([(-6, 6)] * 3)))
         return abs(r - 0.5) < 1e-9, "a1=%d min-gap radius %s" % (a1, _fmt(r))
 
     s.check("uniform-discreteness-a%d" % a1, discreteness)
@@ -477,18 +478,7 @@ def suite_fibonacci(seed: int = 0) -> List[CheckResult]:
 
     s.check("three-classes", three_classes)
 
-    def sweep_rows():
-        rows = [r for r in repetitivity_sweep(seed) if r.generator == "fibonacci"]
-        bad = bound_violations(rows)
-        probs = [p for p in crystal_trigger_errors(rows) if p.startswith("fibonacci")]
-        ok = not bad and not probs and len(rows) == 4
-        return ok, "%d certified T values, %d bound violations, %d trigger errors" % (
-            len(rows),
-            len(bad),
-            len(probs),
-        )
-
-    s.check("bracket-sweep", sweep_rows)
+    bracket_sweep_check(s, "fibonacci")
 
     def shift_identity():
         res = repetitivity_function(ps, 4.0)
@@ -513,7 +503,7 @@ def suite_fibonacci(seed: int = 0) -> List[CheckResult]:
     s.check("address-fit", address_checks)
 
     def cubical_rows():
-        rows = [row for row in cubical_identity_rows(seed) if row[0] == "fibonacci"]
+        rows = cubical_identity_rows(["fibonacci"])
         bad = [row for row in rows if row[2] != row[3]]
         return not bad and rows, "cube-vs-half-ball class counts: %s" % (
             ", ".join("T=%s %d/%d" % (_fmt(T), nc, nb) for _, T, nc, nb in rows)
@@ -555,16 +545,7 @@ def suite_cut_project(seed: int = 0) -> List[CheckResult]:
 
     s.check("gap-word", word_matches_symbols)
 
-    def sweep_rows():
-        rows = [r for r in repetitivity_sweep(seed) if r.generator == "cut-project"]
-        bad = bound_violations(rows)
-        probs = [p for p in crystal_trigger_errors(rows) if p.startswith("cut-project")]
-        return (not bad and not probs and len(rows) == 3), (
-            "%d certified T values, %d bound violations, %d trigger errors"
-            % (len(rows), len(bad), len(probs))
-        )
-
-    s.check("bracket-sweep", sweep_rows)
+    bracket_sweep_check(s, "cut-project")
 
     def declared_constants():
         r, R = delone_constants(ps)
@@ -642,22 +623,13 @@ def suite_two_color(seed: int = 0) -> List[CheckResult]:
         is_white = source.extras["is_white_address"](ps.addresses)
         cells = np.round(ps.points[is_white, 0]).astype(np.int64)
         agree = bool(np.all(structure.cell_is_white(cells)))
-        r, _ = delone_constants(ps)
+        r = packing_radius(ps)
         ok = agree and abs(r - 1.0 / 6.0) < 1e-9
         return ok, "white addresses map to white cells; min-gap radius %s" % _fmt(r)
 
     s.check("coded-points", coded_points)
 
-    def sweep_rows():
-        rows = [r for r in repetitivity_sweep(seed) if r.generator == "two-color"]
-        bad = bound_violations(rows)
-        probs = [p for p in crystal_trigger_errors(rows) if p.startswith("two-color")]
-        return (not bad and not probs and len(rows) == 3), (
-            "%d certified T values, %d bound violations, %d trigger errors"
-            % (len(rows), len(bad), len(probs))
-        )
-
-    s.check("bracket-sweep", sweep_rows)
+    bracket_sweep_check(s, "two-color")
     return s.results
 
 
@@ -703,17 +675,14 @@ SUITES = {
     "words": suite_words,
 }
 
-SUITE_ORDER = ["lattice", "fibonacci", "cut-project", "deleted-lines", "two-color", "words"]
-
-
 def run_suite(name: str, seed: int = 0) -> List[CheckResult]:
     if name == "all":
         out: List[CheckResult] = []
-        for key in SUITE_ORDER:
-            out.extend(SUITES[key](seed))
+        for suite in SUITES.values():
+            out.extend(suite(seed))
         return out
     if name not in SUITES:
-        raise KeyError("unknown suite %r; have %s" % (name, ", ".join(SUITE_ORDER + ["all"])))
+        raise KeyError("unknown suite %r; have %s" % (name, ", ".join(list(SUITES) + ["all"])))
     return SUITES[name](seed)
 
 

@@ -95,7 +95,7 @@ def test_02_sturmian_complexity_is_k_plus_1():
 
 
 def test_03_lower_bound_inequality_holds_on_sweep():
-    rows = repetitivity_sweep(0)
+    rows = repetitivity_sweep()
     violations = bound_violations(rows)
     # recompute the inequality here rather than trusting the helper
     recheck = [
@@ -113,7 +113,7 @@ def test_03_lower_bound_inequality_holds_on_sweep():
 
 
 def test_04_crystal_triggers_classify_correctly():
-    rows = repetitivity_sweep(0)
+    rows = repetitivity_sweep()
     problems = list(crystal_trigger_errors(rows))
 
     # aperiodic brackets must never sit entirely below T/3
@@ -323,7 +323,7 @@ def test_10_address_map_fits_agree():
 
 
 def test_11_cube_windows_match_half_radius_balls():
-    rows = cubical_identity_rows(0)
+    rows = cubical_identity_rows()
     mismatches = [(g, T) for g, T, n_cube, n_ball in rows if n_cube != n_ball]
     generators = {g for g, *_ in rows}
     ok = (

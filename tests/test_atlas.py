@@ -253,6 +253,19 @@ class TestEngines:
         assert at.n_lower == 2
         assert as_dict(at) == brute_atlas(coincident_pairs(0), 1.5)
 
+    @pytest.mark.parametrize("kind", ["z2-holes", "fibonacci"])
+    def test_centers_lex_sorted_whatever_the_point_order(self, kind):
+        if kind == "fibonacci":
+            ps = gen_fibonacci().materialize(Region.box([(-20, 20)]))
+        else:
+            src = gen_integer_lattice(2, deletions=[(0, 0), (3, 1)])
+            ps = src.materialize(Region.box([(-9, 9)] * 2))
+        perm = np.random.default_rng(0).permutation(len(ps))
+        shuffled = ExactPointSet(ps.dimension, ps.rank, ps.projection, ps.addresses[perm], ps.region)
+        at = compute_atlas(shuffled, 2.000001)
+        assert at.engine == ("kdtree" if kind == "fibonacci" else "lattice")
+        assert as_dict(at) == brute_atlas(ps, 2.000001)
+
     def test_kdtree_on_product_set(self):
         src = gen_product([gen_fibonacci(), gen_integer_lattice(1)])
         ps = src.materialize(Region.box([(-8, 8), (-8, 8)]))

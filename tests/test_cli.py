@@ -74,9 +74,15 @@ class TestGenerate:
     @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
     def test_bad_threads_is_bad_configuration(self, threads, capsys, monkeypatch):
         monkeypatch.setenv("DELONE_LAB_THREADS", threads)
-        argv = ["repetitivity", "--set", "zn", "--params", '{"n": 2}', "--window", "8", "--T", "2"]
-        assert run_cli(argv) == 1
-        assert "bad configuration" in capsys.readouterr().err
+        for argv in (
+            ["repetitivity", "--set", "zn", "--params", '{"n": 2}', "--window", "8", "--T", "2"],
+            # rejected before any check runs, not reported as failed checks
+            ["verify", "deleted-lines", "--seed", "0"],
+        ):
+            assert run_cli(argv) == 1
+            captured = capsys.readouterr()
+            assert "bad configuration" in captured.err
+            assert "[FAIL]" not in captured.out
 
 
 def row_by_row_generate(config, fmt):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from delone_lab.core import (
     ExactPointSet,
@@ -17,13 +18,14 @@ from delone_lab.core import (
     make_patch_key,
     narrow_rows,
     natural_distance,
+    packing_radius,
     project,
     row_scalars,
     save_point_set,
     validate_patch_key,
 )
 from delone_lab.errors import InsufficientData, InvalidArgument, WindowTooSmall
-from delone_lab.generators import GOLDEN_TAU, gen_fibonacci, gen_integer_lattice
+from delone_lab.generators import GOLDEN_TAU, gen_deleted_lines, gen_fibonacci, gen_integer_lattice
 
 
 def line_set(positions):
@@ -273,6 +275,16 @@ class TestDeloneConstants:
     def test_needs_two_points(self):
         with pytest.raises(InsufficientData):
             delone_constants(line_set([0]))
+
+    def test_packing_radius_is_r(self):
+        fib = gen_fibonacci().materialize(Region.box([(-30, 30)]))
+        lines = gen_deleted_lines([2]).materialize(Region.box([(-6, 6)] * 3))
+        shifted = fib.points[::3] + 0.25
+        floats = FloatPointSet(shifted, tolerance=1e-9, region=Region.box([(-29, 31)]))
+        for ps in (fib, lines, floats):
+            brute = float(pdist(ps.points).min()) / 2.0
+            assert packing_radius(ps) == delone_constants(ps)[0] == pytest.approx(brute)
+        assert packing_radius(line_set([0])) == math.inf
 
 
 class TestNaturalDistance:
