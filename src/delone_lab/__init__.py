@@ -15,6 +15,7 @@ from .atlas import (
     AtlasResult,
     PatchClass,
     WindowPolicy,
+    atlas_ladder,
     compute_atlas,
     entropy_probe,
     patch_count_profile,
@@ -75,6 +76,7 @@ from .repetitivity import (
     crystal_gap_probe,
     growth_classification,
     repetitivity_function,
+    repetitivity_ladder,
     symbolic_recurrence_oracle,
 )
 from .spectral import (

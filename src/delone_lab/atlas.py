@@ -14,7 +14,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import BALL_TOL, ExactPointSet, Region, make_patch_key, narrow_rows, row_scalars
+from .core import (
+    BALL_TOL,
+    ExactPointSet,
+    Region,
+    lex_order,
+    make_patch_key,
+    narrow_rows,
+    row_scalars,
+    validate_patch_key,
+)
 from .errors import InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
@@ -63,62 +72,63 @@ def _erosion_margin(T: float, shape: str, region_kind: str, n: int) -> float:
 def compute_atlas(
     ps: ExactPointSet, T: float, shape: str = "ball", flag_cap: int = 1000
 ) -> AtlasResult:
-    """Classify all fully visible T-patches in the window.
+    """Classify all fully visible T-patches in the window: atlas_ladder at
+    one T."""
+    return atlas_ladder(ps, [T], shape=shape, flag_cap=flag_cap)[0]
+
+
+def atlas_ladder(
+    ps: ExactPointSet, T_values: Sequence[float], shape: str = "ball", flag_cap: int = 1000
+) -> List[AtlasResult]:
+    """One atlas per T, in the order of T_values; a repeated T repeats the
+    same result.
 
     shape "ball" uses the closed euclidean ball of radius T; shape "cube"
     uses the axis-aligned closed cube of side T. Membership is decided on
     squared distances with a 1e-9 slack, and near-threshold points are
-    flagged (they stay included).
+    flagged (they stay included). boundary_flags holds the flag_cap smallest
+    (center address, distance) pairs of the near-threshold points.
 
     Subsets of Z^n (n <= 3) with the identity projection go to the lattice
     engine unless their address box is too sparse for an occupancy array;
-    every other set goes to the kdtree engine.
+    every other set goes to the kdtree engine. The test grows with T, so a
+    ladder has at most one lattice run and one kdtree run. Each run builds
+    one table of address differences at its largest T and refines the
+    classes rung by rung, reading only the shell each rung adds.
     """
     if shape not in ("ball", "cube"):
         raise InvalidArgument(f"unknown patch shape {shape!r}")
-    if not (T > 0):
-        raise InvalidArgument("patch size T must be positive")
     n = ps.dimension
-    margin = _erosion_margin(T, shape, ps.region.kind, n)
-    certified = ps.region.erode(margin)
+    certified = {}
+    # errors as a loop over T_values would meet them, the first T first
+    for T in T_values:
+        if not (T > 0):
+            raise InvalidArgument("patch size T must be positive")
+        if T not in certified:
+            certified[T] = ps.region.erode(_erosion_margin(T, shape, ps.region.kind, n))
+        if len(ps) == 0:
+            raise WindowTooSmall("cannot build an atlas from an empty window")
 
-    pts = ps.points
-    if len(ps) == 0:
-        raise WindowTooSmall("cannot build an atlas from an empty window")
-    center_mask = certified.contains(pts)
-    center_idx = np.nonzero(center_mask)[0]
-    if center_idx.size == 0:
-        return AtlasResult(T, shape, certified, [], 0, [], "empty")
+    # the occupancy array spans the addresses' box; sparse sets go to kdtree
+    box = None
+    if ps.rank == n and n <= 3 and np.array_equal(ps.projection, np.eye(n)):
+        box = np.ptp(ps.addresses, axis=0)
+    done, runs = {}, {_engine_lattice: [], _engine_kdtree: []}
+    for T in sorted(certified):
+        mask = certified[T].contains(ps.points)
+        if not mask.any():
+            done[T] = AtlasResult(T, shape, certified[T], [], 0, [], "empty")
+            continue
+        fits = box is not None and np.prod(box + 2.0 * T + 1.0) <= 64 * len(ps) + (1 << 22)
+        runs[_engine_lattice if fits else _engine_kdtree].append((T, certified[T], mask))
+    for engine, rungs in runs.items():
+        if rungs:
+            done.update(_ladder(ps, rungs, shape, flag_cap, engine))
+    return [done[T] for T in T_values]
 
-    thresh2 = T * T if shape == "ball" else (T / 2.0) ** 2
 
-    if (
-        ps.rank == n
-        and n <= 3
-        and np.array_equal(ps.projection, np.eye(n))
-        # the occupancy array spans the addresses' box; sparse sets go to kdtree
-        and np.prod(np.ptp(ps.addresses, axis=0) + 2.0 * T + 1.0) <= 64 * len(ps) + (1 << 22)
-    ):
-        groups, flags, flag_count, engine = _engine_lattice(
-            ps, center_idx, shape, thresh2, flag_cap
-        )
-    else:
-        groups, flags, flag_count, engine = _engine_kdtree(
-            ps, center_idx, shape, thresh2, flag_cap
-        )
-
-    classes = [PatchClass(key=k, centers=v) for k, v in groups.items()]
-    classes.sort(key=lambda c: c.key)
-    flags.sort()
-    return AtlasResult(
-        T=T,
-        shape=shape,
-        certified_region=certified,
-        classes=classes,
-        boundary_flag_count=int(flag_count),
-        boundary_flags=flags[:flag_cap],
-        engine=engine,
-    )
+def _thresh2(T, shape):
+    return T * T if shape == "ball" else (T / 2.0) ** 2
 
 
 def _inside(table, projection, shape, thresh2):
@@ -139,71 +149,130 @@ def _inside(table, projection, shape, thresh2):
     return inc, near, np.sqrt(d2)
 
 
-def _classify(chunks, table, near, dist, caddr, flag_cap):
-    """Group centers by patch and build one key per class.
+def _ladder(ps, rungs, shape, flag_cap, engine):
+    """Atlases of one engine run; rungs are (T, certified region, center
+    mask) in increasing T, each mask inside the one before.
 
-    table holds K address differences in lex order. chunks yields boolean
-    matrices over consecutive blocks of centers: column j of a center's row
-    says whether table[j] lies in its patch. The rows pack into bits and
-    group by a 1-D unique over one scalar per row; flags are the first
-    2 * flag_cap near-threshold hits of each chunk, in (center, column)
-    order, until that many are collected.
+    The engine returns a lex-sorted table of K address differences, every
+    one within the largest T, and two readers over (center rows, table
+    columns): `dense` gives a boolean matrix, `packed` the same rows packed
+    into bytes. A rung reads only its shell, the columns inside its T and
+    outside the T before, for its own centers. A class at a rung is the
+    pair (class at the rung before, shell row), since a T-patch is the
+    patch at the smaller T plus its shell.
     """
-    packed, flags, near_total, start = [], [], 0, 0
-    for found in chunks:
-        packed.append(np.packbits(found, axis=1))
-        hits = found & near
-        near_total += int(np.count_nonzero(hits))
-        if len(flags) < flag_cap * 2 and hits.any():
-            rr, cc = np.nonzero(hits)
-            for r, c in zip(rr[: flag_cap * 2].tolist(), cc[: flag_cap * 2].tolist()):
-                flags.append((tuple(caddr[start + r].tolist()), float(dist[c])))
-        start += found.shape[0]
+    base = np.nonzero(rungs[0][2])[0]
+    cidx = base[lex_order(ps.addresses[base])]
+    caddr = ps.addresses[cidx]
+    table, dense, packed, name = engine(ps, cidx, shape, _thresh2(rungs[-1][0], shape))
+    entries = list(map(tuple, table.tolist()))
+    ids = np.zeros(cidx.size, dtype=np.int64)
+    before = np.zeros(table.shape[0], dtype=bool)
+    out = {}
+    for T, certified, mask in rungs:
+        inc, near, dist = _inside(table, ps.projection, shape, _thresh2(T, shape))
+        sel = np.nonzero(mask[cidx])[0]  # lex sorted, as cidx is
+        shell = np.nonzero(inc & ~before)[0]
+        before = inc
+        # one 1-D unique per 8-byte word of the shell rows, refining the ids
+        cls = np.unique(ids[sel], return_inverse=True)[1]
+        if shell.size:
+            words = row_scalars(packed(sel, shell)).view(np.uint64).reshape(sel.size, -1)
+            for word in words.T:
+                word = np.unique(word, return_inverse=True)[1]
+                cls = np.unique(cls * sel.size + word, return_inverse=True)[1]
+        ids[sel] = cls
+        rep = np.empty(int(cls.max()) + 1, dtype=np.intp)
+        rep[cls] = sel  # any center of a class stands for it
 
-    rows = np.concatenate(packed)
-    _, first, inverse = np.unique(row_scalars(rows), return_index=True, return_inverse=True)
-    # centers by class, then by address
-    order = np.lexsort((*caddr.T[::-1], inverse))
-    bounds = np.cumsum(np.bincount(inverse))[:-1]
-    groups = {}
-    for rep, centers in zip(first.tolist(), np.split(caddr[order], bounds)):
-        bits = np.unpackbits(rows[rep], count=table.shape[0]).astype(bool)
-        groups[make_patch_key(map(tuple, table[bits].tolist()))] = centers
-    return groups, flags, near_total
+        cols = np.nonzero(inc)[0]
+        keys = []
+        for row in dense(rep, cols):
+            key = tuple([entries[j] for j in cols[row].tolist()])
+            validate_patch_key(key)
+            keys.append(key)
+        # by class, then by address; narrow ints sort by radix
+        order = np.argsort(cls.astype(np.min_scalar_type(cls.max())), kind="stable")
+        bounds = np.cumsum(np.bincount(cls))[:-1]
+        classes = [
+            PatchClass(key=k, centers=c)
+            for k, c in zip(keys, np.split(caddr[sel[order]], bounds))
+        ]
+        classes.sort(key=lambda c: c.key)
+
+        # near hits in (center, column) order: the centers up to the one
+        # holding the flag_cap-th hit hold the flag_cap smallest flags
+        ncols = np.nonzero(inc & near)[0]
+        hits = np.unpackbits(packed(sel, ncols), axis=1, count=ncols.size, bitorder="little")
+        per_center = np.cumsum(hits.sum(axis=1))
+        total = int(per_center[-1])
+        rr, cc = np.nonzero(hits[: np.searchsorted(per_center, flag_cap) + 1])
+        flags = sorted(
+            (tuple(a), d)
+            for a, d in zip(caddr[sel[rr]].tolist(), dist[ncols[cc]].tolist())
+        )
+        out[T] = AtlasResult(
+            T=T,
+            shape=shape,
+            certified_region=certified,
+            classes=classes,
+            boundary_flag_count=total,
+            boundary_flags=flags[:flag_cap],
+            engine=name,
+        )
+    return out
 
 
-def _engine_lattice(ps, center_idx, shape, thresh2, flag_cap):
-    """Identity-projection engine: offset table plus dense occupancy lookup."""
+def _engine_lattice(ps, cidx, shape, thresh2):
+    """Identity-projection engine: offset table plus dense occupancy array.
+
+    packed reads each byte column from eight shifted slices of the
+    occupancy array over the centers' bounding box, then picks out the
+    centers.
+    """
     n = ps.dimension
     reach = math.floor(math.sqrt(thresh2 + BALL_TOL))
     rng = np.arange(-reach, reach + 1, dtype=np.int64)
     # "ij" order ravels the offsets lexicographically
     grids = np.meshgrid(*([rng] * n), indexing="ij")
     offs = np.stack([g.ravel() for g in grids], axis=1)
-    inc, near, dist = _inside(offs, ps.projection, shape, thresh2)
-    offs = offs[inc]
+    offs = offs[_inside(offs, ps.projection, shape, thresh2)[0]]
 
-    # occupancy over the addresses' box grown by reach, flat in C order
+    # occupancy over the addresses' box grown by reach
     addr = ps.addresses
     lo = addr.min(axis=0) - reach
     dims = addr.max(axis=0) + reach + 1 - lo
+    occ = np.zeros(tuple(dims), dtype=np.uint8)
+    occ[tuple((addr - lo).T)] = 1
+    loc = addr[cidx] - lo
     strides = np.cumprod(np.append(dims[1:], 1)[::-1])[::-1]
-    occ = np.zeros(int(np.prod(dims)), dtype=bool)
-    occ[(addr - lo) @ strides] = True
-    caddr = addr[center_idx]
-    flat_c = (caddr - lo) @ strides
-    flat_o = offs @ strides
-    chunk = max(1, (1 << 20) // offs.shape[0])
-    chunks = (
-        occ[flat_c[s : s + chunk, None] + flat_o[None, :]]
-        for s in range(0, caddr.shape[0], chunk)
-    )
-    return _classify(chunks, offs, near[inc], dist[inc], caddr, flag_cap) + ("lattice",)
+    flat, flat_c, flat_o = occ.ravel(), loc @ strides, offs @ strides
+
+    def dense(sel, cols):
+        return flat[flat_c[sel][:, None] + flat_o[cols][None, :]].astype(bool)
+
+    # the centers' bounding box in the occupancy array, and each center in it
+    a = loc.min(axis=0)
+    w = tuple(loc.max(axis=0) + 1 - a)
+    at = np.ravel_multi_index(tuple((loc - a).T), w)
+
+    def packed(sel, cols):
+        rows = np.empty((sel.size, -(-cols.size // 8)), dtype=np.uint8)
+        for b in range(rows.shape[1]):
+            byte = np.zeros(w, dtype=np.uint8)
+            # column 8b + j lands on bit j; doubling is faster than a shift
+            for o in offs[cols[8 * b : 8 * b + 8]][::-1]:
+                byte += byte
+                byte |= occ[tuple(slice(s, s + k) for s, k in zip(a + o, w))]
+            rows[:, b] = byte.ravel()[at[sel]]
+        return rows
+
+    return offs, dense, packed, "lattice"
 
 
-def _engine_kdtree(ps, center_idx, shape, thresh2, flag_cap):
+def _engine_kdtree(ps, cidx, shape, thresh2):
     """Any projection: one tree query finds every pair within T, and the
-    distinct pair differences, in lex order, are the columns of the rows.
+    distinct pair differences, in lex order, are the table's columns.
 
     The tree holds positions taken from the addresses less the window's
     smallest, and a pair's offset is its address difference times the
@@ -213,35 +282,44 @@ def _engine_kdtree(ps, center_idx, shape, thresh2, flag_cap):
     from scipy.spatial import cKDTree
 
     addr = ps.addresses
-    N, m = len(ps), center_idx.size
+    N, m = len(ps), cidx.size
     rad = math.sqrt(thresh2 + BALL_TOL)
     pairs = cKDTree((addr - addr.min(axis=0)).astype(float) @ ps.projection).query_pairs(
         rad * (1 + 1e-12), p=np.inf if shape == "cube" else 2.0, output_type="ndarray"
     )
     # each center with itself, then every pair in both directions
     row_of = np.full(N, -1, dtype=np.intp)
-    row_of[center_idx] = np.arange(m)
-    row = row_of[np.concatenate([center_idx, pairs[:, 0], pairs[:, 1]])]
-    nb = np.concatenate([center_idx, pairs[:, 1], pairs[:, 0]])
+    row_of[cidx] = np.arange(m)
+    row = row_of[np.concatenate([cidx, pairs[:, 0], pairs[:, 1]])]
+    nb = np.concatenate([cidx, pairs[:, 1], pairs[:, 0]])
     del pairs
     keep = row >= 0
     row, nb = row[keep], nb[keep]
-    caddr = addr[center_idx]
-    diffs = addr[nb] - caddr[row]
+    diffs = addr[nb] - addr[cidx][row]
 
     # the distinct differences in lex order, and each pair's column among them
     _, first, col = np.unique(
         row_scalars(narrow_rows(diffs)), return_index=True, return_inverse=True
     )
     table = diffs[first]
-    lex = np.lexsort(table.T[::-1])
+    lex = lex_order(table)
     table, col = table[lex], np.argsort(lex)[col]
-    # an excluded difference keeps its column, which stays all zero
-    inc, near, dist = _inside(table, ps.projection, shape, thresh2)
-    keep = inc[col]
-    found = np.zeros((m, table.shape[0]), dtype=bool)
-    found[row[keep], col[keep]] = True
-    return _classify([found], table, near, dist, caddr, flag_cap) + ("kdtree",)
+
+    def dense(sel, cols):
+        r = np.full(m, -1, dtype=np.intp)
+        r[sel] = np.arange(sel.size)
+        c = np.full(table.shape[0], -1, dtype=np.intp)
+        c[cols] = np.arange(cols.size)
+        rr, cc = r[row], c[col]
+        hit = (rr >= 0) & (cc >= 0)
+        found = np.zeros((sel.size, cols.size), dtype=bool)
+        found[rr[hit], cc[hit]] = True
+        return found
+
+    def packed(sel, cols):
+        return np.packbits(dense(sel, cols), axis=1, bitorder="little")
+
+    return table, dense, packed, "kdtree"
 
 
 # ---------------------------------------------------------------------------
@@ -288,33 +366,31 @@ def patch_count_profile(
     base = policy.initial_radius
     if base is None:
         base = 50.0 * estimate_R(source)
-    cache = {}
-    out = []
     for T in T_values:
         if T <= 0:
             raise InvalidArgument("T values must be positive")
-        radius = max(base, 2.5 * T)
-        prev = None
-        entry = None
-        for _ in range(policy.max_doublings + 1):
-            key = round(radius, 9)
+    radius = [max(base, 2.5 * T) for T in T_values]
+    out, prev, cache = [None] * len(T_values), {}, {}
+    pending = range(len(T_values))
+    for _ in range(policy.max_doublings + 1):
+        # the pending T values that share a window share one atlas ladder
+        windows = {}
+        for i in pending:
+            windows.setdefault(round(radius[i], 9), []).append(i)
+        for key, idx in windows.items():
             if key not in cache:
-                cache[key] = source.materialize(
-                    Region.centered_box(source.dimension, radius)
+                box = Region.centered_box(source.dimension, radius[idx[0]])
+                cache[key] = source.materialize(box)
+            ladder = atlas_ladder(cache[key], [T_values[i] for i in idx], shape=shape)
+            for i, atlas in zip(idx, ladder):
+                stable = prev.get(i) == atlas.n_lower
+                out[i] = ProfileEntry(
+                    T_values[i], atlas.n_lower, stable, radius[i], atlas.total_centers
                 )
-            atlas = compute_atlas(cache[key], T, shape=shape)
-            entry = ProfileEntry(
-                T=T,
-                n_lower=atlas.n_lower,
-                stabilized=(prev == atlas.n_lower),
-                window_radius=radius,
-                total_centers=atlas.total_centers,
-            )
-            if entry.stabilized:
-                break
-            prev = atlas.n_lower
-            radius *= policy.growth
-        out.append(entry)
+                prev[i] = atlas.n_lower
+        pending = [i for i in pending if not out[i].stabilized]
+        for i in pending:
+            radius[i] *= policy.growth
     return out
 
 

@@ -32,7 +32,7 @@ from .address import (
     lipschitz_constant,
     meyer_residual,
 )
-from .atlas import compute_atlas
+from .atlas import atlas_ladder, compute_atlas
 from .core import ExactPointSet, FloatPointSet, Region, make_patch_key
 from .ergodic import (
     density_profile,
@@ -43,7 +43,7 @@ from .ergodic import (
 )
 from .errors import DeloneLabError, InvalidArgument, ResourceLimit
 from .generators import build_source
-from .repetitivity import query_workers, repetitivity_function
+from .repetitivity import query_workers, repetitivity_ladder
 from .spectral import autocorrelation, detect_peaks, diffraction_estimate
 
 EXIT_BAD_CONFIG = 1
@@ -270,8 +270,7 @@ def atlas(set_name, params, seed, out, fmt, window, t_list, shape):
     )
     columns = ["T", "classes", "centers", "boundary_flags", "engine", "tag"]
     rows = []
-    for T in t_values:
-        res = compute_atlas(ps, T, shape=shape)
+    for T, res in zip(t_values, atlas_ladder(ps, t_values, shape=shape)):
         rows.append(
             [T, res.n_lower, res.total_centers, res.boundary_flag_count, res.engine, "exact"]
         )
@@ -311,8 +310,7 @@ def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
         "tag",
     ]
     rows = []
-    for T in t_values:
-        res = repetitivity_function(ps, T, resolution=resolution)
+    for T, res in zip(t_values, repetitivity_ladder(ps, t_values, resolution=resolution)):
         lo, hi = res.prime()
         rows.append(
             [

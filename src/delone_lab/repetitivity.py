@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .atlas import AtlasResult, compute_atlas
+from .atlas import AtlasResult, atlas_ladder, compute_atlas
 from .core import ExactPointSet, Region, packing_radius
 from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
@@ -223,6 +223,31 @@ def repetitivity_function(
     )
 
 
+def repetitivity_ladder(
+    ps: ExactPointSet, T_values: Sequence[float], resolution: Optional[float] = None
+) -> List[RepetitivityResult]:
+    """repetitivity_function for each T, in order, over one atlas ladder.
+
+    Errors are those of a loop over T_values: the ladder stops short of the
+    first T that is not positive or whose evaluation region empties, and
+    that T builds its own atlas and raises its own error.
+    """
+    k = 0
+    for T in T_values:
+        if not (T > 0):
+            break
+        try:
+            ps.region.erode(2.0 * T)
+        except WindowTooSmall:
+            break
+        k += 1
+    atlases = atlas_ladder(ps, T_values[:k]) + [None] * (len(T_values) - k)
+    return [
+        repetitivity_function(ps, T, resolution=resolution, atlas=atlas)
+        for T, atlas in zip(T_values, atlases)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Growth classification across a sweep of T values
 
@@ -258,16 +283,15 @@ def growth_classification(
     from .atlas import estimate_R
 
     R = estimate_R(source)
-    results = []
-    cache: Dict[float, ExactPointSet] = {}
+    # the T values that share a window share one atlas ladder
+    windows: Dict[float, tuple] = {}
     for T in Ts:
         radius = window_radius if window_radius is not None else max(50.0 * R, 6.0 * T)
-        key = round(radius, 9)
-        if key not in cache:
-            cache[key] = source.materialize(
-                Region.centered_box(source.dimension, radius)
-            )
-        results.append(repetitivity_function(cache[key], T, resolution=resolution))
+        windows.setdefault(round(radius, 9), (radius, []))[1].append(T)
+    results = []
+    for radius, group in windows.values():
+        ps = source.materialize(Region.centered_box(source.dimension, radius))
+        results += repetitivity_ladder(ps, group, resolution=resolution)
 
     rows = [(r.T, r.n_lower, r.M_lower, r.M_upper) for r in results]
     logT = np.log([r.T for r in results])

@@ -22,7 +22,7 @@ from .address import (
     meyer_residual,
     path_displacement_distribution,
 )
-from .atlas import compute_atlas
+from .atlas import atlas_ladder, compute_atlas
 from .contfrac import ContinuedFraction, construct_alpha_for_growth, recurrence_formula
 from .core import Region, delone_constants, packing_radius
 from .ergodic import (
@@ -43,6 +43,7 @@ from .generators import (
 from .repetitivity import (
     crystal_gap_probe,
     repetitivity_function,
+    repetitivity_ladder,
     symbolic_recurrence_oracle,
 )
 from .spectral import autocorrelation, detect_peaks, diffraction_estimate
@@ -124,8 +125,7 @@ def repetitivity_sweep(labels: Sequence[str] = tuple(SWEEP_PLAN)) -> List[SweepR
         source = factory()
         ps = source.materialize(Region.centered_box(source.dimension, half))
         r = source.declared_r if source.declared_r is not None else packing_radius(ps)
-        for T in t_values:
-            res = repetitivity_function(ps, T, resolution=resolution)
+        for T, res in zip(t_values, repetitivity_ladder(ps, t_values, resolution=resolution)):
             rows.append(
                 SweepRow(
                     generator=label,
@@ -193,10 +193,10 @@ def cubical_identity_rows(
     for label in labels:
         factory, half, t_values, _, _ = SWEEP_PLAN[label]
         ps = factory().materialize(Region.centered_box(1, half))
-        for T in t_values:
-            n_cube = compute_atlas(ps, T, shape="cube").n_lower
-            n_ball = compute_atlas(ps, T / 2.0).n_lower
-            out.append((label, T, n_cube, n_ball))
+        cubes = atlas_ladder(ps, t_values, shape="cube")
+        balls = atlas_ladder(ps, [T / 2.0 for T in t_values])
+        for T, cube, ball in zip(t_values, cubes, balls):
+            out.append((label, T, cube.n_lower, ball.n_lower))
     return out
 
 
@@ -324,8 +324,9 @@ def deleted_lines_checks(s: "_Suite", a1: int):
     def quadratic_bound():
         parts = []
         ok = True
-        for T in range(1, a1 + 1):
-            n = compute_atlas(ps, float(T)).n_lower
+        ladder = atlas_ladder(ps, [float(T) for T in range(1, a1 + 1)])
+        for T, atlas in enumerate(ladder, start=1):
+            n = atlas.n_lower
             bound = 12 * T * T
             ok = ok and n <= bound
             parts.append("T=%d N=%d<=%d" % (T, n, bound))
@@ -350,7 +351,7 @@ def suite_lattice(seed: int = 0) -> List[CheckResult]:
     ps1 = z1.materialize(Region.box([(-80, 80)]))
 
     def single_class():
-        ns = [compute_atlas(ps1, T).n_lower for T in (1.0, 3.0, 7.5)]
+        ns = [atlas.n_lower for atlas in atlas_ladder(ps1, (1.0, 3.0, 7.5))]
         return ns == [1, 1, 1], "class counts at T=1,3,7.5: %s" % (ns,)
 
     s.check("single-patch-class", single_class)
@@ -363,9 +364,7 @@ def suite_lattice(seed: int = 0) -> List[CheckResult]:
     s.check("covering-constant", bracket_constant)
 
     def crystal_fires():
-        results = [
-            repetitivity_function(ps1, T) for T in (3.0, 6.0, 9.0)
-        ]
+        results = repetitivity_ladder(ps1, (3.0, 6.0, 9.0))
         probe = crystal_gap_probe(results, R=0.5, r=0.5, dimension=1)
         fired = all(row.crystal_by_small_M and row.crystal_by_small_N for row in probe.rows)
         return fired, "verdict: %s" % probe.verdict

@@ -1,15 +1,20 @@
 """Patch classification on finite windows."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delone_lab.atlas import (
     WindowPolicy,
     _engine_kdtree,
     _engine_lattice,
     _erosion_margin,
+    _ladder,
+    atlas_ladder,
     compute_atlas,
     entropy_probe,
     patch_count_profile,
@@ -326,21 +331,134 @@ class TestEnginesAgree:
     @pytest.mark.parametrize("case", ["z2-holes", "z2-holes-far", "deleted-lines", "z1"])
     def test_lattice_and_kdtree_agree(self, case, shape):
         ps, T_values = self.case(case)
+        rungs = per_T_rungs(ps, T_values, shape)
+        # one ladder per engine, with a small flag cap so the flag lists are
+        # cut short too
+        lat = _ladder(ps, rungs, shape, 20, _engine_lattice)
+        kd = _ladder(ps, rungs, shape, 20, _engine_kdtree)
         flagged = 0
         for T in T_values:
-            certified = ps.region.erode(_erosion_margin(T, shape, ps.region.kind, ps.dimension))
-            center_idx = np.nonzero(certified.contains(ps.points))[0]
-            thresh2 = T * T if shape == "ball" else (T / 2.0) ** 2
-            # a small flag cap, so the flag lists are cut short too
-            lat = _engine_lattice(ps, center_idx, shape, thresh2, 20)
-            kd = _engine_kdtree(ps, center_idx, shape, thresh2, 20)
-            assert (lat[3], kd[3]) == ("lattice", "kdtree")
-            assert lat[0].keys() == kd[0].keys()
-            for key, centers in lat[0].items():
-                assert np.array_equal(centers, kd[0][key])
-            assert lat[1:3] == kd[1:3]
-            flagged += lat[2]
+            a, b = lat[T], kd[T]
+            assert (a.engine, b.engine) == ("lattice", "kdtree")
+            assert a.keys() == b.keys()
+            for ca, cb in zip(a.classes, b.classes):
+                assert np.array_equal(ca.centers, cb.centers)
+            assert a.boundary_flags == b.boundary_flags
+            assert a.boundary_flag_count == b.boundary_flag_count
+            flagged += a.boundary_flag_count
         assert flagged > 0
+
+
+FAR = 10**6
+# two runs of ten integers; the occupancy array over their box fits the
+# lattice engine's density test exactly up to T = 2
+SPARSE_GAP = 4_195_570
+
+
+def sparse_line():
+    addr = np.concatenate([np.arange(10), SPARSE_GAP + np.arange(10)])[:, None]
+    return ExactPointSet(1, 1, np.eye(1), addr, Region.box([(-0.5, SPARSE_GAP + 9.5)]))
+
+
+LADDER_SETS = {
+    "z2-holes-box": lambda: gen_integer_lattice(2, deletions=[(FAR, FAR), (FAR + 2, FAR + 1)])
+    .materialize(Region.box([(FAR - 4, FAR + 4)] * 2)),
+    "z2-holes-ball": lambda: gen_integer_lattice(2, deletions=[(FAR + 1, FAR)])
+    .materialize(Region.ball((FAR, FAR), 4.5)),
+    "fibonacci": lambda: gen_fibonacci().materialize(Region.box([(300_000 - 12, 300_000 + 12)])),
+    "fibxfib": lambda: gen_product([gen_fibonacci(), gen_fibonacci()])
+    .materialize(Region.box([(FAR - 4, FAR + 4)] * 2)),
+    "sparse-line": sparse_line,
+}
+LADDER_T = [0.5, 1.0, 1.2, 1.5, 2.0, 2.000001, 2.5, 3.0]
+
+
+@functools.lru_cache(maxsize=None)
+def ladder_set(name):
+    return LADDER_SETS[name]()
+
+
+@functools.lru_cache(maxsize=None)
+def brute_for(name, T, shape):
+    return brute_atlas(ladder_set(name), T, shape=shape)
+
+
+def per_T_rungs(ps, T_values, shape="ball"):
+    rungs = []
+    for T in T_values:
+        certified = ps.region.erode(_erosion_margin(T, shape, ps.region.kind, ps.dimension))
+        rungs.append((T, certified, certified.contains(ps.points)))
+    return rungs
+
+
+class TestLadder:
+    """atlas_ladder: one table per engine run, classes refined shell by shell."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(LADDER_SETS)),
+        st.sampled_from(["ball", "cube"]),
+        st.lists(st.sampled_from(LADDER_T), min_size=1, max_size=5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_rung_matches_brute_force_and_one_T_atlas(self, name, shape, T_values, seed):
+        ps = ladder_set(name)
+        perm = np.random.default_rng(seed).permutation(len(ps))
+        shuffled = ExactPointSet(
+            ps.dimension, ps.rank, ps.projection, ps.addresses[perm], ps.region
+        )
+        ladder = atlas_ladder(shuffled, T_values, shape=shape)
+        assert len(ladder) == len(T_values)
+        for T, at in zip(T_values, ladder):
+            one = compute_atlas(ps, T, shape=shape)
+            assert (at.T, at.shape, at.engine) == (T, shape, one.engine)
+            assert at.certified_region == one.certified_region
+            assert as_dict(at) == as_dict(one) == brute_for(name, T, shape)
+            assert at.keys() == one.keys()
+            assert (at.boundary_flag_count, at.boundary_flags) == (
+                one.boundary_flag_count,
+                one.boundary_flags,
+            )
+
+    def test_engine_switches_between_rungs(self):
+        ps = sparse_line()
+        ladder = atlas_ladder(ps, [2.5, 1.0, 2.0, 2.000001, 1.0])
+        engines = [at.engine for at in ladder]
+        assert engines == ["kdtree", "lattice", "lattice", "kdtree", "lattice"]
+        assert ladder[1] is ladder[4]
+        for T, at in zip([2.5, 1.0, 2.0, 2.000001], ladder):
+            assert as_dict(at) == brute_atlas(ps, T)
+
+    def test_empty_rungs_at_the_top(self):
+        ps = gen_integer_lattice(1).materialize(Region.box([(0.55, 3.95)]))
+        ladder = atlas_ladder(ps, [1.6, 0.5, 1.0])
+        assert [at.engine for at in ladder] == ["empty", "lattice", "lattice"]
+        assert [at.total_centers for at in ladder] == [0, 2, 1]
+        assert [at.n_lower for at in ladder] == [0, 1, 1]
+
+    def test_errors_follow_the_caller_order(self):
+        ps = gen_integer_lattice(1).materialize(Region.box([(-5, 5)]))
+        with pytest.raises(WindowTooSmall, match="eroded by 20.0"):
+            atlas_ladder(ps, [1.0, 20.0, 0.0, 30.0])
+        with pytest.raises(InvalidArgument, match="must be positive"):
+            atlas_ladder(ps, [1.0, -1.0, 20.0])
+        with pytest.raises(InvalidArgument, match="unknown patch shape"):
+            atlas_ladder(ps, [1.0], shape="hexagon")
+        assert atlas_ladder(ps, []) == []
+
+    @pytest.mark.parametrize("engine", [_engine_lattice, _engine_kdtree])
+    def test_capped_flags_do_not_depend_on_point_order(self, engine):
+        # the flag_cap smallest (center, distance) pairs, whatever the order
+        ps = gen_integer_lattice(2, deletions=[(0, 0)]).materialize(Region.box([(-10, 10)] * 2))
+        perm = np.random.default_rng(3).permutation(len(ps))
+        shuffled = ExactPointSet(2, 2, ps.projection, ps.addresses[perm], ps.region)
+        every = _ladder(ps, per_T_rungs(ps, [1.0]), "ball", 10**6, engine)[1.0]
+        assert len(every.boundary_flags) == every.boundary_flag_count == 1436
+        for p in (ps, shuffled):
+            at = _ladder(p, per_T_rungs(p, [1.0]), "ball", 100, engine)[1.0]
+            assert at.boundary_flag_count == 1436
+            assert at.boundary_flags == sorted(every.boundary_flags)[:100]
+            assert at.boundary_flags[0] == ((-9, -9), 1.0)
 
 
 class TestProfile:

@@ -420,6 +420,19 @@ class TestExitCodes:
     def test_unknown_option_is_1(self, capsys):
         assert run_cli(["atlas", "--set", "zn", "--nonsense", "1"]) == 1
 
+    def test_ladder_errors_are_those_of_a_per_T_loop(self, capsys):
+        # the first T in the caller's order that cannot be eroded names the error
+        assert run_cli(["atlas", "--set", "zn", "--window", "10", "--T", "1,500"]) == 1
+        assert capsys.readouterr().err == (
+            "bad configuration: box cannot be eroded by 500.0: an interval empties\n"
+        )
+        # T=6 leaves no evaluation region (the window less 2T) before T=11
+        # leaves no certified centers
+        assert run_cli(["repetitivity", "--set", "zn", "--window", "10", "--T", "6,11"]) == 1
+        assert capsys.readouterr().err == (
+            "bad configuration: box cannot be eroded by 12.0: an interval empties\n"
+        )
+
     def test_missing_input_file_is_3(self, capsys):
         assert run_cli(["import-float", "/no/such/file.json"]) == 3
         assert "file I/O error" in capsys.readouterr().err

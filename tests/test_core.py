@@ -14,6 +14,7 @@ from delone_lab.core import (
     FloatPointSet,
     Region,
     delone_constants,
+    lex_order,
     load_point_set,
     make_patch_key,
     narrow_rows,
@@ -185,6 +186,20 @@ class TestExactPointSet:
         signed = narrow_rows(rows, signed=True)
         assert signed.dtype == np.int16  # holds -200 as well as 200
         assert np.array_equal(signed, spans)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([1, 1 << 40, 1 << 62]),
+    )
+    def test_lex_order_is_a_stable_lexsort(self, rows, scale):
+        # duplicate rows keep their order; at scale 2^62 the box is too large
+        # for one int64 key and the order falls back to np.lexsort
+        rows = np.array(rows, dtype=np.int64) * np.array([scale, 1, 1])
+        assert np.array_equal(lex_order(rows), np.lexsort(rows.T[::-1]))
 
     def test_empty_addresses_accepted(self):
         for rank in (1, 3):
