@@ -24,6 +24,9 @@ from .errors import (
     WindowTooSmall,
 )
 
+KERNEL_SEARCH_BOUND = 30  # largest coefficient searched for a zero-image combination
+MEYER_MIN_ANNULI, MEYER_MIN_COUNT = 4, 10  # the Meyer verdict's dyadic annuli and their points
+
 # ---------------------------------------------------------------------------
 # Exact integer lattice basis (row-style Hermite form)
 
@@ -89,7 +92,7 @@ class AddressMap:
         return coords
 
 
-def build_address_map(ps: ExactPointSet, kernel_search_bound: int = 30) -> AddressMap:
+def build_address_map(ps: ExactPointSet) -> AddressMap:
     """Address map with the origin pinned to the point nearest the origin.
 
     Ties go to the lexicographically smallest address. The basis must reach
@@ -118,7 +121,7 @@ def build_address_map(ps: ExactPointSet, kernel_search_bound: int = 30) -> Addre
     degenerate = None
     s = ps.rank
     if s <= 3:
-        axes = [np.arange(-kernel_search_bound, kernel_search_bound + 1)] * s
+        axes = [np.arange(-KERNEL_SEARCH_BOUND, KERNEL_SEARCH_BOUND + 1)] * s
         grids = np.meshgrid(*axes, indexing="ij")
         combos = np.stack([g.ravel() for g in grids], axis=1)
         images = combos.astype(float) @ ps.projection
@@ -313,16 +316,16 @@ class MeyerReport:
     caveat: str
 
 
-def meyer_residual(fit: LinearFit, min_annuli: int = 4, min_count: int = 10) -> MeyerReport:
+def meyer_residual(fit: LinearFit) -> MeyerReport:
     """Boundedness verdict for the linear-fit residuals.
 
     Uses the populated dyadic annuli; the residual is judged bounded when the
     per-annulus max varies by less than 20% over the outer half.
     """
-    usable = [a for a in fit.annuli if a.count >= min_count]
-    if len(usable) < min_annuli:
+    usable = [a for a in fit.annuli if a.count >= MEYER_MIN_COUNT]
+    if len(usable) < MEYER_MIN_ANNULI:
         raise InsufficientData(
-            f"need >= {min_annuli} dyadic annuli with >= {min_count} points"
+            f"need >= {MEYER_MIN_ANNULI} dyadic annuli with >= {MEYER_MIN_COUNT} points"
         )
     if fit.residuals_zero:
         return MeyerReport(

@@ -89,12 +89,12 @@ def atlas_ladder(
     flagged (they stay included). boundary_flags holds the flag_cap smallest
     (center address, distance) pairs of the near-threshold points.
 
-    Subsets of Z^n (n <= 3) with the identity projection go to the lattice
-    engine unless their address box is too sparse for an occupancy array;
-    every other set goes to the kdtree engine. The test grows with T, so a
-    ladder has at most one lattice run and one kdtree run. Each run builds
-    one table of address differences at its largest T and refines the
-    classes rung by rung, reading only the shell each rung adds.
+    A rung of a subset of Z^n (n <= 3) with the identity projection goes to
+    the lattice engine when the box of its centers, grown by 2T + 1, holds
+    at most 64 cells per point; every other rung goes to the kdtree engine.
+    Each engine runs once over the rungs it gets: it builds one table of
+    address differences at their largest T and refines the classes rung by
+    rung, reading only the shell each rung adds.
     """
     if shape not in ("ball", "cube"):
         raise InvalidArgument(f"unknown patch shape {shape!r}")
@@ -109,17 +109,16 @@ def atlas_ladder(
         if len(ps) == 0:
             raise WindowTooSmall("cannot build an atlas from an empty window")
 
-    # the occupancy array spans the addresses' box; sparse sets go to kdtree
-    box = None
-    if ps.rank == n and n <= 3 and np.array_equal(ps.projection, np.eye(n)):
-        box = np.ptp(ps.addresses, axis=0)
+    lattice = ps.rank == n and n <= 3 and np.array_equal(ps.projection, np.eye(n))
     done, runs = {}, {_engine_lattice: [], _engine_kdtree: []}
     for T in sorted(certified):
         mask = certified[T].contains(ps.points)
         if not mask.any():
             done[T] = AtlasResult(T, shape, certified[T], [], 0, [], "empty")
             continue
-        fits = box is not None and np.prod(box + 2.0 * T + 1.0) <= 64 * len(ps) + (1 << 22)
+        # the lattice engine scans the centers' box grown by the patch reach
+        box = [np.ptp(col[mask]) + 2.0 * T + 1.0 for col in ps.addresses.T]
+        fits = lattice and np.prod(box) <= 64 * len(ps)
         runs[_engine_lattice if fits else _engine_kdtree].append((T, certified[T], mask))
     for engine, rungs in runs.items():
         if rungs:
@@ -224,11 +223,11 @@ def _ladder(ps, rungs, shape, flag_cap, engine):
 
 
 def _engine_lattice(ps, cidx, shape, thresh2):
-    """Identity-projection engine: offset table plus dense occupancy array.
+    """Identity-projection engine: offset table plus dense occupancy array
+    over the centers' box grown by the reach, all that a patch can see.
 
     packed reads each byte column from eight shifted slices of the
-    occupancy array over the centers' bounding box, then picks out the
-    centers.
+    occupancy array over the centers' box, then picks out the centers.
     """
     n = ps.dimension
     reach = math.floor(math.sqrt(thresh2 + BALL_TOL))
@@ -238,23 +237,23 @@ def _engine_lattice(ps, cidx, shape, thresh2):
     offs = np.stack([g.ravel() for g in grids], axis=1)
     offs = offs[_inside(offs, ps.projection, shape, thresh2)[0]]
 
-    # occupancy over the addresses' box grown by reach
-    addr = ps.addresses
-    lo = addr.min(axis=0) - reach
-    dims = addr.max(axis=0) + reach + 1 - lo
+    # numpy reduces one column at a time faster than across a short axis
+    ccol = [col[cidx] for col in ps.addresses.T]
+    lo = np.array([c.min() for c in ccol]) - reach
+    dims = np.array([c.max() for c in ccol]) + reach + 1 - lo
+    seen = np.all([(c >= a) & (c < a + d) for c, a, d in zip(ps.addresses.T, lo, dims)], axis=0)
     occ = np.zeros(tuple(dims), dtype=np.uint8)
-    occ[tuple((addr - lo).T)] = 1
-    loc = addr[cidx] - lo
+    occ[tuple(col[seen] - a for col, a in zip(ps.addresses.T, lo))] = 1
+    loc = np.stack(ccol, axis=1) - lo
     strides = np.cumprod(np.append(dims[1:], 1)[::-1])[::-1]
     flat, flat_c, flat_o = occ.ravel(), loc @ strides, offs @ strides
 
     def dense(sel, cols):
         return flat[flat_c[sel][:, None] + flat_o[cols][None, :]].astype(bool)
 
-    # the centers' bounding box in the occupancy array, and each center in it
-    a = loc.min(axis=0)
-    w = tuple(loc.max(axis=0) + 1 - a)
-    at = np.ravel_multi_index(tuple((loc - a).T), w)
+    # the centers' box starts at reach on every axis of the occupancy array
+    w = tuple(dims - 2 * reach)
+    at = np.ravel_multi_index(tuple((loc - reach).T), w)
 
     def packed(sel, cols):
         rows = np.empty((sel.size, -(-cols.size // 8)), dtype=np.uint8)
@@ -263,7 +262,7 @@ def _engine_lattice(ps, cidx, shape, thresh2):
             # column 8b + j lands on bit j; doubling is faster than a shift
             for o in offs[cols[8 * b : 8 * b + 8]][::-1]:
                 byte += byte
-                byte |= occ[tuple(slice(s, s + k) for s, k in zip(a + o, w))]
+                byte |= occ[tuple(slice(reach + s, reach + s + k) for s, k in zip(o, w))]
             rows[:, b] = byte.ravel()[at[sel]]
         return rows
 

@@ -5,8 +5,9 @@ runs one analysis, and emits a flat artifact that embeds the config. CSV
 artifacts start with a single `# {json}` comment line; JSON artifacts carry
 the config under a "config" key. Identical config and seed give byte-identical
 output. Each data row ends with a tag column: exact, certified-bracket,
-sampled, or float-sum (a floating-point sum such as a diffraction
-intensity), reflecting the producing module's contract.
+sampled, float-sum (a floating-point sum such as a diffraction intensity),
+or least-squares (read off a least-squares fit), reflecting the producing
+module's contract.
 
 Exit codes: 1 bad config or input, 2 resource budget exhausted, 3 file I/O,
 4 verification failure.
@@ -479,19 +480,19 @@ def address(set_name, params, seed, out, fmt, window):
             ),
             "exact",
         ],
-        ["proj_residual", fit.proj_residual, "exact"],
-        ["max_residual", fit.max_residual, "exact"],
-        ["residuals_zero", int(fit.residuals_zero), "exact"],
-        ["residual_exponent", "" if fit.exponent is None else fit.exponent, "exact"],
+        ["proj_residual", fit.proj_residual, "least-squares"],
+        ["max_residual", fit.max_residual, "least-squares"],
+        ["residuals_zero", int(fit.residuals_zero), "least-squares"],
+        ["residual_exponent", "" if fit.exponent is None else fit.exponent, "least-squares"],
         ["lipschitz", lip.value, lip_tag],
         ["lipschitz_pairs", lip.pairs_used, lip_tag],
     ]
     try:
         rep = meyer_residual(fit)
-        rows.append(["bounded_residual", int(rep.bounded), "exact"])
-        rows.append(["annulus_variation", rep.variation, "exact"])
+        rows.append(["bounded_residual", int(rep.bounded), "least-squares"])
+        rows.append(["annulus_variation", rep.variation, "least-squares"])
     except DeloneLabError as exc:
-        rows.append(["bounded_residual", "undetermined: %s" % exc, "exact"])
+        rows.append(["bounded_residual", "undetermined: %s" % exc, "least-squares"])
     _emit(config, columns, rows, fmt, out)
 
 

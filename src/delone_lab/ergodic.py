@@ -27,6 +27,9 @@ from .core import ExactPointSet, Region, make_patch_key
 from .errors import InsufficientWindow, InvalidArgument
 from .generators import PointSetSource
 
+PROFILE_TILING_CAP = 512  # density profiles: at most this many tiling boxes per U
+PROFILE_RANDOM_BOXES = 200  # and this many seeded random boxes per U
+
 
 @dataclass
 class WeightDistribution:
@@ -124,8 +127,6 @@ def density_profile(
     window: Region,
     U_values: Sequence[float],
     seed: int = 0,
-    lattice_cap: int = 512,
-    random_boxes: int = 200,
 ) -> DensityProfile:
     """Box-density spread per scale U over a fixed window.
 
@@ -158,7 +159,7 @@ def density_profile(
         boxes = []
         counts = np.floor(span / U).astype(int)
         total = int(np.prod(counts))
-        stride = max(1, math.ceil(total / lattice_cap))
+        stride = max(1, math.ceil(total / PROFILE_TILING_CAP))
         flat = np.arange(0, total, stride)
         for f in flat:
             idx = []
@@ -169,7 +170,7 @@ def density_profile(
             idx = np.array(idx[::-1], dtype=float)
             a = lo + idx * U
             boxes.append(Region.box(list(zip(a, a + U))))
-        for _ in range(random_boxes):
+        for _ in range(PROFILE_RANDOM_BOXES):
             sides = U * (1.0 + rng.random(n))
             sides = np.minimum(sides, span)
             a = lo + rng.random(n) * (span - sides)

@@ -178,6 +178,31 @@ class TestLatticeEngine:
         assert at.engine == "kdtree"
         assert as_dict(at) == brute_atlas(ps, 1.0)
 
+    def test_far_sparse_runs_use_kdtree(self):
+        # two runs of ten integers 4 195 570 apart: an occupancy array over
+        # their box would hold some 2 * 10^5 cells per point
+        ps = sparse_line(4_195_570)
+        at = compute_atlas(ps, 2.0)
+        assert at.engine == "kdtree"
+        assert as_dict(at) == brute_atlas(ps, 2.0)
+
+    def test_scattered_points_use_kdtree(self):
+        addr = np.unique(np.random.default_rng(0).integers(0, 2000, size=(400, 2)), axis=0)
+        ps = ExactPointSet(2, 2, np.eye(2), addr, Region.box([(0, 1999)] * 2))
+        at = compute_atlas(ps, 3.0)
+        assert at.engine == "kdtree"
+        assert as_dict(at) == brute_atlas(ps, 3.0)
+
+    def test_few_centers_of_a_complete_window_use_lattice(self):
+        # 26 centers, and the centers' box grown by 2T + 1 is the window:
+        # one cell per point
+        src = gen_integer_lattice(3, deletions=[(0, 0, 0)])
+        ps = src.materialize(Region.box([(-6, 6)] * 3))
+        at = compute_atlas(ps, 5.0)
+        assert at.engine == "lattice"
+        assert at.total_centers == 26
+        assert as_dict(at) == brute_atlas(ps, 5.0)
+
     def test_far_line_uses_lattice(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(self.FAR - 20, self.FAR + 20)]))
         at = compute_atlas(ps, 3.0)
@@ -350,14 +375,14 @@ class TestEnginesAgree:
 
 
 FAR = 10**6
-# two runs of ten integers; the occupancy array over their box fits the
-# lattice engine's density test exactly up to T = 2
-SPARSE_GAP = 4_195_570
+# two runs of ten integers; the box of the centers, grown by 2T + 1, holds
+# exactly 64 cells per point at T = 1 and T = 2 and more at T = 2.000001
+SPARSE_GAP = 1_270
 
 
-def sparse_line():
-    addr = np.concatenate([np.arange(10), SPARSE_GAP + np.arange(10)])[:, None]
-    return ExactPointSet(1, 1, np.eye(1), addr, Region.box([(-0.5, SPARSE_GAP + 9.5)]))
+def sparse_line(gap=SPARSE_GAP):
+    addr = np.concatenate([np.arange(10), gap + np.arange(10)])[:, None]
+    return ExactPointSet(1, 1, np.eye(1), addr, Region.box([(-0.5, gap + 9.5)]))
 
 
 LADDER_SETS = {

@@ -279,6 +279,21 @@ class TestAnalysisCommands:
         assert fields["rank"] == "2"
         assert float(fields["lipschitz"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("window", ["60", "300"])
+    def test_address_tags(self, window, capsys):
+        # integer results are exact, fit results least-squares; window 60 is
+        # too small for the annulus verdict, which reads "undetermined"
+        assert run_cli(["address", "--set", "fibonacci", "--window", window]) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        tags = {r[0]: r[2] for r in rows}
+        exact = ["origin", "basis", "rank", "degenerate_combination", "lipschitz", "lipschitz_pairs"]
+        fit = ["proj_residual", "max_residual", "residuals_zero", "residual_exponent", "bounded_residual"]
+        if window == "300":
+            fit.append("annulus_variation")
+        assert tags == {**dict.fromkeys(exact, "exact"), **dict.fromkeys(fit, "least-squares")}
+        bounded = {r[0]: r[1] for r in rows}["bounded_residual"]
+        assert bounded.startswith("undetermined") == (window == "60")
+
 
 # stdout of `verify <suite> --seed 0`; every figure in it is fixed but the
 # least-squares projection residual, which rests on LAPACK and is masked

@@ -5,12 +5,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delone_lab.core import Region, unit_ball_volume
 from delone_lab.errors import InvalidArgument, WindowTooSmall
 from delone_lab import spectral
-from delone_lab.generators import gen_fibonacci, gen_integer_lattice
+from delone_lab.generators import (
+    gen_cut_project_1d,
+    gen_fibonacci,
+    gen_integer_lattice,
+    gen_product,
+)
 from delone_lab.spectral import (
+    Autocorrelation,
     SpectrumEstimate,
     autocorrelation,
     detect_peaks,
@@ -104,7 +112,6 @@ class TestDiffraction:
         assert spec.value_at(0.0) == pytest.approx(18.05, abs=1e-9)
         assert spec.value_at(0.5) == pytest.approx(0.05, abs=1e-9)
         assert spec.value_at(1.0) == pytest.approx(18.05, abs=1e-9)
-        assert spec.imag_residual_max < 1e-9
 
     def test_matches_structure_factor(self):
         # independent route: squared modulus of the exponential sum
@@ -128,9 +135,86 @@ class TestDiffraction:
         ps = gen_fibonacci().materialize(Region.box([(-40, 40)]))
         ac = autocorrelation(ps, 30.0)
         spec = diffraction_estimate(ac, np.linspace(0.0, 2.0, 201))
-        assert spec.imag_residual_max < 1e-9
         assert float(spec.intensity.max()) == spec.value_at(0.0)
         assert spec.value_at(0.0) == pytest.approx(ac.point_count**2 / 60.0, rel=1e-12)
+
+
+def spectral_source(kind, base):
+    if kind == "fibonacci":
+        return gen_fibonacci()
+    if kind == "cut_project":
+        return gen_cut_project_1d("golden")
+    if kind == "fibxfib":
+        return gen_product([gen_fibonacci(), gen_fibonacci()])
+    return gen_integer_lattice(2, deletions=[(base, base), (base + 2, base - 1)])
+
+
+def hand_built(counts):
+    return Autocorrelation(
+        dimension=1,
+        T=1.0,
+        center=(0.0,),
+        point_count=0,
+        normalization=2.0,
+        counts=counts,
+        projection=np.eye(1),
+    )
+
+
+class TestDiffractionAgainstExponentialSum:
+    """Independent route: |sum_j exp(2 pi i k . x_j)|^2 / (kappa_n T^n) over
+    the points of the ball, against the cosine sum over the atoms."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["fibonacci", "cut_project", "fibxfib", "z2-holes"]),
+        st.sampled_from([0, 300_000]),
+        st.floats(0.0, 1.0),
+        st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+    )
+    def test_cosine_sum_equals_squared_modulus(self, kind, base, t, shift):
+        n = 2 if kind in ("fibxfib", "z2-holes") else 1
+        half = 7.0 if n == 2 else 20.0
+        T = 1.5 + t * (half - 2.5)
+        c = np.full(n, base + shift * (half - T))  # shift 0: the window's center
+        ps = spectral_source(kind, base).materialize(Region.box([(base - half, base + half)] * n))
+        ac = autocorrelation(ps, T, center=c)
+        if n == 1:
+            K = np.linspace(0.0, 2.0, 81)[:, None]
+        else:
+            K = np.stack(np.meshgrid(np.linspace(0, 1.5, 7), np.linspace(0, -1, 5)), -1).reshape(-1, 2)
+        got = diffraction_estimate(ac, K).intensity
+
+        addr = ps.addresses[np.sum((ps.points - c) ** 2, axis=1) < T * T]
+        assert addr.shape[0] == ac.point_count > 0
+        # positions relative to one point of the ball keep the phases small
+        x = (addr - addr[0]) @ ps.projection
+        norm = unit_ball_volume(n) * T**n
+        want = np.abs(np.exp(2j * math.pi * (K @ x.T)).sum(axis=1)) ** 2 / norm
+        scale = addr.shape[0] ** 2 / norm  # the intensity at k = 0, K[0]
+        assert got[0] == pytest.approx(scale, rel=1e-12)
+        assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+    def test_empty_ball_gives_zero_intensity(self):
+        ps = gen_fibonacci().materialize(Region.box([(0.1, 0.4)]))
+        spec = diffraction_estimate(autocorrelation(ps, 0.1, center=[0.25]), [0.0, 0.5])
+        assert np.array_equal(spec.intensity, np.zeros(2))
+
+    def test_symmetric_atoms_without_a_zero_atom(self):
+        spec = diffraction_estimate(hand_built({(1,): 1, (-1,): 1}), [0.0, 0.5])
+        assert spec.intensity.tolist() == pytest.approx([1.0, -1.0], abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {(-1,): 1, (0,): 3, (1,): 2},  # unequal counts at v and -v
+            {(0,): 3, (1,): 2},  # -v missing
+            {(-1,): 1, (1,): 1, (2,): 1},  # -v missing, odd table without zero
+        ],
+    )
+    def test_asymmetric_counts_raise(self, counts):
+        with pytest.raises(InvalidArgument, match="not symmetric"):
+            diffraction_estimate(hand_built(counts), [0.0, 0.5])
 
 
 class TestPeaks:
@@ -146,7 +230,6 @@ class TestPeaks:
         spec = SpectrumEstimate(
             k_grid=np.array([[0.0], [0.1], [0.2], [0.3]]),
             intensity=np.array([0.0, 1.0, 1.0, 0.0]),
-            imag_residual_max=0.0,
         )
         peaks = detect_peaks(spec)
         assert len(peaks) == 1 and peaks[0].index == 1
@@ -155,7 +238,6 @@ class TestPeaks:
         spec = SpectrumEstimate(
             k_grid=np.linspace(0, 1, 11).reshape(-1, 1),
             intensity=np.array([5.0, 0, 2.0, 0, 0, 0, 4.9, 0, 0, 0, 1.0]),
-            imag_residual_max=0.0,
         )
         assert len(detect_peaks(spec, threshold_ratio=0.5)) == 2
         assert len(detect_peaks(spec, threshold_ratio=0.99)) == 1
@@ -164,17 +246,12 @@ class TestPeaks:
         bad = SpectrumEstimate(
             k_grid=np.array([[0.0], [0.1], [0.5]]),
             intensity=np.zeros(3),
-            imag_residual_max=0.0,
         )
         with pytest.raises(InvalidArgument):
             detect_peaks(bad)
-        two_d = SpectrumEstimate(
-            k_grid=np.zeros((4, 2)), intensity=np.zeros(4), imag_residual_max=0.0
-        )
+        two_d = SpectrumEstimate(k_grid=np.zeros((4, 2)), intensity=np.zeros(4))
         with pytest.raises(InvalidArgument):
             detect_peaks(two_d)
-        single = SpectrumEstimate(
-            k_grid=np.zeros((1, 1)), intensity=np.zeros(1), imag_residual_max=0.0
-        )
+        single = SpectrumEstimate(k_grid=np.zeros((1, 1)), intensity=np.zeros(1))
         with pytest.raises(InvalidArgument):
             detect_peaks(single)
