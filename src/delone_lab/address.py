@@ -65,68 +65,128 @@ def lattice_basis(rows: Sequence[Sequence[int]]) -> list:
     return [basis[j] for j in cols]
 
 
+def _sum_of_squares(columns) -> np.ndarray:
+    """Sum of c * c over float columns, added in order.
+
+    np.sum(a * a, axis=1) adds a row of fewer than 8 entries in this same
+    order (from 8 on, numpy sums pairwise), so for up to 7 columns the result
+    is bitwise the same, without numpy's slow reduction across a short axis.
+    """
+    squares = (c * c for c in columns)
+    total = next(squares)
+    for sq in squares:
+        total += sq
+    return total
+
+
 @dataclass
 class AddressMap:
     origin_address: np.ndarray
     basis: np.ndarray  # (rank, s) integer rows
-    pivot_cols: list
     rank: int
     degenerate_combination: Optional[tuple]  # integer kernel witness of the projection
     convention: str
 
     def phi(self, addresses: np.ndarray) -> np.ndarray:
-        """Exact coordinates of translated addresses in the basis."""
-        a = np.atleast_2d(np.asarray(addresses, dtype=np.int64)) - self.origin_address
-        work = a.copy()
-        coords = np.zeros((a.shape[0], self.rank), dtype=np.int64)
-        for i in range(self.rank):
-            piv = self.pivot_cols[i]
-            div = int(self.basis[i, piv])
-            q, rem = np.divmod(work[:, piv], div)
-            if np.any(rem):
-                raise InvalidArgument("address not in the lattice spanned by the basis")
-            coords[:, i] = q
-            work = work - q[:, None] * self.basis[i][None, :]
-        if np.any(work):
+        """Exact coordinates of translated addresses in the basis: int64,
+        or Python ints where int64 work could overflow (see _residues)."""
+        coords, rest = _residues(np.atleast_2d(addresses), self.origin_address, self.basis)
+        if np.any(rest):
             raise InvalidArgument("address not in the lattice spanned by the basis")
         return coords
+
+
+def _residues(rows: np.ndarray, origin, basis):
+    """Coordinates and remainders of rows - origin against an echelon basis.
+
+    Divides at each pivot in turn (floor division) and subtracts the
+    quotient times the basis row, one column at a time; a row lies in the
+    lattice exactly when its remainders are all zero. The remainders come
+    back as a list of columns. Every intermediate is bounded by
+    max|row - origin| * (1 + max|basis entry|)^rank, so the work runs in
+    int64 below 2^62 and on Python ints above it: it never wraps.
+    """
+    rows = np.asarray(rows)
+    origin = [int(v) for v in origin]
+    basis = [[int(v) for v in b] for b in basis]
+    top = 0
+    if len(rows):
+        top = max(max(-int(c.min()), int(c.max())) + abs(o) for c, o in zip(rows.T, origin))
+    big = max((abs(v) for b in basis for v in b), default=0)
+    dtype = np.int64 if top * (1 + big) ** len(basis) < 1 << 62 else object
+    cols = [c.astype(dtype) - o for c, o in zip(rows.T, origin)]
+    coords = []
+    for b in basis:
+        piv = next(j for j, v in enumerate(b) if v)
+        q = cols[piv] // b[piv]
+        for j in range(piv, len(b)):
+            if b[j]:
+                cols[j] = cols[j] - q * b[j]
+        coords.append(q)
+    return np.stack(coords, axis=1) if coords else np.zeros((len(rows), 0), dtype), cols
+
+
+def hermite_basis(rows: np.ndarray, origin) -> list:
+    """lattice_basis of rows - origin, grown from a few rows.
+
+    Each round tests every row for membership in the current basis in one
+    vectorized residue pass and feeds the remainders of the first 8 rows
+    that fail back through lattice_basis, until none fails; the first round
+    starts from no basis, so it takes the first 8 nonzero rows. The Hermite
+    form is unique, so the result is the basis lattice_basis gives on all
+    rows.
+    """
+    basis = []
+    while True:
+        _, cols = _residues(rows, origin, basis)
+        failed = np.flatnonzero(np.logical_or.reduce([c != 0 for c in cols]))
+        if failed.size == 0:
+            return basis
+        rest = np.stack([c[failed[:8]] for c in cols], axis=1)
+        basis = lattice_basis(basis + rest.tolist())
 
 
 def build_address_map(ps: ExactPointSet) -> AddressMap:
     """Address map with the origin pinned to the point nearest the origin.
 
-    Ties go to the lexicographically smallest address. The basis must reach
-    full rank s, otherwise the window has not revealed the whole lattice and
-    the map would silently drop directions.
+    Ties go to the lexicographically smallest address. The basis is the
+    Hermite form of the translated addresses, grown from a few rows by
+    hermite_basis; it must reach full rank s, otherwise the window has not
+    revealed the whole lattice and the map would silently drop directions.
+    For s <= 3 a search over integer combinations with coefficients up to
+    KERNEL_SEARCH_BOUND records the smallest one the projection sends to 0.
     """
     if len(ps) == 0:
         raise InsufficientData("empty point set")
-    pts = ps.points
-    norms = np.sum(pts * pts, axis=1)
+    norms = _sum_of_squares(ps.points.T)
     best = np.min(norms)
     cand = np.nonzero(norms <= best + 1e-12)[0]
     addr_cand = ps.addresses[cand]
     origin = addr_cand[np.lexsort(addr_cand.T[::-1])][0]
 
-    translated = ps.addresses - origin
-    rows = lattice_basis(translated.tolist())
+    rows = hermite_basis(ps.addresses, origin)
     rank = len(rows)
     if rank < ps.rank:
         raise InsufficientData(
             f"addresses span rank {rank} < {ps.rank}; widen the window"
         )
     basis = np.asarray(rows, dtype=np.int64)
-    pivots = [int(np.nonzero(b)[0][0]) for b in rows]
 
     degenerate = None
     s = ps.rank
-    if s <= 3:
+    scale = max(1.0, float(np.max(np.abs(ps.projection))))
+    # |c @ projection| >= its smallest singular value for a nonzero integer c,
+    # so a projection whose singular values clear twice the hit threshold
+    # has no hit to search for
+    injective = s <= ps.dimension and (
+        np.linalg.svd(ps.projection, compute_uv=False)[-1] > 2e-9 * scale
+    )
+    if s <= 3 and not injective:
         axes = [np.arange(-KERNEL_SEARCH_BOUND, KERNEL_SEARCH_BOUND + 1)] * s
         grids = np.meshgrid(*axes, indexing="ij")
         combos = np.stack([g.ravel() for g in grids], axis=1)
         images = combos.astype(float) @ ps.projection
-        norm_img = np.linalg.norm(images, axis=1)
-        scale = max(1.0, float(np.max(np.abs(ps.projection))))
+        norm_img = np.sqrt(_sum_of_squares(images.T))
         hits = np.nonzero(norm_img < 1e-9 * scale)[0]
         nontrivial = [combos[i] for i in hits if np.any(combos[i])]
         if nontrivial:
@@ -136,7 +196,6 @@ def build_address_map(ps: ExactPointSet) -> AddressMap:
     return AddressMap(
         origin_address=origin,
         basis=basis,
-        pivot_cols=pivots,
         rank=rank,
         degenerate_combination=degenerate,
         convention="origin pinned to the point nearest 0 (lex tie-break)",
@@ -164,7 +223,10 @@ def lipschitz_constant(
     """Largest observed ratio |phi(x)-phi(y)| / |x-y|.
 
     All pairs up to exact_limit points, otherwise a seeded pair sample; both
-    modes give lower bounds on the true constant.
+    modes give lower bounds on the true constant. The sample draws
+    sample_pairs index pairs and drops those with equal ends; each squared
+    distance is summed one coordinate column at a time, bitwise equal to a
+    row sum.
     """
     if amap is None:
         amap = build_address_map(ps)
@@ -195,10 +257,9 @@ def lipschitz_constant(
     jj = rng.integers(0, P, size=sample_pairs)
     keep = ii != jj
     ii, jj = ii[keep], jj[keep]
-    dx = pts[ii] - pts[jj]
-    dphi = coords[ii] - coords[jj]
     with np.errstate(divide="ignore"):
-        ratios = np.sqrt(np.sum(dphi * dphi, axis=1)) / np.sqrt(np.sum(dx * dx, axis=1))
+        ratios = np.sqrt(_sum_of_squares(c[ii] - c[jj] for c in np.ascontiguousarray(coords.T)))
+        ratios /= np.sqrt(_sum_of_squares(c[ii] - c[jj] for c in np.ascontiguousarray(pts.T)))
     return LipschitzReport(
         value=float(np.max(ratios)), pairs_used=int(ii.size), mode="sampled"
     )

@@ -213,9 +213,11 @@ def narrow_rows(rows: np.ndarray, signed: bool = False) -> np.ndarray:
 
     Translation keeps row equality and row differences, and narrow rows pack
     into fewer words in row_scalars. The translated entries are exact for any
-    int64 input, since a span below 2^64 survives wrapping in uint64.
+    int64 input, since a span below 2^64 survives wrapping in uint64. Columns
+    are reduced one at a time: numpy 2.4 reduces slowly across a short axis.
     """
-    span = (rows - rows.min(axis=0)).view(np.uint64)
+    low = np.array([col.min() for col in rows.T], dtype=rows.dtype)
+    span = (rows - low).view(np.uint64)
     top = int(span.max())
     return span.astype(np.min_scalar_type(-top - 1 if signed else top))
 
@@ -229,7 +231,7 @@ def lex_order(rows: np.ndarray) -> np.ndarray:
     rows (numpy 2.4).
     """
     span = narrow_rows(rows)
-    sizes = [int(top) + 1 for top in span.max(axis=0)]
+    sizes = [int(col.max()) + 1 for col in span.T]
     if math.prod(sizes) > 1 << 62:
         return np.lexsort(rows.T[::-1])
     key = np.zeros(rows.shape[0], dtype=np.int64)

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delone_lab.address import (
+    AddressMap,
+    _residues,
+    _sum_of_squares,
     build_address_map,
+    hermite_basis,
     lattice_basis,
     linear_fit,
     lipschitz_constant,
@@ -78,6 +82,77 @@ class TestLatticeBasis:
         assert lattice_basis(rows[::-1]) == basis
 
 
+def spanned_rows(entry):
+    """Strategy: (rows, origin) with 1-4 columns and 1-300 rows, drawn as small
+    integer combinations of at most s generators with entries from `entry`, so
+    sets may be rank deficient and hold zero and duplicate rows."""
+
+    @st.composite
+    def build(draw):
+        s = draw(st.integers(1, 4))
+        gens = draw(st.lists(st.lists(entry, min_size=s, max_size=s), min_size=1, max_size=s))
+        coef = st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens))
+        combos = draw(st.lists(coef, min_size=1, max_size=300))
+        rows = [[sum(c * g[j] for c, g in zip(cs, gens)) for j in range(s)] for cs in combos]
+        origin = rows[draw(st.integers(0, len(rows) - 1))]
+        return rows, origin
+
+    return build()
+
+
+class TestHermiteBasis:
+    # 2^37 generators and coefficients up to 2 in at most 4 of them keep
+    # every entry within 2^40
+    @settings(max_examples=150, deadline=None)
+    @given(spanned_rows(st.one_of(st.integers(-3, 3), st.integers(-(2**37), 2**37))))
+    def test_grown_basis_is_lattice_basis(self, case):
+        rows, origin = case
+        want = lattice_basis([[a - o for a, o in zip(r, origin)] for r in rows])
+        assert hermite_basis(np.array(rows, dtype=np.int64), origin) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(spanned_rows(st.integers(2**31, 2**37)))
+    def test_past_the_int64_bound(self, case):
+        rows, origin = case
+        want = lattice_basis([[a - o for a, o in zip(r, origin)] for r in rows])
+        assert hermite_basis(np.array(rows, dtype=np.int64), origin) == want
+        if want:  # the residue pass left int64 for Python ints
+            coords, rest = _residues(np.array(rows, dtype=np.int64), origin, want)
+            assert coords.dtype == object and not any(np.any(c) for c in rest)
+
+    def test_rows_outside_the_first_rounds(self):
+        # the first 8 nonzero rows span only 2Z x 4Z; [3, 0] and [0, 6] come later
+        rows = [[2 * k, 0] for k in range(-6, 7)] + [[0, 4 * k] for k in range(1, 9)]
+        rows += [[3, 0]] + [[2, 4]] * 20 + [[0, 6], [5, 8]]
+        want = lattice_basis(rows)
+        assert want == [[1, 0], [0, 2]]
+        assert hermite_basis(np.array(rows), [0, 0]) == want
+
+    def test_phi_exact_past_int64(self):
+        # q * basis wrapped int64 here, so phi rejected a lattice point
+        m = 2**70 // (2**41 + 1)
+        rows = [[0, 0], [1, 2**40], [0, 2**41 + 1], [2**30, 2**70 - m * (2**41 + 1)]]
+        basis = lattice_basis(rows)
+        assert basis == [[1, 2**40], [0, 2**41 + 1]]
+        assert hermite_basis(np.array(rows), [0, 0]) == basis
+        amap = AddressMap(
+            origin_address=np.zeros(2, dtype=np.int64),
+            basis=np.array(basis, dtype=np.int64),
+            rank=2,
+            degenerate_combination=None,
+            convention="origin at 0",
+        )
+        coords = amap.phi(np.array(rows, dtype=np.int64)).tolist()
+        rebuilt = [[sum(int(c) * b[j] for c, b in zip(row, basis)) for j in range(2)] for row in coords]
+        assert rebuilt == rows
+
+    def test_phi_rejects_off_lattice_past_int64(self):
+        basis = [[1, 2**40], [0, 2**41 + 1]]
+        amap = AddressMap(np.zeros(2, dtype=np.int64), np.array(basis), 2, None, "")
+        with pytest.raises(InvalidArgument):
+            amap.phi(np.array([[2**30, 2**41]]))
+
+
 class TestAddressMap:
     def test_lattice_identity(self):
         ps = gen_integer_lattice(2).materialize(Region.box([(-5, 5)] * 2))
@@ -114,6 +189,13 @@ class TestAddressMap:
         amap = build_address_map(ps)
         assert amap.degenerate_combination == (-2, 1)
 
+    def test_square_rank_deficient_projection_is_searched(self):
+        # s <= n, yet (-2, 1) maps to 0: the search must still run
+        proj = np.array([[1.0, 0.0], [2.0, 0.0]])
+        addr = np.array([[0, 0], [1, 0], [1, 1]])
+        ps = ExactPointSet(2, 2, proj, addr, Region.box([(-1, 4), (-1, 1)]))
+        assert build_address_map(ps).degenerate_combination == (-2, 1)
+
     def test_irrational_projection_nondegenerate(self):
         ps = gen_fibonacci().materialize(Region.box([(-20, 20)]))
         assert build_address_map(ps).degenerate_combination is None
@@ -145,6 +227,34 @@ class TestLipschitz:
         ps = gen_fibonacci().materialize(Region.box([(-60, 60)]))
         rep = lipschitz_constant(ps)
         assert rep.value == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "src, window, sample_pairs, value, pairs",
+        [
+            (gen_fibonacci(), [(-10_000, 10_000)], 1_000_000, "1.0", 999917),
+            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 1_000_000, "1.0", 999938),
+            (
+                build_source("product", {"factors": [{"set": "fibonacci"}] * 2}),
+                [(-60, 60)] * 2,
+                1_000,
+                "0.6601807543759121",
+                999,
+            ),
+        ],
+        ids=["fibonacci", "z2-holes", "fib-x-fib-1000"],
+    )
+    def test_sampled_values_frozen(self, src, window, sample_pairs, value, pairs):
+        ps = src.materialize(Region.box(window))
+        rep = lipschitz_constant(ps, seed=0, exact_limit=1_000, sample_pairs=sample_pairs)
+        assert rep.mode == "sampled"
+        assert (repr(rep.value), rep.pairs_used) == (value, pairs)
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_column_squares_are_row_sums(self, width):
+        rng = np.random.default_rng(width)
+        d = rng.standard_normal((5_000, width)) * 10.0 ** rng.integers(-8, 9, size=(5_000, width))
+        got = _sum_of_squares(np.ascontiguousarray(d.T))
+        assert np.array_equal(got.view(np.uint64), np.sum(d * d, axis=1).view(np.uint64))
 
     def test_needs_two_points(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(-0.5, 0.5)]))

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -163,6 +164,36 @@ class TestGenerateRows:
         capsys.readouterr()
 
 
+# SHA-256 of the `address` CSV artifact on the benchmark's address inputs at
+# seed 0: basis, tags and Lipschitz bytes all count. The least-squares rows
+# rest on LAPACK, so another numpy build may need the digests taken again.
+FIB_PARAMS = "{}"
+FIBXFIB_PARAMS = '{"factors": [{"set": "fibonacci"}, {"set": "fibonacci"}]}'
+ADDRESS_SHA256 = {
+    "fib-2000": (
+        "fibonacci", FIB_PARAMS, [[-2020, 1980]],
+        "cb4bb892588ca050f7ad86ea2fd380bdbe196b3cc8776cc77ce66c47e85d85de",
+    ),
+    "fib-10000": (
+        "fibonacci", FIB_PARAMS, [[-10020, 9980]],
+        "cf0498e274a43eb4cf2866d13b9ab9a71e09e0bfc514421f06551ae230225fb8",
+    ),
+    "z2-holes-60": (
+        "zn", '{"deletions": [[5, 0], [8, 1]], "n": 2}', [[-55, 65], [-60, 60]],
+        "cd936035f537e8774e3d33340ec0f78f25ffb033d4a3a34b247519d7edd7f3ff",
+    ),
+    "fibxfib-20": (
+        "product", FIBXFIB_PARAMS,
+        [[-20.825037066792895, 19.174962933207105], [-22.89253805914673, 17.10746194085327]],
+        "3182c9d736d389dce5ae7da10389a82268e14ba6948b1d7fd1a01e05b179d71e",
+    ),
+    "deleted-lines-6": (
+        "deleted_lines", '{"a": [2, 10]}', [[-10, 2], [-9, 3], [-8, 4]],
+        "3ab2e48f01848a6f39eec64086fd9d73683fdf1954c95e989dd7722c8e0b6b8a",
+    ),
+}
+
+
 class TestAnalysisCommands:
     def test_atlas_rows_and_default_T(self, capsys):
         assert run_cli(["atlas", "--set", "zn", "--window", "30"]) == 0
@@ -293,6 +324,15 @@ class TestAnalysisCommands:
         assert tags == {**dict.fromkeys(exact, "exact"), **dict.fromkeys(fit, "least-squares")}
         bounded = {r[0]: r[1] for r in rows}["bounded_residual"]
         assert bounded.startswith("undetermined") == (window == "60")
+
+    @pytest.mark.parametrize("name", sorted(ADDRESS_SHA256))
+    def test_address_artifact_frozen(self, name, tmp_path):
+        set_name, params, window, digest = ADDRESS_SHA256[name]
+        art = tmp_path / "address.csv"
+        argv = ["address", "--set", set_name, "--params", params, "--seed", "0"]
+        argv += ["--window", json.dumps({"kind": "box", "intervals": window}), "--out", str(art)]
+        assert run_cli(argv) == 0
+        assert hashlib.sha256(art.read_bytes()).hexdigest() == digest
 
 
 # stdout of `verify <suite> --seed 0`; every figure in it is fixed but the
