@@ -22,7 +22,6 @@ from .core import (
     make_patch_key,
     narrow_rows,
     row_scalars,
-    validate_patch_key,
 )
 from .errors import InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
@@ -126,96 +125,110 @@ def atlas_ladder(
     return [done[T] for T in T_values]
 
 
+# the number of set bits of each byte value
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+
+
 def _thresh2(T, shape):
     return T * T if shape == "ball" else (T / 2.0) ** 2
 
 
-def _inside(table, projection, shape, thresh2):
-    """(included, near, distance) for each address difference in table.
+def _reach_order(table, projection, shape):
+    """Stable order of the table's address differences by reach, with the
+    sorted reach values and squared coordinates.
 
-    Membership is decided on squared distances with BALL_TOL slack; near
-    marks the differences within BALL_TOL of the boundary.
+    The reach of a difference is its squared length for balls and its
+    largest squared coordinate for cubes, so a patch of size T holds exactly
+    the differences of reach at most _thresh2(T) + BALL_TOL: a prefix.
     """
     per = table.astype(float) @ projection
     per *= per
-    d2 = per.sum(axis=1)
-    if shape == "ball":
-        inc = d2 <= thresh2 + BALL_TOL
-        near = np.abs(d2 - thresh2) < BALL_TOL
-    else:
-        inc = np.all(per <= thresh2 + BALL_TOL, axis=1)
-        near = np.any(np.abs(per - thresh2) < BALL_TOL, axis=1)
-    return inc, near, np.sqrt(d2)
+    reach = per.sum(axis=1) if shape == "ball" else per.max(axis=1)
+    order = np.argsort(reach, kind="stable")
+    return order, reach[order], per[order]
 
 
 def _ladder(ps, rungs, shape, flag_cap, engine):
     """Atlases of one engine run; rungs are (T, certified region, center
     mask) in increasing T, each mask inside the one before.
 
-    The engine returns a lex-sorted table of K address differences, every
-    one within the largest T, and two readers over (center rows, table
-    columns): `dense` gives a boolean matrix, `packed` the same rows packed
-    into bytes. A rung reads only its shell, the columns inside its T and
-    outside the T before, for its own centers. A class at a rung is the
-    pair (class at the rung before, shell row), since a T-patch is the
-    patch at the smaller T plus its shell.
+    The engine returns a table of K address differences within the largest
+    T, in reach order, with their reach values and squared coordinates, and
+    one bit matrix packed little-endian into bytes: row i, bit j set when
+    the i-th center (in lex order) sees difference j. A rung's differences
+    are the prefix [0, k) of the table, and its shell is [k_prev, k). A
+    class at a rung is the pair (class at the rung before, shell bits),
+    since a T-patch is the patch at the smaller T plus its shell.
     """
     base = np.nonzero(rungs[0][2])[0]
     cidx = base[lex_order(ps.addresses[base])]
     caddr = ps.addresses[cidx]
-    table, dense, packed, name = engine(ps, cidx, shape, _thresh2(rungs[-1][0], shape))
+    table, reach, per, bits, name = engine(ps, cidx, shape, _thresh2(rungs[-1][0], shape))
+    # every patch holds its own center; the other key invariants (distinct
+    # entries of one width, in lex order) hold by construction of the table
+    zero = np.flatnonzero(~table.any(axis=1))
+    if zero.size == 0 or not np.all(bits[:, zero[0] >> 3] >> (zero[0] & 7) & 1):
+        raise InvalidArgument("patch key must contain the zero vector")
     entries = list(map(tuple, table.tolist()))
+    lex = lex_order(table)
     ids = np.zeros(cidx.size, dtype=np.int64)
-    before = np.zeros(table.shape[0], dtype=bool)
+    k_prev = 0
     out = {}
     for T, certified, mask in rungs:
-        inc, near, dist = _inside(table, ps.projection, shape, _thresh2(T, shape))
+        t = _thresh2(T, shape)
+        k = int(np.searchsorted(reach, t + BALL_TOL, side="right"))
         sel = np.nonzero(mask[cidx])[0]  # lex sorted, as cidx is
-        shell = np.nonzero(inc & ~before)[0]
-        before = inc
-        # one 1-D unique per 8-byte word of the shell rows, refining the ids
+        # one 1-D unique per 8-byte word of the shell bytes, refining the
+        # ids; bits below k_prev repeat the class before, bits past k go
         cls = np.unique(ids[sel], return_inverse=True)[1]
-        if shell.size:
-            words = row_scalars(packed(sel, shell)).view(np.uint64).reshape(sel.size, -1)
+        if k > k_prev:
+            shell = bits[sel, k_prev >> 3 : (k + 7) >> 3]
+            if k & 7:
+                shell[:, -1] &= (1 << (k & 7)) - 1
+            words = row_scalars(shell).view(np.uint64).reshape(sel.size, -1)
             for word in words.T:
                 word = np.unique(word, return_inverse=True)[1]
                 cls = np.unique(cls * sel.size + word, return_inverse=True)[1]
         ids[sel] = cls
+        k_prev = k
         rep = np.empty(int(cls.max()) + 1, dtype=np.intp)
         rep[cls] = sel  # any center of a class stands for it
 
-        cols = np.nonzero(inc)[0]
-        keys = []
-        for row in dense(rep, cols):
-            key = tuple([entries[j] for j in cols[row].tolist()])
-            validate_patch_key(key)
-            keys.append(key)
+        cols = lex[lex < k]
+        seen = np.unpackbits(bits[rep], axis=1, count=k, bitorder="little")[:, cols]
+        keys = [tuple([entries[j] for j in cols[row].tolist()]) for row in seen.astype(bool)]
         # by class, then by address; narrow ints sort by radix
         order = np.argsort(cls.astype(np.min_scalar_type(cls.max())), kind="stable")
         bounds = np.cumsum(np.bincount(cls))[:-1]
         classes = [
-            PatchClass(key=k, centers=c)
-            for k, c in zip(keys, np.split(caddr[sel[order]], bounds))
+            PatchClass(key=key, centers=c)
+            for key, c in zip(keys, np.split(caddr[sel[order]], bounds))
         ]
         classes.sort(key=lambda c: c.key)
 
-        # near hits in (center, column) order: the centers up to the one
-        # holding the flag_cap-th hit hold the flag_cap smallest flags
-        ncols = np.nonzero(inc & near)[0]
-        hits = np.unpackbits(packed(sel, ncols), axis=1, count=ncols.size, bitorder="little")
-        per_center = np.cumsum(hits.sum(axis=1))
-        total = int(per_center[-1])
-        rr, cc = np.nonzero(hits[: np.searchsorted(per_center, flag_cap) + 1])
-        flags = sorted(
-            (tuple(a), d)
-            for a, d in zip(caddr[sel[rr]].tolist(), dist[ncols[cc]].tolist())
-        )
+        # near-threshold hits, counted byte by byte in (center, column)
+        # order: the centers up to the one holding the flag_cap-th hit hold
+        # the flag_cap smallest flags
+        if shape == "ball":
+            near = np.abs(reach[:k] - t) < BALL_TOL
+        else:
+            near = np.any(np.abs(per[:k] - t) < BALL_TOL, axis=1)
+        masks = np.packbits(near, bitorder="little")
+        count = np.zeros(sel.size, dtype=_POPCOUNT.dtype)
+        for b in np.flatnonzero(masks).tolist():
+            count += _POPCOUNT[bits[sel, b] & masks[b]]
+        per_center = np.cumsum(count)
+        flagged = sel[np.flatnonzero(count[: np.searchsorted(per_center, flag_cap) + 1])]
+        hits = np.unpackbits(bits[flagged], axis=1, count=k, bitorder="little") & near
+        rr, cc = np.nonzero(hits)
+        dist = np.sqrt(per[cc].sum(axis=1))
+        flags = sorted(zip(map(tuple, caddr[flagged[rr]].tolist()), dist.tolist()))
         out[T] = AtlasResult(
             T=T,
             shape=shape,
             certified_region=certified,
             classes=classes,
-            boundary_flag_count=total,
+            boundary_flag_count=int(per_center[-1]),
             boundary_flags=flags[:flag_cap],
             engine=name,
         )
@@ -223,102 +236,80 @@ def _ladder(ps, rungs, shape, flag_cap, engine):
 
 
 def _engine_lattice(ps, cidx, shape, thresh2):
-    """Identity-projection engine: offset table plus dense occupancy array
-    over the centers' box grown by the reach, all that a patch can see.
+    """Identity-projection engine: the offsets within the reach, and a dense
+    occupancy array over the centers' box grown by the reach, all that a
+    patch can see.
 
-    packed reads each byte column from eight shifted slices of the
-    occupancy array over the centers' box, then picks out the centers.
+    Each byte column of the matrix is read from eight shifted slices of the
+    occupancy array over the centers' box, then picked out at the centers.
     """
     n = ps.dimension
-    reach = math.floor(math.sqrt(thresh2 + BALL_TOL))
-    rng = np.arange(-reach, reach + 1, dtype=np.int64)
-    # "ij" order ravels the offsets lexicographically
+    r = math.floor(math.sqrt(thresh2 + BALL_TOL))
+    rng = np.arange(-r, r + 1, dtype=np.int64)
     grids = np.meshgrid(*([rng] * n), indexing="ij")
     offs = np.stack([g.ravel() for g in grids], axis=1)
-    offs = offs[_inside(offs, ps.projection, shape, thresh2)[0]]
+    order, reach, per = _reach_order(offs, ps.projection, shape)
+    k = int(np.searchsorted(reach, thresh2 + BALL_TOL, side="right"))
+    offs = offs[order[:k]]
 
     # numpy reduces one column at a time faster than across a short axis
     ccol = [col[cidx] for col in ps.addresses.T]
-    lo = np.array([c.min() for c in ccol]) - reach
-    dims = np.array([c.max() for c in ccol]) + reach + 1 - lo
+    cmin = np.array([c.min() for c in ccol])
+    w = tuple(np.array([c.max() for c in ccol]) + 1 - cmin)  # the centers' box
+    lo = cmin - r
+    dims = np.add(w, 2 * r)
     seen = np.all([(c >= a) & (c < a + d) for c, a, d in zip(ps.addresses.T, lo, dims)], axis=0)
     occ = np.zeros(tuple(dims), dtype=np.uint8)
     occ[tuple(col[seen] - a for col, a in zip(ps.addresses.T, lo))] = 1
-    loc = np.stack(ccol, axis=1) - lo
-    strides = np.cumprod(np.append(dims[1:], 1)[::-1])[::-1]
-    flat, flat_c, flat_o = occ.ravel(), loc @ strides, offs @ strides
+    at = np.ravel_multi_index(tuple(c - a for c, a in zip(ccol, cmin)), w)
 
-    def dense(sel, cols):
-        return flat[flat_c[sel][:, None] + flat_o[cols][None, :]].astype(bool)
-
-    # the centers' box starts at reach on every axis of the occupancy array
-    w = tuple(dims - 2 * reach)
-    at = np.ravel_multi_index(tuple((loc - reach).T), w)
-
-    def packed(sel, cols):
-        rows = np.empty((sel.size, -(-cols.size // 8)), dtype=np.uint8)
-        for b in range(rows.shape[1]):
-            byte = np.zeros(w, dtype=np.uint8)
-            # column 8b + j lands on bit j; doubling is faster than a shift
-            for o in offs[cols[8 * b : 8 * b + 8]][::-1]:
-                byte += byte
-                byte |= occ[tuple(slice(reach + s, reach + s + k) for s, k in zip(o, w))]
-            rows[:, b] = byte.ravel()[at[sel]]
-        return rows
-
-    return offs, dense, packed, "lattice"
+    bits = np.empty((cidx.size, -(-k // 8)), dtype=np.uint8)
+    for b in range(bits.shape[1]):
+        byte = np.zeros(w, dtype=np.uint8)
+        # column 8b + j lands on bit j; doubling is faster than a shift
+        for o in offs[8 * b : 8 * b + 8][::-1]:
+            byte += byte
+            byte |= occ[tuple(slice(r + s, r + s + m) for s, m in zip(o, w))]
+        bits[:, b] = byte.ravel()[at]
+    return offs, reach[:k], per[:k], bits, "lattice"
 
 
 def _engine_kdtree(ps, cidx, shape, thresh2):
-    """Any projection: one tree query finds every pair within T, and the
-    distinct pair differences, in lex order, are the table's columns.
+    """Any projection: one tree query at the centers finds every point within
+    T of each, and the distinct differences are the table's columns.
 
-    The tree holds positions taken from the addresses less the window's
+    The trees hold positions taken from the addresses less the window's
     smallest, and a pair's offset is its address difference times the
     projection, so neither cost nor precision depends on where the window
-    sits.
+    sits. The query reaches 1e-12 past T; differences past T + BALL_TOL sit
+    at the end of the table, outside every rung's prefix.
     """
     from scipy.spatial import cKDTree
 
     addr = ps.addresses
-    N, m = len(ps), cidx.size
-    rad = math.sqrt(thresh2 + BALL_TOL)
-    pairs = cKDTree((addr - addr.min(axis=0)).astype(float) @ ps.projection).query_pairs(
-        rad * (1 + 1e-12), p=np.inf if shape == "cube" else 2.0, output_type="ndarray"
+    pos = (addr - addr.min(axis=0)).astype(float) @ ps.projection
+    rad = math.sqrt(thresh2 + BALL_TOL) * (1 + 1e-12)
+    # (center row, neighbour) pairs, each center with itself included
+    pairs = cKDTree(pos[cidx]).sparse_distance_matrix(
+        cKDTree(pos), rad, p=np.inf if shape == "cube" else 2.0, output_type="ndarray"
     )
-    # each center with itself, then every pair in both directions
-    row_of = np.full(N, -1, dtype=np.intp)
-    row_of[cidx] = np.arange(m)
-    row = row_of[np.concatenate([cidx, pairs[:, 0], pairs[:, 1]])]
-    nb = np.concatenate([cidx, pairs[:, 1], pairs[:, 0]])
-    del pairs
-    keep = row >= 0
-    row, nb = row[keep], nb[keep]
-    diffs = addr[nb] - addr[cidx][row]
+    row = pairs["i"]
+    diffs = addr[pairs["j"]] - addr[cidx[row]]
 
-    # the distinct differences in lex order, and each pair's column among them
+    # the distinct differences in lex order, then stably in reach order, and
+    # each pair's column among them
     _, first, col = np.unique(
         row_scalars(narrow_rows(diffs)), return_index=True, return_inverse=True
     )
     table = diffs[first]
     lex = lex_order(table)
-    table, col = table[lex], np.argsort(lex)[col]
-
-    def dense(sel, cols):
-        r = np.full(m, -1, dtype=np.intp)
-        r[sel] = np.arange(sel.size)
-        c = np.full(table.shape[0], -1, dtype=np.intp)
-        c[cols] = np.arange(cols.size)
-        rr, cc = r[row], c[col]
-        hit = (rr >= 0) & (cc >= 0)
-        found = np.zeros((sel.size, cols.size), dtype=bool)
-        found[rr[hit], cc[hit]] = True
-        return found
-
-    def packed(sel, cols):
-        return np.packbits(dense(sel, cols), axis=1, bitorder="little")
-
-    return table, dense, packed, "kdtree"
+    order, reach, per = _reach_order(table[lex], ps.projection, shape)
+    perm = lex[order]
+    table = table[perm]
+    col = np.argsort(perm)[col]
+    hit = np.zeros((cidx.size, table.shape[0]), dtype=bool)
+    hit[row, col] = True
+    return table, reach, per, np.packbits(hit, axis=1, bitorder="little"), "kdtree"
 
 
 # ---------------------------------------------------------------------------

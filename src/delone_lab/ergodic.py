@@ -156,20 +156,11 @@ def density_profile(
     rng = np.random.default_rng(seed)
     rows = []
     for U in Us:
-        boxes = []
         counts = np.floor(span / U).astype(int)
         total = int(np.prod(counts))
         stride = max(1, math.ceil(total / PROFILE_TILING_CAP))
-        flat = np.arange(0, total, stride)
-        for f in flat:
-            idx = []
-            rem = int(f)
-            for c in counts[::-1]:
-                idx.append(rem % c)
-                rem //= c
-            idx = np.array(idx[::-1], dtype=float)
-            a = lo + idx * U
-            boxes.append(Region.box(list(zip(a, a + U))))
+        idx = np.unravel_index(np.arange(0, total, stride), counts)
+        boxes = [Region.box(list(zip(a, a + U))) for a in lo + np.stack(idx, axis=1) * U]
         for _ in range(PROFILE_RANDOM_BOXES):
             sides = U * (1.0 + rng.random(n))
             sides = np.minimum(sides, span)

@@ -299,23 +299,26 @@ def independent_deleted_mask(a: Sequence[int], lo: int, hi: int) -> np.ndarray:
     return level % 2 == 0  # True = point kept
 
 
+def _dual_route(ps, a: Sequence[int]) -> tuple:
+    """The kept mask of independent_deleted_mask on [-24, 24]^3, and whether
+    the points of ps, a window on that cube, are exactly the kept ones."""
+    keep = independent_deleted_mask(a, -24, 24)
+    got = np.zeros_like(keep)
+    got[tuple((ps.addresses + 24).T)] = True
+    return keep, np.array_equal(keep, got)
+
+
 def deleted_lines_checks(s: "_Suite", a1: int):
     source = gen_deleted_lines([a1])
     region = Region.box([(-24, 24)] * 3)
     ps = source.materialize(region)
 
     def dual_route():
-        lo, hi = -24, 24
-        side = hi - lo + 1
-        keep = independent_deleted_mask([a1], lo, hi)
-        got = np.zeros((side, side, side), dtype=bool)
-        addr = ps.addresses
-        got[addr[:, 0] - lo, addr[:, 1] - lo, addr[:, 2] - lo] = True
-        same = np.array_equal(keep, got)
+        keep, same = _dual_route(ps, [a1])
         return same, "a1=%d window [-24,24]^3 kept=%d of %d, routes %s" % (
             a1,
             int(keep.sum()),
-            side**3,
+            keep.size,
             "agree" if same else "DISAGREE",
         )
 
@@ -567,15 +570,9 @@ def suite_deleted_lines(seed: int = 0) -> List[CheckResult]:
         deleted_lines_checks(s, a1)
 
     def two_level():
-        source = gen_deleted_lines([4, 20])
-        ps = source.materialize(Region.box([(-24, 24)] * 3))
-        keep = independent_deleted_mask([4, 20], -24, 24)
-        got = np.zeros_like(keep)
-        addr = ps.addresses
-        got[addr[:, 0] + 24, addr[:, 1] + 24, addr[:, 2] + 24] = True
-        return np.array_equal(keep, got), "levels (4, 20) dual routes %s" % (
-            "agree" if np.array_equal(keep, got) else "DISAGREE"
-        )
+        ps = gen_deleted_lines([4, 20]).materialize(Region.box([(-24, 24)] * 3))
+        same = _dual_route(ps, [4, 20])[1]
+        return same, "levels (4, 20) dual routes %s" % ("agree" if same else "DISAGREE")
 
     s.check("two-level-dual-route", two_level)
     return s.results

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from delone_lab.atlas import (
     entropy_probe,
     patch_count_profile,
 )
-from delone_lab.core import ExactPointSet, Region, make_patch_key
+from delone_lab.core import ExactPointSet, Region, lex_order, make_patch_key
 from delone_lab.errors import InvalidArgument, WindowTooSmall
 from delone_lab.generators import (
     gen_cut_project_1d,
@@ -484,6 +485,145 @@ class TestLadder:
             assert at.boundary_flag_count == 1436
             assert at.boundary_flags == sorted(every.boundary_flags)[:100]
             assert at.boundary_flags[0] == ((-9, -9), 1.0)
+
+
+def engine_rows(ps, T_values, shape, engine):
+    """An engine's output for the centers of the smallest T, built for the
+    largest, as _ladder asks for it."""
+    base = np.nonzero(per_T_rungs(ps, T_values, shape)[0][2])[0]
+    cidx = base[lex_order(ps.addresses[base])]
+    top = max(T_values)
+    thresh2 = top * top if shape == "ball" else (top / 2.0) ** 2
+    return cidx, engine(ps, cidx, shape, thresh2)
+
+
+def inside(sq, T, shape):
+    if shape == "ball":
+        return sq.sum(axis=1) <= T * T + 1e-9
+    return np.all(sq <= (T / 2.0) ** 2 + 1e-9, axis=1)
+
+
+REACH_SETS = {
+    1: lambda: gen_integer_lattice(1, deletions=[(2,)]).materialize(Region.box([(-12, 12)])),
+    2: lambda: gen_integer_lattice(2, deletions=[(0, 0), (3, 1)])
+    .materialize(Region.box([(-8, 8)] * 2)),
+    3: lambda: gen_deleted_lines([2]).materialize(Region.box([(-5, 5)] * 3)),
+}
+
+
+class TestReachOrder:
+    """Engines return a table in reach order and one bit row per center;
+    each rung of a ladder reads a prefix of the table."""
+
+    @pytest.mark.parametrize("engine", [_engine_lattice, _engine_kdtree])
+    @pytest.mark.parametrize("shape", ["ball", "cube"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_table_in_reach_order_and_rungs_read_prefixes(self, n, shape, engine):
+        ps = REACH_SETS[n]()
+        T_values = (1.0, 1.5, 2.0, 3.000001)
+        cidx, (table, reach, per, bits, _) = engine_rows(ps, T_values, shape, engine)
+        sq = (table.astype(float) @ ps.projection) ** 2
+        assert np.array_equal(per, sq)
+        assert np.array_equal(reach, sq.sum(axis=1) if shape == "ball" else sq.max(axis=1))
+        assert np.all(np.diff(reach) >= 0)
+        assert len(set(map(tuple, table.tolist()))) == table.shape[0]
+        for T in T_values:
+            within = inside(sq, T, shape)
+            assert within.any() and np.array_equal(within, np.arange(within.size) < within.sum())
+
+        # row i, bit j: the i-th center sees difference j, for every
+        # difference within the largest T
+        top = inside(sq, T_values[-1], shape)
+        seen = np.unpackbits(bits, axis=1, count=table.shape[0], bitorder="little")
+        assert bits.shape == (cidx.size, -(-table.shape[0] // 8))
+        for i, c in enumerate(cidx):
+            d = ps.addresses - ps.addresses[c]
+            want = set(map(tuple, d[inside((d @ ps.projection) ** 2, T_values[-1], shape)].tolist()))
+            got = set(map(tuple, table[(seen[i] == 1) & top].tolist()))
+            assert got == want
+
+    @pytest.mark.parametrize("engine", [_engine_lattice, _engine_kdtree])
+    def test_a_row_without_its_zero_bit_is_rejected(self, engine):
+        ps = REACH_SETS[2]()
+
+        def drops_zero(ps, cidx, shape, thresh2):
+            table, reach, per, bits, name = engine(ps, cidx, shape, thresh2)
+            z = int(np.flatnonzero(~table.any(axis=1))[0])
+            bits[5, z >> 3] &= ~np.uint8(1 << (z & 7))
+            return table, reach, per, bits, name
+
+        rungs = per_T_rungs(ps, [1.0, 2.0])
+        assert _ladder(ps, rungs, "ball", 1000, engine)[2.0].n_lower > 1
+        with pytest.raises(InvalidArgument, match="zero vector"):
+            _ladder(ps, rungs, "ball", 1000, drops_zero)
+
+    def test_zero_difference_need_not_lead_the_table(self):
+        # (k, 0) and (k - 1, 1) coincide, so (-1, 1), (0, 0) and (1, -1) all
+        # have reach 0 and tie in lex order
+        ps = coincident_pairs(0)
+        _, (table, reach, _, _, _) = engine_rows(ps, [1.5], "ball", _engine_kdtree)
+        assert table[:3].tolist() == [[-1, 1], [0, 0], [1, -1]]
+        assert reach[:3].tolist() == [0.0, 0.0, 0.0]
+
+    def test_few_centers_of_a_large_window_pay_for_their_own_pairs(self):
+        # fib x fib on [-40, 40]^2 at T = 36: 36 centers among 3 364 points
+        ps = gen_product([gen_fibonacci(), gen_fibonacci()]).materialize(
+            Region.box([(-40, 40)] * 2)
+        )
+        tracemalloc.start()
+        try:
+            at = compute_atlas(ps, 36.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert at.engine == "kdtree"
+        assert at.total_centers == 36
+        assert peak < 20e6
+        assert as_dict(at) == brute_atlas(ps, 36.0)
+
+
+PREFIX_SETS = {
+    "fibonacci": lambda c: gen_fibonacci().materialize(Region.box([(c - 12, c + 12)])),
+    "coincident": lambda c: coincident_pairs(c, half=8),
+    "fibxfib": lambda c: gen_product([gen_fibonacci(), gen_fibonacci()])
+    .materialize(Region.box([(c - 4, c + 4)] * 2)),
+    "z2-holes": lambda c: gen_integer_lattice(2, deletions=[(c, c), (c + 2, c + 1)])
+    .materialize(Region.box([(c - 5, c + 5)] * 2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def prefix_set(name, c):
+    return PREFIX_SETS[name](c)
+
+
+@functools.lru_cache(maxsize=None)
+def prefix_brute(name, c, T, shape):
+    return brute_atlas(prefix_set(name, c), T, shape=shape)
+
+
+class TestPrefixLadder:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(PREFIX_SETS)),
+        st.sampled_from([0, 10**9]),
+        st.sampled_from(["ball", "cube"]),
+        st.sampled_from([1.0, 2.0, 3.0]),
+        st.lists(st.sampled_from([0.5, 1.0, 1.2, 1.5, 2.0, 2.5, 3.0]), min_size=1, max_size=4),
+    )
+    def test_every_rung_is_its_one_T_atlas(self, name, c, shape, whole, T_values):
+        # an integer T makes many near-threshold flags on every input
+        ps = prefix_set(name, c)
+        T_values = T_values + [whole]
+        for T, at in zip(T_values, atlas_ladder(ps, T_values, shape=shape)):
+            one = compute_atlas(ps, T, shape=shape)
+            assert at.engine == one.engine == ("lattice" if name == "z2-holes" else "kdtree")
+            assert at.keys() == one.keys()
+            assert as_dict(at) == as_dict(one) == prefix_brute(name, c, T, shape)
+            assert (at.boundary_flag_count, at.boundary_flags) == (
+                one.boundary_flag_count,
+                one.boundary_flags,
+            )
 
 
 class TestProfile:
