@@ -9,6 +9,7 @@ operational cut-and-project signature.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -423,6 +424,8 @@ def path_displacement_distribution(
     grid of phi at the nearest set point to the far face node minus phi at
     the near face node, grid nodes on the boundary counting half per touching
     face. Nodes must have a set point within R or the window is too small.
+    One tree query per box finds every node's 8 nearest points; those within
+    1e-12 of the nearest tie, and the least (position, address) wins.
     """
     n = ps.dimension
     if not 0 <= axis < n:
@@ -431,67 +434,33 @@ def path_displacement_distribution(
         raise InvalidArgument("R must be positive")
     from scipy.spatial import cKDTree
 
-    pts = ps.points
-    tree = cKDTree(pts)
+    tree = cKDTree(ps.points)
+    ks = np.arange(1, min(8, len(ps)) + 1)  # a list of k keeps query results 2-D
     coords = amap.phi(ps.addresses)
-
-    def nearest_index(t: np.ndarray) -> int:
-        dist, idx = tree.query(t, k=min(8, len(ps)))
-        dist = np.atleast_1d(dist)
-        idx = np.atleast_1d(idx)
-        if dist[0] > R:
-            raise WindowTooSmall(
-                f"no set point within R = {R} of grid node {t.tolist()}"
-            )
-        ties = idx[dist <= dist[0] + 1e-12]
-        best = min(
-            ties,
-            key=lambda i: (tuple(pts[i].tolist()), tuple(ps.addresses[i].tolist())),
-        )
-        return int(best)
+    order = np.lexsort((*ps.addresses.T[::-1], *ps.points.T[::-1]))
+    rank = np.argsort(order)  # point -> its place in the tie-break order
 
     def ev(box: Region):
         if box.kind != "box":
             raise InvalidArgument("path displacement is defined on boxes")
-        a_ax, b_ax = box.intervals[axis]
-        m_lo = math.floor(a_ax)
-        m_hi = math.floor(b_ax)
-        other = [j for j in range(n) if j != axis]
-        grids = []
-        for j in other:
-            aj, bj = box.intervals[j]
-            gj = np.arange(math.ceil(aj - 1e-9), math.floor(bj + 1e-9) + 1)
-            if gj.size == 0:
-                return np.zeros(amap.rank)
-            grids.append((j, aj, bj, gj))
-        total = np.zeros(amap.rank, dtype=float)
-        index_lists = [g[3] for g in grids]
-        mesh = (
-            np.stack([g.ravel() for g in np.meshgrid(*index_lists, indexing="ij")], axis=1)
-            if grids
-            else np.zeros((1, 0))
-        )
-        for row in mesh:
-            weight = 1.0
-            t_lo = np.zeros(n)
-            t_hi = np.zeros(n)
-            t_lo[axis] = m_lo
-            t_hi[axis] = m_hi
-            for (j, aj, bj, _), val in zip(grids, row):
-                t_lo[j] = val
-                t_hi[j] = val
-                if abs(val - aj) < 1e-9:
-                    weight *= 0.5
-                if abs(val - bj) < 1e-9:
-                    weight *= 0.5
-            i_lo = nearest_index(t_lo)
-            i_hi = nearest_index(t_hi)
-            total += weight * (coords[i_hi] - coords[i_lo]).astype(float)
-        return total
+        faces = np.array([iv for j, iv in enumerate(box.intervals) if j != axis]).reshape(-1, 2)
+        grids = [np.arange(math.ceil(a - 1e-9), math.floor(b + 1e-9) + 1) for a, b in faces]
+        if any(g.size == 0 for g in grids):
+            return np.zeros(amap.rank)
+        # cross-section nodes in C order, each as a near-face then a far-face node
+        cross = np.array(list(itertools.product(*grids)), dtype=float)
+        ends = [float(math.floor(c)) for c in box.intervals[axis]]
+        nodes = np.insert(np.repeat(cross, 2, axis=0), axis, ends * len(cross), axis=1)
+        dist, idx = tree.query(nodes, k=ks)
+        lost = dist[:, 0] > R
+        if lost.any():
+            node = nodes[np.argmax(lost)].tolist()
+            raise WindowTooSmall(f"no set point within R = {R} of grid node {node}")
+        tied = np.where(dist <= dist[:, :1] + 1e-12, rank[idx], len(ps))
+        near, far = order[tied.min(axis=1)].reshape(-1, 2).T
+        touching = (np.abs(cross[:, :, None] - faces) < 1e-9).sum(axis=(1, 2))
+        terms = 0.5 ** touching[:, None] * (coords[far] - coords[near]).astype(float)
+        # row after row, as a loop adds; a one-column reduce would sum pairwise
+        return np.add.accumulate(terms, axis=0)[-1]
 
-    return WeightDistribution(
-        label=f"path-displacement[axis={axis}]",
-        evaluate=ev,
-        u0=1.0,
-        constants={"translation_bound": "O(R * Lipschitz * surface)", "additive": False},
-    )
+    return WeightDistribution(label=f"path-displacement[axis={axis}]", evaluate=ev, u0=1.0)

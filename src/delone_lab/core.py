@@ -58,6 +58,8 @@ class Region:
         if not ivs:
             raise InvalidArgument("box needs at least one interval")
         for a, b in ivs:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise InvalidArgument(f"box bounds must be finite, got [{a}, {b}]")
             if not (a < b):
                 raise InvalidArgument(f"degenerate interval [{a}, {b}]")
         return Region(kind="box", intervals=ivs)
@@ -67,9 +69,12 @@ class Region:
         c = tuple(float(x) for x in center)
         if not c:
             raise InvalidArgument("ball needs a center of dimension >= 1")
+        radius = float(radius)
+        if not all(math.isfinite(x) for x in (*c, radius)):
+            raise InvalidArgument(f"ball center {list(c)} and radius {radius} must be finite")
         if radius < 0:
             raise InvalidArgument("ball radius must be >= 0")
-        return Region(kind="ball", center=c, radius=float(radius))
+        return Region(kind="ball", center=c, radius=radius)
 
     @staticmethod
     def centered_box(n: int, halfwidth: float) -> "Region":

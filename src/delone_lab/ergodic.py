@@ -36,16 +36,10 @@ class WeightDistribution:
     label: str
     evaluate: Callable[[Region], float]  # box -> weight
     u0: float  # profiles only make sense for U above this
-    constants: dict  # declared bounds (documentation, not enforced)
 
 
 def volume_weight(n: int) -> WeightDistribution:
-    return WeightDistribution(
-        label="volume",
-        evaluate=lambda box: box.volume(),
-        u0=0.0,
-        constants={"translation_bound": 0.0, "additive": True},
-    )
+    return WeightDistribution(label="volume", evaluate=lambda box: box.volume(), u0=0.0)
 
 
 def _slab_counter(points: np.ndarray) -> Callable[[Region], float]:
@@ -76,12 +70,7 @@ def point_count_weight(ps: ExactPointSet) -> WeightDistribution:
     module docstring), so a box costs a bisection plus a test of the points
     in its slab rather than of the whole window.
     """
-    return WeightDistribution(
-        label="point-count",
-        evaluate=_slab_counter(ps.points),
-        u0=0.0,
-        constants={"translation_bound": "O(surface)", "additive": True},
-    )
+    return WeightDistribution(label="point-count", evaluate=_slab_counter(ps.points), u0=0.0)
 
 
 def white_point_count_weight(ps: ExactPointSet) -> WeightDistribution:
@@ -90,7 +79,6 @@ def white_point_count_weight(ps: ExactPointSet) -> WeightDistribution:
         label="white-point-count",
         evaluate=_slab_counter(ps.points[ps.addresses[:, 0] % 3 == 0]),
         u0=0.0,
-        constants={"translation_bound": "O(surface)", "additive": True},
     )
 
 
@@ -100,7 +88,6 @@ def component_weight(wd: WeightDistribution, index: int, label: Optional[str] = 
         label=label or f"{wd.label}[{index}]",
         evaluate=lambda box: float(np.asarray(wd.evaluate(box)).ravel()[index]),
         u0=wd.u0,
-        constants=wd.constants,
     )
 
 
@@ -144,7 +131,7 @@ def density_profile(
     if not Us:
         raise InvalidArgument("need at least one U")
     for U in Us:
-        if U <= weight.u0:
+        if not U > weight.u0:  # NaN fails too
             raise InvalidArgument(f"U = {U} is not above the weight's u0 = {weight.u0}")
     U_max = Us[-1]
     tiling_at_max = int(np.prod(np.floor(span / U_max)))
@@ -210,11 +197,11 @@ def patch_frequency(
     missed. A key that never occurs gives honest zero counts. A ball atlas
     of ps at T that is already at hand can be passed in.
     """
+    key = make_patch_key(key)
     if atlas is None:
         atlas = compute_atlas(ps, T)
     elif atlas.T != T or atlas.shape != "ball":
         raise InvalidArgument("atlas was computed for a different T or shape")
-    key = make_patch_key(key)
     cls = atlas.class_for(key)
     out = []
     for reg in regions:
@@ -295,24 +282,13 @@ def oscillation_probe(
     else:
         if T is None or key is None:
             raise InvalidArgument("generic oscillation probes need T and a patch key")
-        key = make_patch_key(key)
         n = source.dimension
-        big = scales[-1] + 2.0 * T + 1.0
-        ps = source.materialize(Region.centered_box(n, big))
-        atlas = compute_atlas(ps, T)
-        cls = atlas.class_for(key)
-        pos = (
-            cls.centers.astype(float) @ ps.projection
-            if cls is not None
-            else np.zeros((0, n))
-        )
-        for s in scales:
-            cube = Region.centered_box(n, s)
-            count = int(np.count_nonzero(cube.contains(pos))) if pos.size else 0
-            vol = (2.0 * s) ** n
-            rows.append(
-                OscillationRow(scale=s, count=count, frequency=count / vol, exact=None)
-            )
+        ps = source.materialize(Region.centered_box(n, scales[-1] + 2.0 * T + 1.0))
+        cubes = [Region.centered_box(n, s) for s in scales]
+        for s, row in zip(scales, patch_frequency(ps, key, T, cubes)):
+            # (2s)^n: the product of the cube's sides can differ in the last bit
+            freq = row.count / (2.0 * s) ** n
+            rows.append(OscillationRow(scale=s, count=row.count, frequency=freq, exact=None))
         mode = "patch-key"
         floor = None
     upper = rows[len(rows) // 2 :]

@@ -340,11 +340,11 @@ def test_11_cube_windows_match_half_radius_balls():
     )
 
 
-def test_12_verification_is_deterministic():
+def test_12_verification_is_deterministic(cli_env):
     t0 = time.monotonic()
     cmd = [sys.executable, "-m", "delone_lab.cli", "verify", "all", "--seed", "0"]
-    first = subprocess.run(cmd, capture_output=True)
-    second = subprocess.run(cmd, capture_output=True)
+    first = subprocess.run(cmd, capture_output=True, env=cli_env)
+    second = subprocess.run(cmd, capture_output=True, env=cli_env)
     elapsed = time.monotonic() - t0
     ok = (
         first.returncode == 0

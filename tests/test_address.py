@@ -1,5 +1,6 @@
 """Exact address coordinates and how linearly they track position."""
 
+import functools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from delone_lab.errors import (
     DegenerateGeometry,
     InsufficientData,
     InvalidArgument,
+    WindowTooSmall,
 )
 from delone_lab.generators import (
     GOLDEN_TAU,
@@ -31,6 +33,7 @@ from delone_lab.generators import (
     gen_beatty,
     gen_fibonacci,
     gen_integer_lattice,
+    gen_product,
 )
 
 
@@ -361,3 +364,157 @@ class TestPathDisplacement:
         wd = path_displacement_distribution(ps, amap, axis=0, R=1.0)
         with pytest.raises(InvalidArgument):
             wd.evaluate(Region.ball([0.0, 0.0], 2.0))
+
+
+def per_node_weight(ps, amap, axis, R):
+    """Brute-force path displacement: one tree query per grid node, ties by
+    a Python min over (position, address) tuples, a running sum per node."""
+    from scipy.spatial import cKDTree
+
+    n = ps.dimension
+    pts = ps.points
+    tree = cKDTree(pts)
+    coords = amap.phi(ps.addresses)
+
+    def nearest_index(t):
+        dist, idx = tree.query(t, k=min(8, len(ps)))
+        dist = np.atleast_1d(dist)
+        idx = np.atleast_1d(idx)
+        if dist[0] > R:
+            raise WindowTooSmall(f"no set point within R = {R} of grid node {t.tolist()}")
+        ties = idx[dist <= dist[0] + 1e-12]
+        key = lambda i: (tuple(pts[i].tolist()), tuple(ps.addresses[i].tolist()))  # noqa: E731
+        return int(min(ties, key=key))
+
+    def ev(box):
+        if box.kind != "box":
+            raise InvalidArgument("path displacement is defined on boxes")
+        a_ax, b_ax = box.intervals[axis]
+        m_lo = math.floor(a_ax)
+        m_hi = math.floor(b_ax)
+        grids = []
+        for j in (j for j in range(n) if j != axis):
+            aj, bj = box.intervals[j]
+            gj = np.arange(math.ceil(aj - 1e-9), math.floor(bj + 1e-9) + 1)
+            if gj.size == 0:
+                return np.zeros(amap.rank)
+            grids.append((j, aj, bj, gj))
+        total = np.zeros(amap.rank, dtype=float)
+        mesh = (
+            np.stack([g.ravel() for g in np.meshgrid(*[g[3] for g in grids], indexing="ij")], axis=1)
+            if grids
+            else np.zeros((1, 0))
+        )
+        for row in mesh:
+            weight = 1.0
+            t_lo = np.zeros(n)
+            t_hi = np.zeros(n)
+            t_lo[axis] = m_lo
+            t_hi[axis] = m_hi
+            for (j, aj, bj, _), val in zip(grids, row):
+                t_lo[j] = val
+                t_hi[j] = val
+                if abs(val - aj) < 1e-9:
+                    weight *= 0.5
+                if abs(val - bj) < 1e-9:
+                    weight *= 0.5
+            i_lo = nearest_index(t_lo)
+            i_hi = nearest_index(t_hi)
+            total += weight * (coords[i_hi] - coords[i_lo]).astype(float)
+        return total
+
+    return ev
+
+
+def _coincident(c, half=8):
+    """1-D, rank 2: addresses (k, 0) and (k - 1, 1) both sit at x = k."""
+    rows = [row for k in range(c - half, c + half + 1) for row in ((k, 0), (k - 1, 1))]
+    return ExactPointSet(1, 2, np.ones((2, 1)), np.array(rows), Region.box([(c - half, c + half)]))
+
+
+HALF = 7  # half-width of the materialized windows
+PATH_SETS = {
+    "z1": lambda c: gen_integer_lattice(1).materialize(Region.box([(c - HALF, c + HALF)])),
+    "fibonacci": lambda c: gen_fibonacci().materialize(Region.box([(c - HALF, c + HALF)])),
+    "coincident": lambda c: _coincident(c),
+    "z2-holes": lambda c: gen_integer_lattice(
+        2, deletions=[(c, c), (c + 1, c), (c - 2, c + 1), (c + 3, c - 2)]
+    ).materialize(Region.box([(c - HALF, c + HALF)] * 2)),
+    "fib-x-fib": lambda c: gen_product([gen_fibonacci(), gen_fibonacci()]).materialize(
+        Region.box([(c - HALF, c + HALF)] * 2)
+    ),
+    "fib-x-z": lambda c: gen_product([gen_fibonacci(), gen_integer_lattice(1)]).materialize(
+        Region.box([(c - HALF, c + HALF)] * 2)
+    ),
+    "z3-holes": lambda c: gen_integer_lattice(3, deletions=[(c, c, c), (c + 1, c, c - 1)]).materialize(
+        Region.box([(c - 4, c + 4)] * 3)
+    ),
+    "fib-x-z-x-z": lambda c: gen_product(
+        [gen_fibonacci(), gen_integer_lattice(1), gen_integer_lattice(1)]
+    ).materialize(Region.box([(c - 4, c + 4)] * 3)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def path_set(name, c):
+    ps = PATH_SETS[name](c)
+    return ps, build_address_map(ps)
+
+
+def outcome(fn, box):
+    try:
+        return "value", fn(box).tobytes()
+    except (InvalidArgument, WindowTooSmall) as exc:
+        return type(exc), str(exc)
+
+
+# interval ends relative to the window center: integers give half weights,
+# half-integers and thirds do not; widths under 1 can empty a cross-section
+FACE_STARTS = [-3.0, -2.5, -2.0, -1.0, -0.4, 0.0, 1.0 / 3.0, 0.5, 1.0, 2.0]
+WIDTHS = [0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+
+
+class TestPathDisplacementOracle:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PATH_SETS)),
+        c=st.sampled_from([0, 300_000]),
+        data=st.data(),
+        R=st.sampled_from([0.2, 0.5, 0.8, 1.0, 2.0]),
+    )
+    def test_equals_per_node_oracle(self, name, c, data, R):
+        ps, amap = path_set(name, c)
+        n = ps.dimension
+        axis = data.draw(st.integers(0, n - 1))
+        ivs = []
+        for _ in range(n):
+            a = c + data.draw(st.sampled_from(FACE_STARTS))
+            ivs.append((a, a + data.draw(st.sampled_from(WIDTHS))))
+        box = Region.box(ivs)
+        got = outcome(path_displacement_distribution(ps, amap, axis, R).evaluate, box)
+        assert got == outcome(per_node_weight(ps, amap, axis, R), box)
+
+    @pytest.mark.parametrize("name", ["z2-holes", "coincident"])
+    def test_ties_go_to_the_least_position_then_address(self, name):
+        # z2-holes: (0, 0) and (1, 0) are holes, each with three points at
+        # distance 1, and the least positions (-1, 0) and (1, -1) win;
+        # coincident: x = 0 holds (0, 0) and (-1, 1), x = 1 holds (1, 0) and
+        # (0, 1), and the least addresses win
+        ps, amap = path_set(name, 0)
+        box = Region.box([(0.0, 1.0)] + [(-0.5, 0.5)] * (ps.dimension - 1))
+        wd = path_displacement_distribution(ps, amap, axis=0, R=1.0)
+        assert outcome(wd.evaluate, box) == outcome(per_node_weight(ps, amap, 0, 1.0), box)
+        coords = amap.phi(ps.addresses)
+        near = {"z2-holes": [-1, 0], "coincident": [-1, 1]}[name]
+        far = {"z2-holes": [1, -1], "coincident": [0, 1]}[name]
+        i_near = int(np.flatnonzero((ps.addresses == near).all(axis=1))[0])
+        i_far = int(np.flatnonzero((ps.addresses == far).all(axis=1))[0])
+        assert np.array_equal(wd.evaluate(box), (coords[i_far] - coords[i_near]).astype(float))
+
+    def test_window_too_small_names_the_first_node(self):
+        ps, amap = path_set("z2-holes", 0)
+        wd = path_displacement_distribution(ps, amap, axis=1, R=0.5)
+        box = Region.box([(-1.0, 1.0), (0.0, 2.0)])
+        with pytest.raises(WindowTooSmall, match=r"grid node \[0\.0, 0\.0\]"):
+            wd.evaluate(box)
+        assert outcome(wd.evaluate, box) == outcome(per_node_weight(ps, amap, 1, 0.5), box)

@@ -60,10 +60,10 @@ class TestGenerate:
         assert "mode approximate" in echo
         assert "imported %d points" % obj["config"]["count"] in echo
 
-    def test_subprocess_byte_determinism(self):
+    def test_subprocess_byte_determinism(self, cli_env):
         cmd = [sys.executable, "-m", "delone_lab.cli", "generate", "--set", "fibonacci", "--window", "30"]
-        a = subprocess.run(cmd, capture_output=True, check=True)
-        b = subprocess.run(cmd, capture_output=True, check=True)
+        a = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
+        b = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)
         assert a.stdout == b.stdout and a.stdout
 
     def test_threads_echoed_in_config(self, capsys, monkeypatch):
@@ -471,6 +471,25 @@ class TestExitCodes:
 
     def test_unknown_suite_is_1(self, capsys):
         assert run_cli(["verify", "bogus"]) == 1
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            "inf",
+            "1e400",
+            '{"kind": "box", "intervals": [[-Infinity, 5]]}',
+            '{"kind": "ball", "center": [NaN], "radius": 5}',
+            '{"kind": "ball", "center": [0], "radius": Infinity}',
+        ],
+    )
+    def test_non_finite_window_is_1(self, capsys, window):
+        assert run_cli(["atlas", "--set", "fibonacci", "--window", window]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad configuration: ") and "must be finite" in err
+
+    def test_nan_U_is_1(self, capsys):
+        assert run_cli(["wdist", "--set", "zn", "--params", '{"n": 1}', "--window", "50", "--U", "4,nan"]) == 1
+        assert capsys.readouterr().err.startswith("bad configuration: U = nan is not above")
 
     def test_unknown_option_is_1(self, capsys):
         assert run_cli(["atlas", "--set", "zn", "--nonsense", "1"]) == 1

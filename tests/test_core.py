@@ -89,6 +89,15 @@ class TestRegion:
         with pytest.raises(InvalidArgument):
             Region.box([(2, 1)])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_regions_rejected(self, bad):
+        with pytest.raises(InvalidArgument, match="must be finite"):
+            Region.box([(0, 1), (0, bad)])
+        with pytest.raises(InvalidArgument, match="must be finite"):
+            Region.ball([0.0, bad], 1.0)
+        with pytest.raises(InvalidArgument, match="must be finite"):
+            Region.ball([0.0, 0.0], bad)
+
 
 class TestPatchKeys:
     def test_make_sorted_with_zero(self):

@@ -24,6 +24,7 @@ from delone_lab.ergodic import (
 from delone_lab.generators import (
     gen_fibonacci,
     gen_integer_lattice,
+    gen_product,
     gen_two_color,
 )
 
@@ -217,6 +218,19 @@ class TestPatchFrequency:
         with pytest.raises(InvalidArgument):
             patch_frequency(ps, ((0, 0),), 1.2, regions, atlas=compute_atlas(ps, 1.2, "cube"))
 
+    def test_bad_key_rejected_before_the_atlas(self, monkeypatch):
+        import delone_lab.ergodic as ergodic
+
+        def no_atlas(*args, **kwargs):
+            raise AssertionError("atlas built for a key that cannot occur")
+
+        monkeypatch.setattr(ergodic, "compute_atlas", no_atlas)
+        ps = gen_integer_lattice(1).materialize(Region.box([(-50, 50)]))
+        with pytest.raises(InvalidArgument, match="zero vector"):
+            patch_frequency(ps, ((1,),), 2.0, [Region.box([(-10, 10)])])
+        with pytest.raises(InvalidArgument, match="zero vector"):
+            oscillation_probe(gen_integer_lattice(1), [5, 10], T=1.0, key=((1,),))
+
 
 class TestOscillation:
     def test_two_color_rows_are_rho(self):
@@ -251,6 +265,43 @@ class TestOscillation:
         assert rep.mode == "patch-key"
         assert rep.floor is None and rep.exceeds_floor is None
         assert rep.oscillation == pytest.approx(1.0 / 80.0)
+
+    @pytest.mark.parametrize(
+        "name, T, key, rows",
+        [
+            (
+                "fibonacci",
+                1.0,
+                ((-1, 0), (0, 0)),
+                [(5.0, 3, 0.3), (10.0, 5, 0.25), (20.0, 11, 0.275), (40.0, 23, 0.2875)],
+            ),
+            (
+                "fib-x-fib",
+                1.5,
+                ((-1, 0, -1, 0), (-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 0)),
+                [(4.0, 9, 0.140625), (8.0, 25, 0.09765625), (12.0, 49, 0.08506944444444445)],
+            ),
+        ],
+    )
+    def test_generic_mode_rows_pinned(self, name, T, key, rows):
+        src = gen_fibonacci()
+        if name == "fib-x-fib":
+            src = gen_product([src, gen_fibonacci()])
+        scales = [r[0] for r in rows]
+        rep = oscillation_probe(src, scales[::-1], T=T, key=key)
+        assert [(r.scale, r.count, r.frequency, r.exact) for r in rep.rows] == [
+            (*r, None) for r in rows
+        ]
+        upper = [r[2] for r in rows[len(rows) // 2 :]]
+        assert rep.oscillation == max(upper) - min(upper)
+        never = oscillation_probe(src, scales, T=T, key=((0,) * src.rank, (99,) * src.rank))
+        assert [(r.count, r.frequency) for r in never.rows] == [(0, 0.0)] * len(rows)
+
+    def test_generic_mode_divides_by_2s_to_the_n(self):
+        # at s = 2.3 in Z^3, 118 / 4.6**3 and 118 / (4.6 * 4.6 * 4.6) differ in the last bit
+        key = ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+        rep = oscillation_probe(gen_integer_lattice(3, deletions=[(0, 0, 0)]), [2.3], T=1.0, key=key)
+        assert rep.rows[0].count == 118 and rep.rows[0].frequency == 118 / 4.6**3
 
     def test_generic_mode_needs_key(self):
         with pytest.raises(InvalidArgument):
