@@ -27,6 +27,8 @@ from .errors import (
 
 KERNEL_SEARCH_BOUND = 30  # largest coefficient searched for a zero-image combination
 MEYER_MIN_ANNULI, MEYER_MIN_COUNT = 4, 10  # the Meyer verdict's dyadic annuli and their points
+LIPSCHITZ_EXACT_LIMIT = 10_000  # lipschitz_constant: all pairs up to this many points
+LIPSCHITZ_SAMPLE_PAIRS = 1_000_000  # and beyond it this many seeded index pairs
 
 # ---------------------------------------------------------------------------
 # Exact integer lattice basis (row-style Hermite form)
@@ -215,19 +217,15 @@ class LipschitzReport:
 
 
 def lipschitz_constant(
-    ps: ExactPointSet,
-    amap: Optional[AddressMap] = None,
-    seed: int = 0,
-    exact_limit: int = 10_000,
-    sample_pairs: int = 1_000_000,
+    ps: ExactPointSet, amap: Optional[AddressMap] = None, seed: int = 0
 ) -> LipschitzReport:
     """Largest observed ratio |phi(x)-phi(y)| / |x-y|.
 
-    All pairs up to exact_limit points, otherwise a seeded pair sample; both
-    modes give lower bounds on the true constant. The sample draws
-    sample_pairs index pairs and drops those with equal ends; each squared
-    distance is summed one coordinate column at a time, bitwise equal to a
-    row sum.
+    All pairs up to LIPSCHITZ_EXACT_LIMIT points, otherwise a seeded pair
+    sample; both modes give lower bounds on the true constant. The sample
+    draws LIPSCHITZ_SAMPLE_PAIRS index pairs and drops those with equal
+    ends; each squared distance is summed one coordinate column at a time,
+    bitwise equal to a row sum.
     """
     if amap is None:
         amap = build_address_map(ps)
@@ -237,7 +235,7 @@ def lipschitz_constant(
     pts = ps.points
     P = len(ps)
     best = 0.0
-    if P <= exact_limit:
+    if P <= LIPSCHITZ_EXACT_LIMIT:
         used = P * (P - 1) // 2
         # the ratio is symmetric in the pair, so each row block meets only
         # the columns after its rows; at least 16 blocks keep the diagonal
@@ -254,8 +252,8 @@ def lipschitz_constant(
                 best = max(best, float(np.max(nphi / nx)))
         return LipschitzReport(value=best, pairs_used=used, mode="all-pairs")
     rng = np.random.default_rng(seed)
-    ii = rng.integers(0, P, size=sample_pairs)
-    jj = rng.integers(0, P, size=sample_pairs)
+    ii = rng.integers(0, P, size=LIPSCHITZ_SAMPLE_PAIRS)
+    jj = rng.integers(0, P, size=LIPSCHITZ_SAMPLE_PAIRS)
     keep = ii != jj
     ii, jj = ii[keep], jj[keep]
     with np.errstate(divide="ignore"):

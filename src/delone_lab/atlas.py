@@ -26,6 +26,10 @@ from .core import (
 from .errors import InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
+FLAG_CAP = 1000  # boundary_flags keeps this many near-threshold (center, distance) pairs
+WINDOW_GROWTH = 2.0  # patch_count_profile: window radius factor per step
+
+
 @dataclass
 class PatchClass:
     key: tuple
@@ -39,7 +43,7 @@ class AtlasResult:
     certified_region: Region
     classes: List[PatchClass]
     boundary_flag_count: int
-    boundary_flags: list  # up to flag_cap entries of (center_address, distance)
+    boundary_flags: list  # up to FLAG_CAP entries of (center_address, distance)
     engine: str
 
     @property
@@ -68,16 +72,14 @@ def _erosion_margin(T: float, shape: str, region_kind: str, n: int) -> float:
     return T / 2.0 if region_kind == "box" else (T / 2.0) * math.sqrt(n)
 
 
-def compute_atlas(
-    ps: ExactPointSet, T: float, shape: str = "ball", flag_cap: int = 1000
-) -> AtlasResult:
+def compute_atlas(ps: ExactPointSet, T: float, shape: str = "ball") -> AtlasResult:
     """Classify all fully visible T-patches in the window: atlas_ladder at
     one T."""
-    return atlas_ladder(ps, [T], shape=shape, flag_cap=flag_cap)[0]
+    return atlas_ladder(ps, [T], shape=shape)[0]
 
 
 def atlas_ladder(
-    ps: ExactPointSet, T_values: Sequence[float], shape: str = "ball", flag_cap: int = 1000
+    ps: ExactPointSet, T_values: Sequence[float], shape: str = "ball"
 ) -> List[AtlasResult]:
     """One atlas per T, in the order of T_values; a repeated T repeats the
     same result.
@@ -85,7 +87,7 @@ def atlas_ladder(
     shape "ball" uses the closed euclidean ball of radius T; shape "cube"
     uses the axis-aligned closed cube of side T. Membership is decided on
     squared distances with a 1e-9 slack, and near-threshold points are
-    flagged (they stay included). boundary_flags holds the flag_cap smallest
+    flagged (they stay included). boundary_flags holds the FLAG_CAP smallest
     (center address, distance) pairs of the near-threshold points.
 
     A rung of a subset of Z^n (n <= 3) with the identity projection goes to
@@ -121,7 +123,7 @@ def atlas_ladder(
         runs[_engine_lattice if fits else _engine_kdtree].append((T, certified[T], mask))
     for engine, rungs in runs.items():
         if rungs:
-            done.update(_ladder(ps, rungs, shape, flag_cap, engine))
+            done.update(_ladder(ps, rungs, shape, engine))
     return [done[T] for T in T_values]
 
 
@@ -148,7 +150,7 @@ def _reach_order(table, projection, shape):
     return order, reach[order], per[order]
 
 
-def _ladder(ps, rungs, shape, flag_cap, engine):
+def _ladder(ps, rungs, shape, engine):
     """Atlases of one engine run; rungs are (T, certified region, center
     mask) in increasing T, each mask inside the one before.
 
@@ -207,8 +209,8 @@ def _ladder(ps, rungs, shape, flag_cap, engine):
         classes.sort(key=lambda c: c.key)
 
         # near-threshold hits, counted byte by byte in (center, column)
-        # order: the centers up to the one holding the flag_cap-th hit hold
-        # the flag_cap smallest flags
+        # order: the centers up to the one holding the FLAG_CAP-th hit hold
+        # the FLAG_CAP smallest flags
         if shape == "ball":
             near = np.abs(reach[:k] - t) < BALL_TOL
         else:
@@ -218,7 +220,7 @@ def _ladder(ps, rungs, shape, flag_cap, engine):
         for b in np.flatnonzero(masks).tolist():
             count += _POPCOUNT[bits[sel, b] & masks[b]]
         per_center = np.cumsum(count)
-        flagged = sel[np.flatnonzero(count[: np.searchsorted(per_center, flag_cap) + 1])]
+        flagged = sel[np.flatnonzero(count[: np.searchsorted(per_center, FLAG_CAP) + 1])]
         hits = np.unpackbits(bits[flagged], axis=1, count=k, bitorder="little") & near
         rr, cc = np.nonzero(hits)
         dist = np.sqrt(per[cc].sum(axis=1))
@@ -229,7 +231,7 @@ def _ladder(ps, rungs, shape, flag_cap, engine):
             certified_region=certified,
             classes=classes,
             boundary_flag_count=int(per_center[-1]),
-            boundary_flags=flags[:flag_cap],
+            boundary_flags=flags[:FLAG_CAP],
             engine=name,
         )
     return out
@@ -319,7 +321,6 @@ def _engine_kdtree(ps, cidx, shape, thresh2):
 @dataclass
 class WindowPolicy:
     initial_radius: Optional[float] = None  # default 50 * R of the source
-    growth: float = 2.0
     max_doublings: int = 4
 
 
@@ -380,7 +381,7 @@ def patch_count_profile(
                 prev[i] = atlas.n_lower
         pending = [i for i in pending if not out[i].stabilized]
         for i in pending:
-            radius[i] *= policy.growth
+            radius[i] *= WINDOW_GROWTH
     return out
 
 

@@ -423,7 +423,8 @@ def diffraction(set_name, params, seed, out, fmt, window, t_value, kmax, kcount,
     if kcount < 2:
         raise InvalidArgument("--kcount must be >= 2")
     ac = autocorrelation(ps, t_value)
-    grid = np.linspace(0.0, kmax, kcount).reshape(-1, 1)
+    with np.errstate(invalid="ignore"):  # diffraction_estimate rejects a non-finite kmax
+        grid = np.linspace(0.0, kmax, kcount).reshape(-1, 1)
     spec = diffraction_estimate(ac, grid)
     config = _config(
         "diffraction",
@@ -534,8 +535,10 @@ def import_float(path, tolerance, out, fmt):
     """
     with open(path) as fh:
         obj = json.load(fh)
-    if "point_set" in obj:  # artifact produced by `generate --format json`
+    if isinstance(obj, dict) and "point_set" in obj:  # a `generate --format json` artifact
         obj = obj["point_set"]
+    if not isinstance(obj, dict):
+        raise InvalidArgument("a point-set file holds a JSON object, not a %s" % type(obj).__name__)
     if "addresses" in obj:
         exact = ExactPointSet.from_json(obj)
         pts = exact.points

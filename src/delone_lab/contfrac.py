@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidArgument, NeedsMoreTerms, ResourceLimit
 
 _INT64_MAX = 2**63 - 1
+GROWTH_MAX_BITS = 4_000_000  # construct_alpha_for_growth: largest denominator bit length
 
 
 class ContinuedFraction:
@@ -282,14 +283,13 @@ class GrowthConstruction:
     table: list  # rows (k, q_k, q_k + q_{k+1}, g(q_k))
 
 
-def construct_alpha_for_growth(
-    g: Callable[[int], float], terms: int, max_bits: int = 4_000_000
-) -> GrowthConstruction:
+def construct_alpha_for_growth(g: Callable[[int], float], terms: int) -> GrowthConstruction:
     """Build alpha whose word recurrence beats g along the denominators q_k.
 
     Picks a_{k+1} = max(1, ceil(g(q_k))), which forces
     q_k + q_{k+1} > g(q_k) at every step. Denominators can explode for fast
-    g; max_bits caps their bit length and raises resource-limit beyond it.
+    g; GROWTH_MAX_BITS caps their bit length and raises resource-limit beyond
+    it.
     """
     if terms < 1:
         raise InvalidArgument("need at least one term")
@@ -297,10 +297,6 @@ def construct_alpha_for_growth(
     p_prev, q_prev = 1, 0  # k = -1
     p_cur, q_cur = 0, 1  # k = 0
     for _ in range(terms):
-        if q_cur.bit_length() > max_bits:
-            raise ResourceLimit(
-                f"denominator exceeded {max_bits} bits after {len(quotients)} terms"
-            )
         try:
             val = g(q_cur)
         except OverflowError as exc:
@@ -314,9 +310,9 @@ def construct_alpha_for_growth(
         quotients.append(a)
         p_cur, p_prev = a * p_cur + p_prev, p_cur
         q_cur, q_prev = a * q_cur + q_prev, q_cur
-        if q_cur.bit_length() > max_bits:
+        if q_cur.bit_length() > GROWTH_MAX_BITS:
             raise ResourceLimit(
-                f"denominator exceeded {max_bits} bits after {len(quotients)} terms"
+                f"denominator exceeded {GROWTH_MAX_BITS} bits after {len(quotients)} terms"
             )
     cf = ContinuedFraction(quotients)
     table = []

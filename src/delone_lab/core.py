@@ -19,6 +19,9 @@ from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 # Squared-distance slack for closed-ball membership. Kept on the squared
 # quantity so integer geometries stay exact.
 BALL_TOL = 1e-9
+# Coordinate slack for closed boxes and region containment: it absorbs float
+# roundoff in generated positions.
+REGION_SLACK = 1e-9
 
 
 def unit_ball_volume(n: int) -> float:
@@ -86,11 +89,9 @@ class Region:
             return len(self.intervals)
         return len(self.center)
 
-    def contains(self, points: np.ndarray, slack: float = 1e-9) -> np.ndarray:
-        """Boolean mask of points inside the closed region.
-
-        A small slack absorbs float roundoff in generated positions.
-        """
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask of points inside the closed region, boxes widened by
+        REGION_SLACK and balls by BALL_TOL on the squared distance."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dimension:
             raise InvalidArgument("dimension mismatch in Region.contains")
@@ -98,7 +99,7 @@ class Region:
             # column by column: a reduction across a short axis is slow
             inside = np.ones(pts.shape[0], dtype=bool)
             for col, (a, b) in zip(pts.T, self.intervals):
-                inside &= (col >= a - slack) & (col <= b + slack)
+                inside &= (col >= a - REGION_SLACK) & (col <= b + REGION_SLACK)
             return inside
         d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=1)
         return d2 <= self.radius**2 + BALL_TOL
@@ -131,24 +132,24 @@ class Region:
             return float(np.prod([b - a for a, b in self.intervals]))
         return unit_ball_volume(self.dimension) * self.radius ** self.dimension
 
-    def contains_region(self, other: "Region", slack: float = 1e-9) -> bool:
+    def contains_region(self, other: "Region") -> bool:
         """True if the other region sits inside this one (closed containment)."""
         if other.kind == "box":
             corners = np.array(np.meshgrid(*[iv for iv in other.intervals])).T.reshape(
                 -1, other.dimension
             )
-            return bool(np.all(self.contains(corners, slack=slack)))
+            return bool(np.all(self.contains(corners)))
         # ball inside box: check center +- radius per axis; ball in ball: radii
         c = np.asarray(other.center)
         if self.kind == "box":
             lo = np.array([a for a, _ in self.intervals])
             hi = np.array([b for _, b in self.intervals])
             return bool(
-                np.all(c - other.radius >= lo - slack)
-                and np.all(c + other.radius <= hi + slack)
+                np.all(c - other.radius >= lo - REGION_SLACK)
+                and np.all(c + other.radius <= hi + REGION_SLACK)
             )
         dist = float(np.linalg.norm(c - np.asarray(self.center)))
-        return dist + other.radius <= self.radius + slack
+        return dist + other.radius <= self.radius + REGION_SLACK
 
     def to_json(self) -> dict:
         if self.kind == "box":
@@ -157,10 +158,13 @@ class Region:
 
     @staticmethod
     def from_json(obj: dict) -> "Region":
-        if obj.get("kind") == "box":
-            return Region.box(obj["intervals"])
-        if obj.get("kind") == "ball":
-            return Region.ball(obj["center"], obj["radius"])
+        try:
+            if obj.get("kind") == "box":
+                return Region.box(obj["intervals"])
+            if obj.get("kind") == "ball":
+                return Region.ball(obj["center"], obj["radius"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidArgument(f"malformed region: {type(exc).__name__}: {exc}") from exc
         raise InvalidArgument(f"unknown region kind {obj.get('kind')!r}")
 
 
@@ -313,15 +317,18 @@ class ExactPointSet:
 
     @staticmethod
     def from_json(obj: dict) -> "ExactPointSet":
-        return ExactPointSet(
-            dimension=int(obj["dimension"]),
-            rank=int(obj["rank"]),
-            projection=np.asarray(obj["projection"], dtype=float),
-            addresses=np.asarray(obj["addresses"], dtype=np.int64).reshape(
-                -1, int(obj["rank"])
-            ),
-            region=Region.from_json(obj["region"]),
-        )
+        try:
+            return ExactPointSet(
+                dimension=int(obj["dimension"]),
+                rank=int(obj["rank"]),
+                projection=np.asarray(obj["projection"], dtype=float),
+                addresses=np.asarray(obj["addresses"], dtype=np.int64).reshape(
+                    -1, int(obj["rank"])
+                ),
+                region=Region.from_json(obj["region"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidArgument(f"malformed point set: {type(exc).__name__}: {exc}") from exc
 
 
 class FloatPointSet:
@@ -333,8 +340,8 @@ class FloatPointSet:
 
     def __init__(self, points: np.ndarray, tolerance: float, region: Region):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if tolerance <= 0:
-            raise InvalidArgument("tolerance must be positive")
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise InvalidArgument(f"tolerance must be finite and positive, got {tolerance}")
         bad = close_pairs(points, tolerance)
         if bad:
             raise InvalidArgument(
@@ -359,19 +366,19 @@ class FloatPointSet:
 
     @staticmethod
     def from_json(obj: dict) -> "FloatPointSet":
-        pts = np.asarray(obj["points"], dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, Region.from_json(obj["region"]).dimension)
-        if "dimension" in obj and pts.shape[0] and int(obj["dimension"]) != pts.shape[1]:
-            raise InvalidArgument(
-                "declared dimension %d but rows have %d coordinates"
-                % (int(obj["dimension"]), pts.shape[1])
-            )
-        return FloatPointSet(
-            points=pts,
-            tolerance=float(obj["tolerance"]),
-            region=Region.from_json(obj["region"]),
-        )
+        try:
+            pts = np.asarray(obj["points"], dtype=float)
+            region = Region.from_json(obj["region"])
+            if pts.size == 0:
+                pts = pts.reshape(0, region.dimension)
+            if "dimension" in obj and pts.shape[0] and int(obj["dimension"]) != pts.shape[1]:
+                raise InvalidArgument(
+                    "declared dimension %d but rows have %d coordinates"
+                    % (int(obj["dimension"]), pts.shape[1])
+                )
+            return FloatPointSet(points=pts, tolerance=float(obj["tolerance"]), region=region)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidArgument(f"malformed point set: {type(exc).__name__}: {exc}") from exc
 
 
 def close_pairs(points: np.ndarray, tolerance: float) -> list:
@@ -393,6 +400,8 @@ def save_point_set(ps, path: str) -> None:
 def load_point_set(path: str):
     with open(path) as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise InvalidArgument("a point-set file holds a JSON object, not a %s" % type(obj).__name__)
     if "addresses" in obj:
         return ExactPointSet.from_json(obj)
     if "points" in obj:

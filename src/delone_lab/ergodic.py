@@ -8,7 +8,7 @@ grows; the hierarchical two-colorings keep it above an exact product floor.
 
 Point-count weights sort the points on the first axis once. A box query
 bisects the slab of points whose first coordinate passes the box's first
-interval, with the same closed faces and 1e-9 slack as Region.contains, and
+interval, with the same closed faces and REGION_SLACK as Region.contains, and
 tests only that slab against the whole box; in one dimension the slab is the
 count. Ball queries test every point.
 """
@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .atlas import AtlasResult, compute_atlas
-from .core import ExactPointSet, Region, make_patch_key
+from .core import REGION_SLACK, ExactPointSet, Region, make_patch_key
 from .errors import InsufficientWindow, InvalidArgument
 from .generators import PointSetSource
 
@@ -44,7 +44,7 @@ def volume_weight(n: int) -> WeightDistribution:
 
 def _slab_counter(points: np.ndarray) -> Callable[[Region], float]:
     """Region -> float(np.count_nonzero(region.contains(points))), with a
-    box tested only on its slab a - 1e-9 <= x_0 <= b + 1e-9."""
+    box tested only on its slab a - REGION_SLACK <= x_0 <= b + REGION_SLACK."""
     pts = points[np.argsort(points[:, 0], kind="stable")]
     x0 = pts[:, 0]
 
@@ -54,8 +54,8 @@ def _slab_counter(points: np.ndarray) -> Callable[[Region], float]:
         if region.kind != "box":
             return float(np.count_nonzero(region.contains(pts)))
         a, b = region.intervals[0]
-        i0 = np.searchsorted(x0, a - 1e-9, "left")
-        i1 = np.searchsorted(x0, b + 1e-9, "right")
+        i0 = np.searchsorted(x0, a - REGION_SLACK, "left")
+        i1 = np.searchsorted(x0, b + REGION_SLACK, "right")
         if region.dimension == pts.shape[1] == 1:
             return float(i1 - i0)
         return float(np.count_nonzero(region.contains(pts[i0:i1])))
@@ -79,15 +79,6 @@ def white_point_count_weight(ps: ExactPointSet) -> WeightDistribution:
         label="white-point-count",
         evaluate=_slab_counter(ps.points[ps.addresses[:, 0] % 3 == 0]),
         u0=0.0,
-    )
-
-
-def component_weight(wd: WeightDistribution, index: int, label: Optional[str] = None) -> WeightDistribution:
-    """Scalar view of a vector-valued weight."""
-    return WeightDistribution(
-        label=label or f"{wd.label}[{index}]",
-        evaluate=lambda box: float(np.asarray(wd.evaluate(box)).ravel()[index]),
-        u0=wd.u0,
     )
 
 

@@ -159,7 +159,6 @@ def gen_beatty(alpha, tau: float) -> PointSetSource:
         materialize_fn=mat,
         declared_r=0.5,
         declared_R=tau / 2.0,
-        extras={"cf": cf, "tau": tau},
     )
 
 
@@ -207,7 +206,7 @@ def gen_cut_project_1d(alpha) -> PointSetSource:
         materialize_fn=mat,
         declared_r=0.5 / norm,
         declared_R=(1.0 + af) / (2.0 * norm),
-        extras={"cf": cf, "alpha_float": af, "norm": norm},
+        extras={"alpha_float": af, "norm": norm},
     )
 
 
@@ -262,7 +261,6 @@ def gen_product(factors: Sequence[PointSetSource]) -> PointSetSource:
         materialize_fn=mat,
         declared_r=min(rs) if all(r is not None for r in rs) else None,
         declared_R=math.sqrt(sum(R * R for R in Rs)) if all(R is not None for R in Rs) else None,
-        extras={"factors": factors},
     )
 
 
@@ -321,7 +319,6 @@ def gen_deleted_lines(a: Sequence[int]) -> PointSetSource:
         declared_r=0.5,
         declared_R=math.sqrt(5.0) / 2.0,
         extras={
-            "a": list(a),
             "levels": lambda pts: _deleted_lines_levels(np.asarray(pts, np.int64), a),
             "present": lambda pts: present_mask(np.asarray(pts, np.int64)),
         },
@@ -509,9 +506,7 @@ def rho_sequence(n: int, a: Sequence[int]) -> tuple:
     return rec, closed
 
 
-def gen_two_color(n: int, a: Sequence[int], coding: str = "pair-offset") -> PointSetSource:
-    if coding != "pair-offset":
-        raise InvalidArgument(f"unknown coding {coding!r}")
+def gen_two_color(n: int, a: Sequence[int]) -> PointSetSource:
     st = TwoColorStructure(n, a)
 
     # address basis: row 0 spans the pair offset direction, rows 1..n-1 are
@@ -549,10 +544,9 @@ def gen_two_color(n: int, a: Sequence[int], coding: str = "pair-offset") -> Poin
         keep = region.contains(pts)
         return ExactPointSet(n, n, proj, addr[keep], region)
 
-    rhos, _ = rho_sequence(n, a)
     return PointSetSource(
         name="two_color",
-        params={"n": n, "a": list(st.a), "coding": coding},
+        params={"n": n, "a": list(st.a), "coding": "pair-offset"},
         dimension=n,
         rank=n,
         materialize_fn=mat,
@@ -560,8 +554,6 @@ def gen_two_color(n: int, a: Sequence[int], coding: str = "pair-offset") -> Poin
         declared_R=None,
         extras={
             "structure": st,
-            "rho": rhos,
-            "N": st.N,
             "scales": st.sides[1:],
             "is_white_address": lambda addr: np.asarray(addr)[:, 0] % 3 == 0,
         },

@@ -178,6 +178,8 @@ def repetitivity_function(
     when a class only recurs beyond the window; certified_floor clamps each
     class at T and is a true lower bound regardless.
     """
+    if resolution is not None and not resolution > 0:
+        raise InvalidArgument("resolution must be positive")
     if atlas is None:
         atlas = compute_atlas(ps, T)
     elif atlas.T != T:

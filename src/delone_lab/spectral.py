@@ -21,6 +21,7 @@ from .errors import InvalidArgument, WindowTooSmall
 
 # difference rows per autocorrelation chunk, which bounds its memory
 DIFF_CHUNK_ROWS = 1 << 22
+PEAK_THRESHOLD_RATIO = 0.5  # detect_peaks keeps maxima at least this share of the largest
 
 
 @dataclass
@@ -123,6 +124,8 @@ def diffraction_estimate(ac: Autocorrelation, k_grid) -> SpectrumEstimate:
         K = K[:, None]
     if K.shape[1] != ac.dimension:
         raise InvalidArgument("k grid has wrong dimension")
+    if not np.all(np.isfinite(K)):
+        raise InvalidArgument("k grid must be finite")
     table = np.array(list(ac.counts), dtype=np.int64).reshape(-1, ac.projection.shape[0])
     cnt = np.array(list(ac.counts.values()), dtype=np.int64)
     order = lex_order(table) if cnt.size else slice(None)
@@ -145,8 +148,8 @@ class Peak:
     index: int
 
 
-def detect_peaks(spec: SpectrumEstimate, threshold_ratio: float = 0.5) -> List[Peak]:
-    """Local maxima at least threshold_ratio of the global max.
+def detect_peaks(spec: SpectrumEstimate) -> List[Peak]:
+    """Local maxima at least PEAK_THRESHOLD_RATIO of the global max.
 
     Needs a uniform one-dimensional k grid. Plateaus report their leftmost
     sample.
@@ -161,7 +164,7 @@ def detect_peaks(spec: SpectrumEstimate, threshold_ratio: float = 0.5) -> List[P
     if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
         raise InvalidArgument("k grid must have uniform pitch")
     I = spec.intensity
-    cutoff = threshold_ratio * float(I.max())
+    cutoff = PEAK_THRESHOLD_RATIO * float(I.max())
     peaks = []
     for i in range(ks.size):
         left_rises = i == 0 or I[i] > I[i - 1]

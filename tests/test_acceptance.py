@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import delone_lab.address as address_mod
 from delone_lab.address import (
     build_address_map,
     linear_fit,
@@ -279,7 +280,7 @@ def test_09_lattice_diffraction_values():
     )
 
 
-def test_10_address_map_fits_agree():
+def test_10_address_map_fits_agree(monkeypatch):
     t0 = time.monotonic()
     ps = gen_fibonacci().materialize(Region.centered_box(1, 6950.0))
     amap = build_address_map(ps)
@@ -302,9 +303,10 @@ def test_10_address_map_fits_agree():
     if rep.variation >= 0.20 or not rep.bounded:
         problems.append("outer annulus residual varies by %.3f" % rep.variation)
 
-    lip_full = lipschitz_constant(ps, amap, exact_limit=20_000)
+    monkeypatch.setattr(address_mod, "LIPSCHITZ_EXACT_LIMIT", 20_000)
+    lip_full = lipschitz_constant(ps, amap)
     half = gen_fibonacci().materialize(Region.centered_box(1, 3475.0))
-    lip_half = lipschitz_constant(half, exact_limit=20_000)
+    lip_half = lipschitz_constant(half)
     drift = abs(lip_full.value - lip_half.value) / lip_half.value
     if drift > 0.05:
         problems.append("constant moved %.3f under window doubling" % drift)

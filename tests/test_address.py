@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delone_lab.address as address_mod
 from delone_lab.address import (
     AddressMap,
     _residues,
@@ -220,9 +221,11 @@ class TestLipschitz:
         assert rep.mode == "all-pairs"
         assert rep.pairs_used == 81 * 80 // 2
 
-    def test_sampled_mode(self):
+    def test_sampled_mode(self, monkeypatch):
+        monkeypatch.setattr(address_mod, "LIPSCHITZ_EXACT_LIMIT", 10)
+        monkeypatch.setattr(address_mod, "LIPSCHITZ_SAMPLE_PAIRS", 5000)
         ps = gen_integer_lattice(1).materialize(Region.box([(-40, 40)]))
-        rep = lipschitz_constant(ps, exact_limit=10, sample_pairs=5000, seed=3)
+        rep = lipschitz_constant(ps, seed=3)
         assert rep.mode == "sampled"
         assert rep.value == pytest.approx(1.0)
 
@@ -246,9 +249,11 @@ class TestLipschitz:
         ],
         ids=["fibonacci", "z2-holes", "fib-x-fib-1000"],
     )
-    def test_sampled_values_frozen(self, src, window, sample_pairs, value, pairs):
+    def test_sampled_values_frozen(self, src, window, sample_pairs, value, pairs, monkeypatch):
+        monkeypatch.setattr(address_mod, "LIPSCHITZ_EXACT_LIMIT", 1_000)
+        monkeypatch.setattr(address_mod, "LIPSCHITZ_SAMPLE_PAIRS", sample_pairs)
         ps = src.materialize(Region.box(window))
-        rep = lipschitz_constant(ps, seed=0, exact_limit=1_000, sample_pairs=sample_pairs)
+        rep = lipschitz_constant(ps, seed=0)
         assert rep.mode == "sampled"
         assert (repr(rep.value), rep.pairs_used) == (value, pairs)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delone_lab.atlas as atlas_mod
 from delone_lab.atlas import (
     WindowPolicy,
     _engine_kdtree,
@@ -18,6 +19,7 @@ from delone_lab.atlas import (
     atlas_ladder,
     compute_atlas,
     entropy_probe,
+    estimate_R,
     patch_count_profile,
 )
 from delone_lab.core import ExactPointSet, Region, lex_order, make_patch_key
@@ -28,6 +30,7 @@ from delone_lab.generators import (
     gen_fibonacci,
     gen_integer_lattice,
     gen_product,
+    gen_two_color,
 )
 
 
@@ -82,11 +85,12 @@ class TestLatticeAtlas:
         ps = gen_integer_lattice(1).materialize(Region.box([(-10, 10)]))
         assert compute_atlas(ps, 2.5).boundary_flag_count == 0
 
-    def test_flag_cap_truncates_list_not_count(self):
+    def test_flag_cap_truncates_list_not_count(self, monkeypatch):
+        monkeypatch.setattr(atlas_mod, "FLAG_CAP", 100)
         ps = gen_integer_lattice(2, deletions=[(0, 0)]).materialize(
             Region.box([(-10, 10)] * 2)
         )
-        at = compute_atlas(ps, 1.0, flag_cap=100)
+        at = compute_atlas(ps, 1.0)
         assert at.boundary_flag_count == 1436
         assert len(at.boundary_flags) == 100
 
@@ -355,13 +359,14 @@ class TestEnginesAgree:
 
     @pytest.mark.parametrize("shape", ["ball", "cube"])
     @pytest.mark.parametrize("case", ["z2-holes", "z2-holes-far", "deleted-lines", "z1"])
-    def test_lattice_and_kdtree_agree(self, case, shape):
+    def test_lattice_and_kdtree_agree(self, case, shape, monkeypatch):
         ps, T_values = self.case(case)
         rungs = per_T_rungs(ps, T_values, shape)
         # one ladder per engine, with a small flag cap so the flag lists are
         # cut short too
-        lat = _ladder(ps, rungs, shape, 20, _engine_lattice)
-        kd = _ladder(ps, rungs, shape, 20, _engine_kdtree)
+        monkeypatch.setattr(atlas_mod, "FLAG_CAP", 20)
+        lat = _ladder(ps, rungs, shape, _engine_lattice)
+        kd = _ladder(ps, rungs, shape, _engine_kdtree)
         flagged = 0
         for T in T_values:
             a, b = lat[T], kd[T]
@@ -473,15 +478,17 @@ class TestLadder:
         assert atlas_ladder(ps, []) == []
 
     @pytest.mark.parametrize("engine", [_engine_lattice, _engine_kdtree])
-    def test_capped_flags_do_not_depend_on_point_order(self, engine):
-        # the flag_cap smallest (center, distance) pairs, whatever the order
+    def test_capped_flags_do_not_depend_on_point_order(self, engine, monkeypatch):
+        # the FLAG_CAP smallest (center, distance) pairs, whatever the order
         ps = gen_integer_lattice(2, deletions=[(0, 0)]).materialize(Region.box([(-10, 10)] * 2))
         perm = np.random.default_rng(3).permutation(len(ps))
         shuffled = ExactPointSet(2, 2, ps.projection, ps.addresses[perm], ps.region)
-        every = _ladder(ps, per_T_rungs(ps, [1.0]), "ball", 10**6, engine)[1.0]
+        monkeypatch.setattr(atlas_mod, "FLAG_CAP", 10**6)
+        every = _ladder(ps, per_T_rungs(ps, [1.0]), "ball", engine)[1.0]
         assert len(every.boundary_flags) == every.boundary_flag_count == 1436
+        monkeypatch.setattr(atlas_mod, "FLAG_CAP", 100)
         for p in (ps, shuffled):
-            at = _ladder(p, per_T_rungs(p, [1.0]), "ball", 100, engine)[1.0]
+            at = _ladder(p, per_T_rungs(p, [1.0]), "ball", engine)[1.0]
             assert at.boundary_flag_count == 1436
             assert at.boundary_flags == sorted(every.boundary_flags)[:100]
             assert at.boundary_flags[0] == ((-9, -9), 1.0)
@@ -553,9 +560,9 @@ class TestReachOrder:
             return table, reach, per, bits, name
 
         rungs = per_T_rungs(ps, [1.0, 2.0])
-        assert _ladder(ps, rungs, "ball", 1000, engine)[2.0].n_lower > 1
+        assert _ladder(ps, rungs, "ball", engine)[2.0].n_lower > 1
         with pytest.raises(InvalidArgument, match="zero vector"):
-            _ladder(ps, rungs, "ball", 1000, drops_zero)
+            _ladder(ps, rungs, "ball", drops_zero)
 
     def test_zero_difference_need_not_lead_the_table(self):
         # (k, 0) and (k - 1, 1) coincide, so (-1, 1), (0, 0) and (1, -1) all
@@ -648,6 +655,21 @@ class TestProfile:
     def test_bad_T_rejected(self):
         with pytest.raises(InvalidArgument):
             patch_count_profile(gen_fibonacci(), [-1.0])
+
+    def test_window_doubles_until_stable(self):
+        # the first window (2.5 T = 10) has nothing to compare with
+        policy = WindowPolicy(initial_radius=4.0, max_doublings=1)
+        prof = patch_count_profile(gen_fibonacci(), [4.0], policy=policy)
+        assert prof[0].stabilized and prof[0].window_radius == 20.0
+
+    def test_estimate_R_without_declared_R(self):
+        # two-color declares no R, so it is measured on [-25, 25]; cells are
+        # points c (white) or pairs c -+ 1/3 (black), and two adjacent white
+        # cells leave the largest gap, 1
+        src = gen_two_color(1, [16, 32, 64, 128])
+        assert src.declared_R is None
+        gaps = np.diff(np.sort(src.materialize(Region.centered_box(1, 25.0)).points[:, 0]))
+        assert estimate_R(src) == pytest.approx(gaps.max() / 2.0) == pytest.approx(0.5)
 
     def test_entropy_skips_unstabilized(self):
         policy = WindowPolicy(initial_radius=4.0, max_doublings=0)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -15,8 +16,9 @@ import delone_lab.verify as verify_mod
 from delone_lab.atlas import compute_atlas
 from delone_lab.cli import main
 from delone_lab.core import ExactPointSet, FloatPointSet, Region, make_patch_key
+from delone_lab.ergodic import WeightDistribution, density_profile
 from delone_lab.errors import ResourceLimit
-from delone_lab.generators import build_source
+from delone_lab.generators import TwoColorStructure, build_source
 from delone_lab.verify import CheckResult
 
 
@@ -290,6 +292,29 @@ class TestAnalysisCommands:
         assert len(rows) == 2
         assert all(r[-1] == "sampled" for r in rows)
 
+    def test_wdist_volume_weight_is_one(self, capsys):
+        assert run_cli(["wdist", "--set", "fibonacci", "--weight", "vol"]) == 0
+        _, header, rows = parse_csv(capsys.readouterr().out)
+        assert header[1:5] == ["f_plus", "f_minus", "f_median", "delta"]
+        assert [r[1:5] for r in rows] == [["1.0", "1.0", "1.0", "0.0"]] * 3
+
+    def test_wdist_white_weight_counts_white_cells(self, capsys):
+        # a white cell c is the point c, so a closed box [a, b] holds the
+        # white cells ceil(a) .. floor(b), counted by the structure itself
+        assert run_cli(["wdist", "--set", "two_color", "--weight", "white"]) == 0
+        config, _, rows = parse_csv(capsys.readouterr().out)
+        st = TwoColorStructure(1, config["params"]["a"])
+
+        def white(box):
+            (a, b), = box.intervals
+            return float(st.white_count_in_box([math.ceil(a)], [math.floor(b) + 1]))
+
+        wd = WeightDistribution(label="white", evaluate=white, u0=0.0)
+        prof = density_profile(wd, Region.from_json(config["window"]), config["U"], seed=0)
+        want = [[r.U, r.f_plus, r.f_minus, r.f_zero_median, r.delta, r.n_boxes] for r in prof.rows]
+        assert [[float(v) for v in r[:6]] for r in rows] == want
+        assert prof.rows[0].f_plus > prof.rows[0].f_minus
+
     def test_diffraction_grid_and_peaks(self, capsys):
         args = ["diffraction", "--set", "zn", "--window", "40", "--kmax", "1", "--kcount", "11"]
         assert run_cli(args) == 0
@@ -487,6 +512,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("bad configuration: ") and "must be finite" in err
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            '{"kind": "box", "intervals": 5}',
+            '{"kind": "box", "intervals": [["a", 3]]}',
+            '{"kind": "ball", "center": [0]}',
+        ],
+    )
+    def test_malformed_window_is_1(self, capsys, window):
+        assert run_cli(["atlas", "--set", "fibonacci", "--window", window]) == 1
+        assert capsys.readouterr().err.startswith("bad configuration: malformed region: ")
+
     def test_nan_U_is_1(self, capsys):
         assert run_cli(["wdist", "--set", "zn", "--params", '{"n": 1}', "--window", "50", "--U", "4,nan"]) == 1
         assert capsys.readouterr().err.startswith("bad configuration: U = nan is not above")
@@ -527,6 +564,46 @@ class TestExitCodes:
         path.write_text(json.dumps(obj))
         assert run_cli(["import-float", str(path)]) == 1
         assert "dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dimension": 1, "rank": 1, "addresses": [[0]], "region": {"kind": "box", "intervals": [[-1, 2]]}}',
+            '{"points": [[0.0], [1.0]], "tolerance": "abc", "region": {"kind": "box", "intervals": [[-1, 2]]}}',
+            "[[0.0], [1.0]]",
+        ],
+        ids=["exact-no-projection", "tolerance-not-a-number", "top-level-list"],
+    )
+    def test_malformed_point_set_file_is_1(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli(["import-float", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad configuration: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("in_file", [True, False], ids=["file", "flag"])
+    def test_nan_tolerance_is_1(self, tmp_path, capsys, in_file):
+        # with a NaN tolerance no pair is close, so 0, 0 and 1 were imported
+        region = {"kind": "box", "intervals": [[-1, 2]]}
+        tolerance = math.nan if in_file else 0.1
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"points": [[0.0], [0.0], [1.0]], "tolerance": tolerance, "region": region}))
+        flag = [] if in_file else ["--tolerance", "nan"]
+        assert run_cli(["import-float", str(path)] + flag) == 1
+        assert capsys.readouterr().err.startswith("bad configuration: tolerance must be finite")
+
+    @pytest.mark.parametrize("kmax", ["nan", "inf"])
+    def test_non_finite_kmax_is_1(self, capsys, kmax):
+        assert run_cli(["diffraction", "--set", "fibonacci", "--kmax", kmax]) == 1
+        assert capsys.readouterr().err == "bad configuration: k grid must be finite\n"
+
+    @pytest.mark.parametrize("resolution", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("set_name", ["fibonacci", "zn"])
+    def test_bad_resolution_is_1(self, capsys, resolution, set_name):
+        params = ["--params", '{"n": 2}'] if set_name == "zn" else []
+        args = ["repetitivity", "--set", set_name, *params, "--window", "20", "--T", "2.000001"]
+        assert run_cli(args + ["--resolution", resolution]) == 1
+        assert capsys.readouterr().err == "bad configuration: resolution must be positive\n"
 
     def test_garbage_json_file_is_1(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delone_lab.contfrac as contfrac_mod
 from delone_lab.contfrac import (
     ContinuedFraction,
     construct_alpha_for_growth,
@@ -270,11 +271,12 @@ class TestGrowthConstruction:
         for _, _, rec, g_val in built.table:
             assert rec > g_val
 
-    def test_bit_budget(self):
+    def test_bit_budget(self, monkeypatch):
         # quadratic growth squares the denominator each step, so its bit
         # length crosses any fixed cap after a few terms
-        with pytest.raises(ResourceLimit):
-            construct_alpha_for_growth(lambda q: float(q * q), 12, max_bits=500)
+        monkeypatch.setattr(contfrac_mod, "GROWTH_MAX_BITS", 500)
+        with pytest.raises(ResourceLimit, match="exceeded 500 bits"):
+            construct_alpha_for_growth(lambda q: float(q * q), 12)
 
     def test_float_overflow_mapped_to_budget(self):
         with pytest.raises(ResourceLimit):

@@ -29,6 +29,9 @@ from delone_lab.errors import InsufficientData, InvalidArgument, WindowTooSmall
 from delone_lab.generators import GOLDEN_TAU, gen_deleted_lines, gen_fibonacci, gen_integer_lattice
 
 
+BOX_JSON = {"kind": "box", "intervals": [[-1, 2]]}
+
+
 def line_set(positions):
     """Exact 1D set with unit projection; positions must be integers."""
     addr = np.asarray(positions, dtype=np.int64).reshape(-1, 1)
@@ -261,8 +264,26 @@ class TestFloatPointSet:
         assert again.tolerance == 0.1
 
     def test_bad_tolerance(self):
-        with pytest.raises(InvalidArgument):
-            FloatPointSet(np.array([[0.0]]), tolerance=0.0, region=Region.box([(-1, 1)]))
+        # a NaN tolerance finds no close pair, so it would pass coincident points
+        for tolerance in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidArgument, match="finite and positive"):
+                FloatPointSet(np.array([[0.0], [0.0], [1.0]]), tolerance, Region.box([(-1, 2)]))
+
+    @pytest.mark.parametrize(
+        "obj, what",
+        [
+            ({"dimension": 1, "rank": 1, "addresses": [[0]], "region": BOX_JSON}, "KeyError: 'projection'"),
+            ({"points": [[0.0], [1.0]], "tolerance": "abc", "region": BOX_JSON}, "ValueError"),
+            ({"points": [[0.0], [1.0]], "tolerance": 0.1, "region": [[-1, 2]]}, "malformed region"),
+            ([[0.0], [1.0]], "not a list"),
+        ],
+        ids=["exact-no-projection", "tolerance-not-a-number", "region-not-an-object", "top-level-list"],
+    )
+    def test_malformed_file(self, tmp_path, obj, what):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvalidArgument, match=what):
+            load_point_set(str(path))
 
     def test_dimension_header_mismatch(self):
         obj = {
@@ -299,6 +320,13 @@ class TestDeloneConstants:
     def test_needs_two_points(self):
         with pytest.raises(InsufficientData):
             delone_constants(line_set([0]))
+
+    def test_window_that_cannot_be_eroded(self):
+        # 0 and 1 in [-3, 3]: the first pass gives R = 3 (from the end -3),
+        # and eroding [-3, 3] by 3 leaves no interval
+        ps = ExactPointSet(1, 1, np.eye(1), [[0], [1]], Region.box([(-3, 3)]))
+        with pytest.raises(InsufficientData, match="window too small"):
+            delone_constants(ps)
 
     def test_packing_radius_is_r(self):
         fib = gen_fibonacci().materialize(Region.box([(-30, 30)]))

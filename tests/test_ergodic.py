@@ -13,7 +13,6 @@ from delone_lab.core import ExactPointSet, Region
 from delone_lab.errors import InsufficientWindow, InvalidArgument
 from delone_lab.ergodic import (
     _slab_counter,
-    component_weight,
     density_profile,
     oscillation_probe,
     patch_frequency,
@@ -46,11 +45,6 @@ class TestWeights:
         wd = white_point_count_weight(ps)
         st = src.extras["structure"]
         assert wd.evaluate(Region.box([(-0.2, 7.2)])) == st.white_count_in_box([0], [8])
-
-    def test_component_view(self):
-        wd = component_weight(volume_weight(1), 0, label="v0")
-        assert wd.label == "v0"
-        assert wd.evaluate(Region.box([(0, 5)])) == 5.0
 
 
 # box faces on point coordinates, a hair inside or outside them, or elsewhere

@@ -532,10 +532,6 @@ class TestTwoColor:
         src = gen_two_color(1, [16, 32, 64, 128])
         assert src.declared_r == pytest.approx(1.0 / 6.0)
 
-    def test_bad_coding_rejected(self):
-        with pytest.raises(InvalidArgument):
-            gen_two_color(1, [16, 32], coding="nonsense")
-
     def test_scale_validation(self):
         with pytest.raises(InvalidArgument):
             gen_two_color(1, [4])  # scale below the color budget

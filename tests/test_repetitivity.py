@@ -32,6 +32,13 @@ class TestCoveringRadius:
         lo, hi = covering_radius(np.array([[2.0], [3.0]]), Region.box([(0, 5)]))
         assert lo == hi == 2.0
 
+    def test_1d_ball_is_its_interval(self):
+        centers = np.array([[0.0], [3.0], [5.0]])
+        assert covering_radius(centers, Region.ball([2.5], 2.5)) == (1.5, 1.5)
+        fib = gen_fibonacci().materialize(Region.centered_box(1, 40.0)).points
+        ball = covering_radius(fib, Region.ball([3.3], 17.2))
+        assert ball == covering_radius(fib, Region.box([(3.3 - 17.2, 3.3 + 17.2)]))
+
     def test_empty_centers(self):
         assert covering_radius(np.zeros((0, 1)), Region.box([(0, 1)])) == (
             math.inf,
@@ -265,6 +272,22 @@ class TestRepetitivityFunction:
         ps = gen_fibonacci().materialize(Region.centered_box(1, 5.0))
         with pytest.raises(WindowTooSmall):
             repetitivity_function(ps, 3.0)
+
+    def test_default_resolution_2d(self):
+        # min(r / 4, T / 100) with r = 1/2 on Z^2
+        ps = gen_integer_lattice(2, deletions=[(0, 0)]).materialize(Region.box([(-10, 10)] * 2))
+        res = repetitivity_function(ps, 2.0)
+        assert res == repetitivity_function(ps, 2.0, resolution=0.02)
+        assert res.M_upper != repetitivity_function(ps, 2.0, resolution=0.05).M_upper
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
+    def test_resolution_must_be_positive(self, dimension, bad):
+        # 1-D brackets are exact and ignore the resolution, but a bad one is
+        # still rejected, as on Z^2
+        ps = gen_integer_lattice(dimension).materialize(Region.centered_box(dimension, 8.0))
+        with pytest.raises(InvalidArgument, match="resolution must be positive"):
+            repetitivity_function(ps, 1.0, resolution=bad)
 
 
 class TestGrowthClassification:

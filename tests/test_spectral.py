@@ -122,6 +122,11 @@ class TestDiffraction:
             amp = np.exp(2j * math.pi * k * x).sum()
             assert got == pytest.approx(abs(amp) ** 2 / 20.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        with pytest.raises(InvalidArgument, match="k grid must be finite"):
+            diffraction_estimate(self.ac, [0.0, bad, 1.0])
+
     def test_value_at_off_grid(self):
         spec = diffraction_estimate(self.ac, [0.0, 1.0])
         with pytest.raises(InvalidArgument):
@@ -221,7 +226,7 @@ class TestPeaks:
     def test_lattice_peaks_at_integers(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(-15, 15)]))
         spec = diffraction_estimate(autocorrelation(ps, 10.0), np.linspace(0, 2, 401))
-        peaks = detect_peaks(spec, threshold_ratio=0.5)
+        peaks = detect_peaks(spec)
         assert [p.k[0] for p in peaks] == pytest.approx([0.0, 1.0, 2.0])
         for p in peaks:
             assert p.intensity == pytest.approx(18.05, abs=1e-9)
@@ -234,13 +239,14 @@ class TestPeaks:
         peaks = detect_peaks(spec)
         assert len(peaks) == 1 and peaks[0].index == 1
 
-    def test_threshold_filters(self):
+    def test_threshold_filters(self, monkeypatch):
         spec = SpectrumEstimate(
             k_grid=np.linspace(0, 1, 11).reshape(-1, 1),
             intensity=np.array([5.0, 0, 2.0, 0, 0, 0, 4.9, 0, 0, 0, 1.0]),
         )
-        assert len(detect_peaks(spec, threshold_ratio=0.5)) == 2
-        assert len(detect_peaks(spec, threshold_ratio=0.99)) == 1
+        assert len(detect_peaks(spec)) == 2
+        monkeypatch.setattr(spectral, "PEAK_THRESHOLD_RATIO", 0.99)
+        assert len(detect_peaks(spec)) == 1
 
     def test_grid_validation(self):
         bad = SpectrumEstimate(
