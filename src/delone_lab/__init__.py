@@ -14,7 +14,6 @@ from .address import (
 from .atlas import (
     AtlasResult,
     PatchClass,
-    WindowPolicy,
     atlas_ladder,
     compute_atlas,
     entropy_probe,

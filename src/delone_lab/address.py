@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import ExactPointSet, Region
+from .core import ExactPointSet
 from .ergodic import WeightDistribution
 from .errors import (
     DegenerateGeometry,
@@ -418,7 +418,8 @@ def path_displacement_distribution(
 ) -> WeightDistribution:
     """Coordinate displacement along one axis of a box, as a box weight.
 
-    For a box B the weight is the weighted sum over the integer cross-section
+    evaluate takes an (m, n, 2) array of boxes and returns (m, rank). For a
+    box B the weight is the weighted sum over the integer cross-section
     grid of phi at the nearest set point to the far face node minus phi at
     the near face node, grid nodes on the boundary counting half per touching
     face. Nodes must have a set point within R or the window is too small.
@@ -438,16 +439,14 @@ def path_displacement_distribution(
     order = np.lexsort((*ps.addresses.T[::-1], *ps.points.T[::-1]))
     rank = np.argsort(order)  # point -> its place in the tie-break order
 
-    def ev(box: Region):
-        if box.kind != "box":
-            raise InvalidArgument("path displacement is defined on boxes")
-        faces = np.array([iv for j, iv in enumerate(box.intervals) if j != axis]).reshape(-1, 2)
+    def one(box: np.ndarray):
+        faces = np.delete(box, axis, axis=0)
         grids = [np.arange(math.ceil(a - 1e-9), math.floor(b + 1e-9) + 1) for a, b in faces]
         if any(g.size == 0 for g in grids):
             return np.zeros(amap.rank)
         # cross-section nodes in C order, each as a near-face then a far-face node
         cross = np.array(list(itertools.product(*grids)), dtype=float)
-        ends = [float(math.floor(c)) for c in box.intervals[axis]]
+        ends = [float(math.floor(c)) for c in box[axis]]
         nodes = np.insert(np.repeat(cross, 2, axis=0), axis, ends * len(cross), axis=1)
         dist, idx = tree.query(nodes, k=ks)
         lost = dist[:, 0] > R
@@ -460,5 +459,10 @@ def path_displacement_distribution(
         terms = 0.5 ** touching[:, None] * (coords[far] - coords[near]).astype(float)
         # row after row, as a loop adds; a one-column reduce would sum pairwise
         return np.add.accumulate(terms, axis=0)[-1]
+
+    def ev(boxes: np.ndarray) -> np.ndarray:
+        if boxes.shape[1:] != (n, 2):
+            raise InvalidArgument("boxes must be an (m, %d, 2) array, not %s" % (n, boxes.shape))
+        return np.array([one(box) for box in boxes]).reshape(-1, amap.rank)
 
     return WeightDistribution(label=f"path-displacement[axis={axis}]", evaluate=ev, u0=1.0)

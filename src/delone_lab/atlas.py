@@ -27,7 +27,9 @@ from .errors import InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
 FLAG_CAP = 1000  # boundary_flags keeps this many near-threshold (center, distance) pairs
-WINDOW_GROWTH = 2.0  # patch_count_profile: window radius factor per step
+WINDOW_R_FACTOR = 50.0  # patch_count_profile: the first window's radius is this times R
+WINDOW_GROWTH = 2.0  # and grows by this factor per step
+WINDOW_MAX_DOUBLINGS = 4  # for at most this many steps
 
 
 @dataclass
@@ -319,12 +321,6 @@ def _engine_kdtree(ps, cidx, shape, thresh2):
 
 
 @dataclass
-class WindowPolicy:
-    initial_radius: Optional[float] = None  # default 50 * R of the source
-    max_doublings: int = 4
-
-
-@dataclass
 class ProfileEntry:
     T: float
     n_lower: int
@@ -345,7 +341,6 @@ def estimate_R(source: PointSetSource) -> float:
 def patch_count_profile(
     source: PointSetSource,
     T_values: Sequence[float],
-    policy: Optional[WindowPolicy] = None,
     shape: str = "ball",
 ) -> List[ProfileEntry]:
     """Patch counts per T, growing the window until the count stops moving.
@@ -353,17 +348,14 @@ def patch_count_profile(
     Budget exhaustion is not an error; the entry just reports
     stabilized=False at the largest window tried.
     """
-    policy = policy or WindowPolicy()
-    base = policy.initial_radius
-    if base is None:
-        base = 50.0 * estimate_R(source)
     for T in T_values:
         if T <= 0:
             raise InvalidArgument("T values must be positive")
+    base = WINDOW_R_FACTOR * estimate_R(source)
     radius = [max(base, 2.5 * T) for T in T_values]
     out, prev, cache = [None] * len(T_values), {}, {}
     pending = range(len(T_values))
-    for _ in range(policy.max_doublings + 1):
+    for _ in range(WINDOW_MAX_DOUBLINGS + 1):
         # the pending T values that share a window share one atlas ladder
         windows = {}
         for i in pending:

@@ -288,6 +288,8 @@ def atlas(set_name, params, seed, out, fmt, window, t_list, shape):
 )
 def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
     """Certified brackets for the repetitivity function and its shift."""
+    if resolution is not None and not resolution > 0:  # NaN fails too
+        raise InvalidArgument("resolution must be positive")
     source, ps, region = _build(set_name, _parse_params(params), window)
     t_values = _parse_scalar_list(t_list, "--T")
     config = _config(
@@ -329,13 +331,12 @@ def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
 @click.option("--key", default=None, help="JSON list of address offsets; default: most common class")
 def frequencies(set_name, params, seed, out, fmt, window, t_value, key):
     """Per-volume counts of one patch class over a ladder of windows."""
+    patch_key = None if key is None else make_patch_key(_parse_json_text(key, "--key"))
     source, ps, region = _build(set_name, _parse_params(params), window)
     if region.kind != "box":
         raise InvalidArgument("frequencies needs a box window")
     full = compute_atlas(ps, t_value)
-    if key is not None:
-        patch_key = make_patch_key(_parse_json_text(key, "--key"))
-    else:
+    if patch_key is None:
         patch_key = max(full.classes, key=lambda c: (c.centers.shape[0], c.key)).key
     # count inside fractions of the certified part of the window, scaled
     # about its center, so every ladder rung is fully covered by classified
@@ -417,14 +418,15 @@ def wdist(set_name, params, seed, out, fmt, window, u_list, weight):
 @click.option("--peaks", "peaks_only", is_flag=True, help="emit detected peaks instead of the grid")
 def diffraction(set_name, params, seed, out, fmt, window, t_value, kmax, kcount, peaks_only):
     """Pair-difference autocorrelation of one ball window, then its cosine sum."""
+    if kcount < 2:
+        raise InvalidArgument("--kcount must be >= 2")
+    if not np.isfinite(kmax):
+        raise InvalidArgument("k grid must be finite")
     source, ps, region = _build(set_name, _parse_params(params), window)
     if source.dimension != 1:
         raise InvalidArgument("the k-grid sweep is one-dimensional; use the library directly for n >= 2")
-    if kcount < 2:
-        raise InvalidArgument("--kcount must be >= 2")
     ac = autocorrelation(ps, t_value)
-    with np.errstate(invalid="ignore"):  # diffraction_estimate rejects a non-finite kmax
-        grid = np.linspace(0.0, kmax, kcount).reshape(-1, 1)
+    grid = np.linspace(0.0, kmax, kcount).reshape(-1, 1)
     spec = diffraction_estimate(ac, grid)
     config = _config(
         "diffraction",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -176,7 +177,10 @@ class Region:
 
 
 def make_patch_key(diffs: Iterable[Sequence[int]]) -> tuple:
-    key = tuple(sorted(tuple(int(c) for c in d) for d in diffs))
+    try:
+        key = tuple(sorted(tuple(operator.index(c) for c in d) for d in diffs))
+    except TypeError as exc:
+        raise InvalidArgument("a patch key is a list of integer vectors: %s" % exc) from exc
     validate_patch_key(key)
     return key
 

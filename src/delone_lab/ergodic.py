@@ -6,11 +6,11 @@ normalize by volume, and report the spread between the largest and smallest
 densities. For uniquely ergodic constructions the spread collapses as U
 grows; the hierarchical two-colorings keep it above an exact product floor.
 
-Point-count weights sort the points on the first axis once. A box query
-bisects the slab of points whose first coordinate passes the box's first
-interval, with the same closed faces and REGION_SLACK as Region.contains, and
-tests only that slab against the whole box; in one dimension the slab is the
-count. Ball queries test every point.
+Weights evaluate m boxes at once, given as an (m, n, 2) array laid out like
+Region.intervals. Point-count weights sort the points on the first axis once;
+a box bisects the slab of points whose first coordinate passes its first
+interval, with the closed faces and REGION_SLACK of Region.contains. In one
+dimension the slab is the count; otherwise each box tests only its slab.
 """
 
 from __future__ import annotations
@@ -34,42 +34,41 @@ PROFILE_RANDOM_BOXES = 200  # and this many seeded random boxes per U
 @dataclass
 class WeightDistribution:
     label: str
-    evaluate: Callable[[Region], float]  # box -> weight
+    evaluate: Callable[[np.ndarray], np.ndarray]  # (m, n, 2) boxes -> (m,) or (m, k) weights
     u0: float  # profiles only make sense for U above this
 
 
 def volume_weight(n: int) -> WeightDistribution:
-    return WeightDistribution(label="volume", evaluate=lambda box: box.volume(), u0=0.0)
+    def volume(boxes):
+        return np.prod(boxes[:, :, 1] - boxes[:, :, 0], axis=1)
+
+    return WeightDistribution(label="volume", evaluate=volume, u0=0.0)
 
 
-def _slab_counter(points: np.ndarray) -> Callable[[Region], float]:
-    """Region -> float(np.count_nonzero(region.contains(points))), with a
-    box tested only on its slab a - REGION_SLACK <= x_0 <= b + REGION_SLACK."""
-    pts = points[np.argsort(points[:, 0], kind="stable")]
-    x0 = pts[:, 0]
+def _slab_counter(points: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """(m, n, 2) boxes -> the number of points Region.contains finds in each,
+    testing only the slab a - REGION_SLACK <= x_0 <= b + REGION_SLACK."""
+    pts = np.ascontiguousarray(points[np.argsort(points[:, 0], kind="stable")].T)  # a row per axis
+    x0 = pts[0]
+    n = pts.shape[0]
 
-    def count(region: Region) -> float:
-        if pts.shape[0] == 0:
-            return 0.0
-        if region.kind != "box":
-            return float(np.count_nonzero(region.contains(pts)))
-        a, b = region.intervals[0]
-        i0 = np.searchsorted(x0, a - REGION_SLACK, "left")
-        i1 = np.searchsorted(x0, b + REGION_SLACK, "right")
-        if region.dimension == pts.shape[1] == 1:
-            return float(i1 - i0)
-        return float(np.count_nonzero(region.contains(pts[i0:i1])))
+    def count(boxes):
+        if boxes.shape[1:] != (n, 2):
+            raise InvalidArgument("boxes must be an (m, %d, 2) array, not %s" % (n, boxes.shape))
+        lo, hi = boxes[:, :, :1] - REGION_SLACK, boxes[:, :, 1:] + REGION_SLACK
+        i0 = np.searchsorted(x0, lo[:, 0, 0], "left")
+        i1 = np.searchsorted(x0, hi[:, 0, 0], "right")
+        if n == 1:
+            return (i1 - i0).astype(float)
+        slabs = (pts[:, s:e] for s, e in zip(i0.tolist(), i1.tolist()))
+        inside = (((p >= a) & (p <= b)).all(axis=0) for p, a, b in zip(slabs, lo, hi))
+        return np.array([np.count_nonzero(m) for m in inside], dtype=float)
 
     return count
 
 
 def point_count_weight(ps: ExactPointSet) -> WeightDistribution:
-    """Number of window points inside the box (closed faces).
-
-    Counts bisect a slab of the points sorted on the first axis (see the
-    module docstring), so a box costs a bisection plus a test of the points
-    in its slab rather than of the whole window.
-    """
+    """Number of window points inside each box (closed faces)."""
     return WeightDistribution(label="point-count", evaluate=_slab_counter(ps.points), u0=0.0)
 
 
@@ -115,8 +114,7 @@ def density_profile(
     if window.kind != "box":
         raise InvalidArgument("density profiles need a box window")
     n = window.dimension
-    lo = np.array([a for a, _ in window.intervals])
-    hi = np.array([b for _, b in window.intervals])
+    lo, hi = np.array(window.intervals).T
     span = hi - lo
     Us = sorted(float(u) for u in U_values)
     if not Us:
@@ -137,14 +135,14 @@ def density_profile(
         counts = np.floor(span / U).astype(int)
         total = int(np.prod(counts))
         stride = max(1, math.ceil(total / PROFILE_TILING_CAP))
-        idx = np.unravel_index(np.arange(0, total, stride), counts)
-        boxes = [Region.box(list(zip(a, a + U))) for a in lo + np.stack(idx, axis=1) * U]
-        for _ in range(PROFILE_RANDOM_BOXES):
-            sides = U * (1.0 + rng.random(n))
-            sides = np.minimum(sides, span)
-            a = lo + rng.random(n) * (span - sides)
-            boxes.append(Region.box(list(zip(a, a + sides))))
-        dens = np.array([float(weight.evaluate(b)) / b.volume() for b in boxes])
+        corners = lo + np.stack(np.unravel_index(np.arange(0, total, stride), counts), axis=1) * U
+        # per random box: n side draws, then n corner draws
+        draws = rng.random((PROFILE_RANDOM_BOXES, 2, n))
+        sides = np.minimum(U * (1.0 + draws[:, 0]), span)
+        starts = lo + draws[:, 1] * (span - sides)
+        a = np.concatenate([corners, starts])
+        b = np.concatenate([corners + U, starts + sides])
+        dens = weight.evaluate(np.stack([a, b], axis=2)) / np.prod(b - a, axis=1)
         f_plus = float(dens.max())
         f_minus = float(dens.min())
         rows.append(
@@ -154,7 +152,7 @@ def density_profile(
                 f_minus=f_minus,
                 f_zero_median=float(np.median(dens)),
                 delta=f_plus - f_minus,
-                n_boxes=len(boxes),
+                n_boxes=len(dens),
             )
         )
     trend = all(

@@ -230,10 +230,13 @@ def repetitivity_ladder(
 ) -> List[RepetitivityResult]:
     """repetitivity_function for each T, in order, over one atlas ladder.
 
-    Errors are those of a loop over T_values: the ladder stops short of the
-    first T that is not positive or whose evaluation region empties, and
-    that T builds its own atlas and raises its own error.
+    A resolution that is not positive is rejected first. Otherwise errors are
+    those of a loop over T_values: the ladder stops short of the first T that
+    is not positive or whose evaluation region empties, and that T builds its
+    own atlas and raises its own error.
     """
+    if resolution is not None and not resolution > 0:  # NaN fails too
+        raise InvalidArgument("resolution must be positive")
     k = 0
     for T in T_values:
         if not (T > 0):
@@ -265,12 +268,7 @@ class GrowthReport:
     caveat: str
 
 
-def growth_classification(
-    source: PointSetSource,
-    T_values: Sequence[float],
-    window_radius: Optional[float] = None,
-    resolution: Optional[float] = None,
-) -> GrowthReport:
+def growth_classification(source: PointSetSource, T_values: Sequence[float]) -> GrowthReport:
     """Classify M(T) growth over a sweep, from finite windows only.
 
     Needs at least 4 certified T values spanning a factor of 8. Slopes are
@@ -288,12 +286,12 @@ def growth_classification(
     # the T values that share a window share one atlas ladder
     windows: Dict[float, tuple] = {}
     for T in Ts:
-        radius = window_radius if window_radius is not None else max(50.0 * R, 6.0 * T)
+        radius = max(50.0 * R, 6.0 * T)
         windows.setdefault(round(radius, 9), (radius, []))[1].append(T)
     results = []
     for radius, group in windows.values():
         ps = source.materialize(Region.centered_box(source.dimension, radius))
-        results += repetitivity_ladder(ps, group, resolution=resolution)
+        results += repetitivity_ladder(ps, group)
 
     rows = [(r.T, r.n_lower, r.M_lower, r.M_upper) for r in results]
     logT = np.log([r.T for r in results])

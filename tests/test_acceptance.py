@@ -290,7 +290,7 @@ def test_10_address_map_fits_agree(monkeypatch):
         problems.append("window holds only %d points" % len(ps))
 
     wd = path_displacement_distribution(ps, amap, axis=0, R=2.0)
-    L_path = np.asarray(wd.evaluate(Region.box([(0.0, 1000.0)]))) / 1000.0
+    L_path = wd.evaluate(np.array([[[0.0, 1000.0]]]))[0] / 1000.0
     L_ls = fit.L[:, 0]
     rel = float(np.linalg.norm(L_path - L_ls) / np.linalg.norm(L_ls))
     if rel > 0.02:

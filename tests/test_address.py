@@ -346,14 +346,15 @@ class TestPathDisplacement:
         ps = gen_integer_lattice(2).materialize(Region.box([(-5, 5)] * 2))
         amap = build_address_map(ps)
         wd = path_displacement_distribution(ps, amap, axis=0, R=1.0)
-        val = wd.evaluate(Region.box([(0, 2), (0, 2)]))
-        assert np.allclose(val, [4.0, 0.0])
+        val = wd.evaluate(np.array([[[0, 2], [0, 2]], [[-1, 3], [0.5, 1.5]]]))
+        assert np.allclose(val, [[4.0, 0.0], [4.0, 0.0]])
+        assert wd.evaluate(np.zeros((0, 2, 2))).shape == (0, 2)
 
     def test_lattice_1d(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(-10, 10)]))
         amap = build_address_map(ps)
         wd = path_displacement_distribution(ps, amap, axis=0, R=0.5)
-        assert np.allclose(wd.evaluate(Region.box([(0, 7)])), [7.0])
+        assert np.allclose(wd.evaluate(np.array([[[0, 7]]])), [[7.0]])
 
     def test_axis_and_R_validation(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(-10, 10)]))
@@ -368,7 +369,9 @@ class TestPathDisplacement:
         amap = build_address_map(ps)
         wd = path_displacement_distribution(ps, amap, axis=0, R=1.0)
         with pytest.raises(InvalidArgument):
-            wd.evaluate(Region.ball([0.0, 0.0], 2.0))
+            wd.evaluate(np.array([[[0.0, 2.0]]]))
+        with pytest.raises(InvalidArgument):
+            wd.evaluate(np.array([[0.0, 2.0], [0.0, 2.0]]))
 
 
 def per_node_weight(ps, amap, axis, R):
@@ -466,6 +469,11 @@ def path_set(name, c):
     return ps, build_address_map(ps)
 
 
+def one_box(wd):
+    """The weight of a single box, through the (1, n, 2) array it evaluates."""
+    return lambda box: wd.evaluate(np.array([box.intervals]))[0]
+
+
 def outcome(fn, box):
     try:
         return "value", fn(box).tobytes()
@@ -496,7 +504,7 @@ class TestPathDisplacementOracle:
             a = c + data.draw(st.sampled_from(FACE_STARTS))
             ivs.append((a, a + data.draw(st.sampled_from(WIDTHS))))
         box = Region.box(ivs)
-        got = outcome(path_displacement_distribution(ps, amap, axis, R).evaluate, box)
+        got = outcome(one_box(path_displacement_distribution(ps, amap, axis, R)), box)
         assert got == outcome(per_node_weight(ps, amap, axis, R), box)
 
     @pytest.mark.parametrize("name", ["z2-holes", "coincident"])
@@ -508,18 +516,18 @@ class TestPathDisplacementOracle:
         ps, amap = path_set(name, 0)
         box = Region.box([(0.0, 1.0)] + [(-0.5, 0.5)] * (ps.dimension - 1))
         wd = path_displacement_distribution(ps, amap, axis=0, R=1.0)
-        assert outcome(wd.evaluate, box) == outcome(per_node_weight(ps, amap, 0, 1.0), box)
+        assert outcome(one_box(wd), box) == outcome(per_node_weight(ps, amap, 0, 1.0), box)
         coords = amap.phi(ps.addresses)
         near = {"z2-holes": [-1, 0], "coincident": [-1, 1]}[name]
         far = {"z2-holes": [1, -1], "coincident": [0, 1]}[name]
         i_near = int(np.flatnonzero((ps.addresses == near).all(axis=1))[0])
         i_far = int(np.flatnonzero((ps.addresses == far).all(axis=1))[0])
-        assert np.array_equal(wd.evaluate(box), (coords[i_far] - coords[i_near]).astype(float))
+        assert np.array_equal(one_box(wd)(box), (coords[i_far] - coords[i_near]).astype(float))
 
     def test_window_too_small_names_the_first_node(self):
         ps, amap = path_set("z2-holes", 0)
         wd = path_displacement_distribution(ps, amap, axis=1, R=0.5)
         box = Region.box([(-1.0, 1.0), (0.0, 2.0)])
         with pytest.raises(WindowTooSmall, match=r"grid node \[0\.0, 0\.0\]"):
-            wd.evaluate(box)
-        assert outcome(wd.evaluate, box) == outcome(per_node_weight(ps, amap, 1, 0.5), box)
+            one_box(wd)(box)
+        assert outcome(one_box(wd), box) == outcome(per_node_weight(ps, amap, 1, 0.5), box)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import delone_lab.atlas as atlas_mod
 from delone_lab.atlas import (
-    WindowPolicy,
     _engine_kdtree,
     _engine_lattice,
     _erosion_margin,
@@ -646,20 +645,22 @@ class TestProfile:
         assert len(rep.rows) == 3
         assert rep.rows[0] == (1.0, pytest.approx(math.log(3.0)))
 
-    def test_budget_exhaustion_is_not_an_error(self):
-        policy = WindowPolicy(initial_radius=4.0, max_doublings=0)
-        prof = patch_count_profile(gen_fibonacci(), [1.2], policy=policy)
+    def test_budget_exhaustion_is_not_an_error(self, monkeypatch):
+        monkeypatch.setattr(atlas_mod, "WINDOW_R_FACTOR", 4.0 / estimate_R(gen_fibonacci()))
+        monkeypatch.setattr(atlas_mod, "WINDOW_MAX_DOUBLINGS", 0)
+        prof = patch_count_profile(gen_fibonacci(), [1.2])
         assert prof[0].stabilized is False
-        assert prof[0].window_radius == 4.0
+        assert prof[0].window_radius == pytest.approx(4.0)
 
     def test_bad_T_rejected(self):
         with pytest.raises(InvalidArgument):
             patch_count_profile(gen_fibonacci(), [-1.0])
 
-    def test_window_doubles_until_stable(self):
+    def test_window_doubles_until_stable(self, monkeypatch):
         # the first window (2.5 T = 10) has nothing to compare with
-        policy = WindowPolicy(initial_radius=4.0, max_doublings=1)
-        prof = patch_count_profile(gen_fibonacci(), [4.0], policy=policy)
+        monkeypatch.setattr(atlas_mod, "WINDOW_R_FACTOR", 4.0 / estimate_R(gen_fibonacci()))
+        monkeypatch.setattr(atlas_mod, "WINDOW_MAX_DOUBLINGS", 1)
+        prof = patch_count_profile(gen_fibonacci(), [4.0])
         assert prof[0].stabilized and prof[0].window_radius == 20.0
 
     def test_estimate_R_without_declared_R(self):
@@ -671,8 +672,9 @@ class TestProfile:
         gaps = np.diff(np.sort(src.materialize(Region.centered_box(1, 25.0)).points[:, 0]))
         assert estimate_R(src) == pytest.approx(gaps.max() / 2.0) == pytest.approx(0.5)
 
-    def test_entropy_skips_unstabilized(self):
-        policy = WindowPolicy(initial_radius=4.0, max_doublings=0)
-        prof = patch_count_profile(gen_fibonacci(), [1.2], policy=policy)
+    def test_entropy_skips_unstabilized(self, monkeypatch):
+        monkeypatch.setattr(atlas_mod, "WINDOW_R_FACTOR", 4.0 / estimate_R(gen_fibonacci()))
+        monkeypatch.setattr(atlas_mod, "WINDOW_MAX_DOUBLINGS", 0)
+        prof = patch_count_profile(gen_fibonacci(), [1.2])
         rep = entropy_probe(prof, 1)
         assert rep.rows == [] and rep.c0_empirical is None

@@ -12,13 +12,15 @@ import sys
 import numpy as np
 import pytest
 
+import delone_lab.cli as cli_mod
+import delone_lab.repetitivity as repetitivity_mod
 import delone_lab.verify as verify_mod
 from delone_lab.atlas import compute_atlas
 from delone_lab.cli import main
 from delone_lab.core import ExactPointSet, FloatPointSet, Region, make_patch_key
 from delone_lab.ergodic import WeightDistribution, density_profile
 from delone_lab.errors import ResourceLimit
-from delone_lab.generators import TwoColorStructure, build_source
+from delone_lab.generators import PointSetSource, TwoColorStructure, build_source
 from delone_lab.verify import CheckResult
 
 
@@ -305,9 +307,10 @@ class TestAnalysisCommands:
         config, _, rows = parse_csv(capsys.readouterr().out)
         st = TwoColorStructure(1, config["params"]["a"])
 
-        def white(box):
-            (a, b), = box.intervals
-            return float(st.white_count_in_box([math.ceil(a)], [math.floor(b) + 1]))
+        def white(boxes):
+            return np.array(
+                [float(st.white_count_in_box([math.ceil(a)], [math.floor(b) + 1])) for (a, b), in boxes]
+            )
 
         wd = WeightDistribution(label="white", evaluate=white, u0=0.0)
         prof = density_profile(wd, Region.from_json(config["window"]), config["U"], seed=0)
@@ -596,6 +599,25 @@ class TestExitCodes:
     def test_non_finite_kmax_is_1(self, capsys, kmax):
         assert run_cli(["diffraction", "--set", "fibonacci", "--kmax", kmax]) == 1
         assert capsys.readouterr().err == "bad configuration: k grid must be finite\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["repetitivity", "--window", "20000", "--resolution", "-1"],
+            ["diffraction", "--window", "2000", "--T", "1500", "--kmax", "nan"],
+            ["frequencies", "--window", "20000", "--key", '[[0], ["x"]]'],
+        ],
+        ids=["resolution", "kmax", "key"],
+    )
+    def test_bad_option_stops_before_the_set_is_built(self, monkeypatch, capsys, args):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("ran before the options were checked")
+
+        monkeypatch.setattr(PointSetSource, "materialize", forbidden)
+        monkeypatch.setattr(repetitivity_mod, "atlas_ladder", forbidden)
+        monkeypatch.setattr(cli_mod, "autocorrelation", forbidden)
+        assert run_cli([args[0], "--set", "fibonacci", *args[1:]]) == 1
+        assert capsys.readouterr().err.startswith("bad configuration: ")
 
     @pytest.mark.parametrize("resolution", ["-1", "0", "nan"])
     @pytest.mark.parametrize("set_name", ["fibonacci", "zn"])

@@ -116,6 +116,13 @@ class TestPatchKeys:
         with pytest.raises(InvalidArgument):
             make_patch_key([(0,), (1,), (1,)])
 
+    @pytest.mark.parametrize(
+        "diffs", [5, [0, 1], [(0,), ("x",)], [(0,), ("2",)], [(0,), (1.5,)], [(0,), (None,)]]
+    )
+    def test_entries_that_are_not_integer_vectors(self, diffs):
+        with pytest.raises(InvalidArgument, match="list of integer vectors"):
+            make_patch_key(diffs)
+
     @given(
         st.sets(
             st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=0, max_size=8

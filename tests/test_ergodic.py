@@ -28,23 +28,33 @@ from delone_lab.generators import (
 )
 
 
+def boxes_of(*regions):
+    """An (m, n, 2) box array, one Region.intervals per box."""
+    return np.array([r.intervals for r in regions])
+
+
 class TestWeights:
     def test_volume_is_exact(self):
         wd = volume_weight(2)
-        assert wd.evaluate(Region.box([(0, 3), (0, 4)])) == 12.0
+        assert wd.evaluate(boxes_of(Region.box([(0, 3), (0, 4)]))).tolist() == [12.0]
 
     def test_point_count_closed_faces(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(-50, 50)]))
         wd = point_count_weight(ps)
-        assert wd.evaluate(Region.box([(0, 10)])) == 11.0
-        assert wd.evaluate(Region.box([(0.5, 9.5)])) == 9.0
+        got = wd.evaluate(boxes_of(Region.box([(0, 10)]), Region.box([(0.5, 9.5)])))
+        assert got.tolist() == [11.0, 9.0]
 
     def test_white_count_matches_structure(self):
         src = gen_two_color(1, [16, 32, 64, 128])
         ps = src.materialize(Region.box([(-20, 20)]))
         wd = white_point_count_weight(ps)
         st = src.extras["structure"]
-        assert wd.evaluate(Region.box([(-0.2, 7.2)])) == st.white_count_in_box([0], [8])
+        assert wd.evaluate(boxes_of(Region.box([(-0.2, 7.2)])))[0] == st.white_count_in_box([0], [8])
+
+    def test_no_boxes(self):
+        ps = gen_integer_lattice(2).materialize(Region.centered_box(2, 3.0))
+        assert point_count_weight(ps).evaluate(np.zeros((0, 2, 2))).shape == (0,)
+        assert volume_weight(2).evaluate(np.zeros((0, 2, 2))).shape == (0,)
 
 
 # box faces on point coordinates, a hair inside or outside them, or elsewhere
@@ -52,7 +62,7 @@ FACE_SHIFTS = [0.0, 1e-9, -1e-9, 2e-9, -2e-9, 1e-12, 0.5]
 
 
 @st.composite
-def points_and_region(draw):
+def points_and_boxes(draw):
     n = draw(st.integers(min_value=1, max_value=3))
     m = draw(st.integers(min_value=0, max_value=40))
     coord = st.one_of(
@@ -71,24 +81,23 @@ def points_and_region(draw):
             base = draw(st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
         return base + draw(st.sampled_from(FACE_SHIFTS))
 
-    if draw(st.integers(min_value=0, max_value=4)) == 0:
-        center = [face(i) for i in range(n)]
-        radius = draw(st.floats(min_value=0.0, max_value=8.0, allow_nan=False))
-        return pts, Region.ball(center, radius)
-    intervals = []
-    for i in range(n):
-        a, b = sorted((face(i), face(i)))
-        intervals.append((a, b if b > a else a + 1.0))
-    return pts, Region.box(intervals)
+    def box():
+        intervals = []
+        for i in range(n):
+            a, b = sorted((face(i), face(i)))
+            intervals.append((a, b if b > a else a + 1.0))
+        return Region.box(intervals)
+
+    return pts, [box() for _ in range(draw(st.integers(min_value=1, max_value=8)))]
 
 
 class TestSlabCounter:
-    @settings(max_examples=400, deadline=None)
-    @given(points_and_region())
+    @settings(max_examples=120, deadline=None)
+    @given(points_and_boxes())
     def test_equals_contains_count(self, case):
-        pts, region = case
-        expected = float(np.count_nonzero(region.contains(pts))) if len(pts) else 0.0
-        assert _slab_counter(pts)(region) == expected
+        pts, boxes = case
+        expected = [float(np.count_nonzero(b.contains(pts))) if len(pts) else 0.0 for b in boxes]
+        assert _slab_counter(pts)(boxes_of(*boxes)).tolist() == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_faces_on_and_beside_coordinates(self, n):
@@ -96,25 +105,28 @@ class TestSlabCounter:
         pts = rng.integers(-4, 5, size=(200, n)).astype(float) + rng.choice(
             [0.0, 1e-9, -1e-9, 0.25], size=(200, n)
         )
-        count = _slab_counter(pts)
-        for shift_a in FACE_SHIFTS:
-            for shift_b in FACE_SHIFTS:
-                box = Region.box([(-2 + shift_a, 1 + shift_b)] * n)
-                assert count(box) == np.count_nonzero(box.contains(pts))
+        boxes = [
+            Region.box([(-2 + shift_a, 1 + shift_b)] * n)
+            for shift_a in FACE_SHIFTS
+            for shift_b in FACE_SHIFTS
+        ]
+        expected = [np.count_nonzero(box.contains(pts)) for box in boxes]
+        assert _slab_counter(pts)(boxes_of(*boxes)).tolist() == expected
 
     def test_empty_set_and_boxes_outside(self):
         for n in (1, 2, 3):
-            assert _slab_counter(np.zeros((0, n)))(Region.centered_box(n, 5.0)) == 0.0
+            assert _slab_counter(np.zeros((0, n)))(boxes_of(Region.centered_box(n, 5.0))).tolist() == [0.0]
             pts = np.arange(3 * n, dtype=float).reshape(3, n)
             far = Region.box([(100.0, 101.0)] * n)
-            assert _slab_counter(pts)(far) == 0.0
-            assert _slab_counter(pts)(Region.ball([-50.0] * n, 3.0)) == 0.0
+            assert _slab_counter(pts)(boxes_of(far)).tolist() == [0.0]
 
     def test_dimension_mismatch_raises_like_contains(self):
         with pytest.raises(InvalidArgument):
-            _slab_counter(np.zeros((4, 1)))(Region.centered_box(2, 1.0))
+            _slab_counter(np.zeros((4, 1)))(boxes_of(Region.centered_box(2, 1.0)))
         with pytest.raises(InvalidArgument):
-            _slab_counter(np.zeros((4, 2)))(Region.centered_box(1, 1.0))
+            _slab_counter(np.zeros((4, 2)))(boxes_of(Region.centered_box(1, 1.0)))
+        with pytest.raises(InvalidArgument):
+            _slab_counter(np.zeros((4, 2)))(np.zeros((2, 2)))
 
     def test_white_mask_on_two_color_window(self):
         src = gen_two_color(2, [100, 400])
@@ -123,16 +135,18 @@ class TestSlabCounter:
         white = ps.addresses[:, 0] % 3 == 0
         assert 0 < np.count_nonzero(white) < len(ps)
         rng = np.random.default_rng(5)
+        boxes = []
         for _ in range(60):
             lo = rng.uniform(-14.0, 10.0, size=2)
-            box = Region.box(list(zip(lo, lo + rng.uniform(0.1, 8.0, size=2))))
-            assert wd.evaluate(box) == np.count_nonzero(box.contains(ps.points) & white)
+            boxes.append(Region.box(list(zip(lo, lo + rng.uniform(0.1, 8.0, size=2)))))
+        expected = [np.count_nonzero(box.contains(ps.points) & white) for box in boxes]
+        assert wd.evaluate(boxes_of(*boxes)).tolist() == expected
 
     def test_weights_of_an_empty_set(self):
         ps = ExactPointSet(2, 2, np.eye(2), np.zeros((0, 2)), Region.centered_box(2, 3.0))
-        box = Region.centered_box(2, 1.0)
-        assert point_count_weight(ps).evaluate(box) == 0.0
-        assert white_point_count_weight(ps).evaluate(box) == 0.0
+        boxes = boxes_of(Region.centered_box(2, 1.0))
+        assert point_count_weight(ps).evaluate(boxes).tolist() == [0.0]
+        assert white_point_count_weight(ps).evaluate(boxes).tolist() == [0.0]
 
 
 class TestDensityProfile:
@@ -161,6 +175,29 @@ class TestDensityProfile:
         assert [(r.f_plus, r.f_minus, r.delta) for r in a.rows] == [
             (r.f_plus, r.f_minus, r.delta) for r in b.rows
         ]
+
+    @pytest.mark.parametrize(
+        "name, source, half, rows",
+        [
+            ("fibonacci", gen_fibonacci(), 4000.0, [
+                (4.000001, 0.9387285468500358, 0.48623000126318344, 0.7499998125000473, 0.4524985455868524, 700),
+                (8.000001, 0.8447124959530317, 0.6101768598272449, 0.7499999062500013, 0.23453563612578676, 700),
+                (16.000001, 0.7741824044841115, 0.6778590023005783, 0.7323008553506586, 0.09632340218353319, 699),
+            ]),
+            ("z2", gen_integer_lattice(2), 60.0, [
+                (4.000001, 1.562499218750295, 0.7828564971163163, 0.999999500000188, 0.7796427216339787, 621),
+                (8.000001, 1.2656246835938103, 0.8658529975683901, 0.9999997500000476, 0.39977168602542024, 396),
+                (16.000001, 1.1289061088867323, 0.9377887475246289, 0.999999875000012, 0.19111736136210333, 249),
+            ]),
+        ],
+    )
+    def test_pinned_count_rows(self, name, source, half, rows):
+        # seed 0, the default U values: the random boxes draw n sides, then
+        # n corners per box, and densities are count / product of the sides
+        ps = source.materialize(Region.centered_box(source.dimension, half))
+        prof = density_profile(point_count_weight(ps), ps.region, [4.000001, 8.000001, 16.000001])
+        got = [(r.U, r.f_plus, r.f_minus, r.f_zero_median, r.delta, r.n_boxes) for r in prof.rows]
+        assert got == rows
 
     def test_window_validation(self):
         with pytest.raises(InsufficientWindow):

@@ -282,12 +282,20 @@ class TestRepetitivityFunction:
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
-    def test_resolution_must_be_positive(self, dimension, bad):
+    def test_resolution_must_be_positive(self, dimension, bad, monkeypatch):
         # 1-D brackets are exact and ignore the resolution, but a bad one is
         # still rejected, as on Z^2
         ps = gen_integer_lattice(dimension).materialize(Region.centered_box(dimension, 8.0))
         with pytest.raises(InvalidArgument, match="resolution must be positive"):
             repetitivity_function(ps, 1.0, resolution=bad)
+
+        # a ladder rejects it before it builds any atlas
+        def no_ladder(*_args, **_kwargs):
+            raise AssertionError("the atlas ladder ran")
+
+        monkeypatch.setattr(repetitivity, "atlas_ladder", no_ladder)
+        with pytest.raises(InvalidArgument, match="resolution must be positive"):
+            repetitivity.repetitivity_ladder(ps, [1.0, 2.0], resolution=bad)
 
 
 class TestGrowthClassification:
