@@ -186,10 +186,20 @@ def _emit(
         sys.stdout.write(text)
 
 
-def _build(set_name: str, params: dict, window: str):
-    source = build_source(set_name.replace("-", "_"), params)
+def _source(command: str, set_name: str, params: Optional[str], window: str, seed: int, extra: Sequence[str] = (), **fields):
+    """The cheap prologue of every set command: the construction recipe, the
+    window parsed against its dimension, and the artifact config. Nothing is
+    materialized here. A command parses every option before this call, runs
+    the checks that need only the source or the region after it, and then
+    calls `source.materialize(region)` once."""
+    merged = _parse_params(params)
+    merged.update(_extra_params(extra))
+    source = build_source(set_name.replace("-", "_"), merged)
     region = _parse_window(window, source.dimension)
-    return source, source.materialize(region), region
+    config = _config(
+        command, set=source.name, params=source.params, window=region.to_json(), seed=seed, **fields
+    )
+    return source, region, config
 
 
 def _common_options(f):
@@ -229,17 +239,9 @@ def generate(set_name, params, seed, out, fmt, window, extra):
     Unknown trailing flags become construction parameters, so
     `generate --set zn --n 2 --window 5` selects the square lattice.
     """
-    merged = _parse_params(params)
-    merged.update(_extra_params(extra))
-    source, ps, region = _build(set_name, merged, window)
-    config = _config(
-        "generate",
-        set=source.name,
-        params=source.params,
-        window=region.to_json(),
-        seed=seed,
-        count=len(ps.addresses),
-    )
+    source, region, config = _source("generate", set_name, params, window, seed, extra)
+    ps = source.materialize(region)
+    config["count"] = len(ps.addresses)
     n, rank = ps.dimension, ps.rank
     columns = ["x%d" % i for i in range(n)] + ["a%d" % j for j in range(rank)] + ["tag"]
     rows = [
@@ -258,17 +260,9 @@ def generate(set_name, params, seed, out, fmt, window, extra):
 @click.option("--shape", default="ball", show_default=True, type=click.Choice(["ball", "cube"]))
 def atlas(set_name, params, seed, out, fmt, window, t_list, shape):
     """Count patch classes on certified interior centers."""
-    source, ps, region = _build(set_name, _parse_params(params), window)
     t_values = _parse_scalar_list(t_list, "--T")
-    config = _config(
-        "atlas",
-        set=source.name,
-        params=source.params,
-        window=region.to_json(),
-        T=t_values,
-        shape=shape,
-        seed=seed,
-    )
+    source, region, config = _source("atlas", set_name, params, window, seed, T=t_values, shape=shape)
+    ps = source.materialize(region)
     columns = ["T", "classes", "centers", "boundary_flags", "engine", "tag"]
     rows = []
     for T, res in zip(t_values, atlas_ladder(ps, t_values, shape=shape)):
@@ -290,17 +284,11 @@ def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
     """Certified brackets for the repetitivity function and its shift."""
     if resolution is not None and not resolution > 0:  # NaN fails too
         raise InvalidArgument("resolution must be positive")
-    source, ps, region = _build(set_name, _parse_params(params), window)
     t_values = _parse_scalar_list(t_list, "--T")
-    config = _config(
-        "repetitivity",
-        set=source.name,
-        params=source.params,
-        window=region.to_json(),
-        T=t_values,
-        resolution=resolution,
-        seed=seed,
+    source, region, config = _source(
+        "repetitivity", set_name, params, window, seed, T=t_values, resolution=resolution
     )
+    ps = source.materialize(region)
     columns = [
         "T",
         "classes",
@@ -332,12 +320,14 @@ def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
 def frequencies(set_name, params, seed, out, fmt, window, t_value, key):
     """Per-volume counts of one patch class over a ladder of windows."""
     patch_key = None if key is None else make_patch_key(_parse_json_text(key, "--key"))
-    source, ps, region = _build(set_name, _parse_params(params), window)
+    source, region, config = _source("frequencies", set_name, params, window, seed, T=t_value)
     if region.kind != "box":
         raise InvalidArgument("frequencies needs a box window")
+    ps = source.materialize(region)
     full = compute_atlas(ps, t_value)
     if patch_key is None:
         patch_key = max(full.classes, key=lambda c: (c.centers.shape[0], c.key)).key
+    config["key"] = [list(v) for v in patch_key]
     # count inside fractions of the certified part of the window, scaled
     # about its center, so every ladder rung is fully covered by classified
     # centers wherever the window sits
@@ -347,15 +337,6 @@ def frequencies(set_name, params, seed, out, fmt, window, t_value, key):
         Region.box([(c - h * s, c + h * s) for (c, h) in mid_half])
         for s in (0.4, 0.6, 0.8, 1.0)
     ]
-    config = _config(
-        "frequencies",
-        set=source.name,
-        params=source.params,
-        window=region.to_json(),
-        T=t_value,
-        key=[list(v) for v in patch_key],
-        seed=seed,
-    )
     columns = ["region", "count", "volume", "frequency", "tag"]
     rows = []
     for row in patch_frequency(ps, patch_key, t_value, ladder, atlas=full):
@@ -383,23 +364,17 @@ def frequencies(set_name, params, seed, out, fmt, window, t_value, key):
 )
 def wdist(set_name, params, seed, out, fmt, window, u_list, weight):
     """Upper/lower averaged densities of a local weight over boxes of side U."""
-    source, ps, region = _build(set_name, _parse_params(params), window)
     u_values = _parse_scalar_list(u_list, "--U")
+    source, region, config = _source("wdist", set_name, params, window, seed, U=u_values, weight=weight)
+    if weight == "white" and source.name != "two_color":
+        raise InvalidArgument("--weight white counts the white points of --set two-color only")
+    ps = source.materialize(region)
     if weight == "vol":
         wd = volume_weight(source.dimension)
     elif weight == "count":
         wd = point_count_weight(ps)
     else:
         wd = white_point_count_weight(ps)
-    config = _config(
-        "wdist",
-        set=source.name,
-        params=source.params,
-        window=region.to_json(),
-        U=u_values,
-        weight=weight,
-        seed=seed,
-    )
     prof = density_profile(wd, region, u_values, seed=seed)
     columns = ["U", "f_plus", "f_minus", "f_median", "delta", "boxes", "tag"]
     rows = [
@@ -422,24 +397,17 @@ def diffraction(set_name, params, seed, out, fmt, window, t_value, kmax, kcount,
         raise InvalidArgument("--kcount must be >= 2")
     if not np.isfinite(kmax):
         raise InvalidArgument("k grid must be finite")
-    source, ps, region = _build(set_name, _parse_params(params), window)
+    source, region, config = _source(
+        "diffraction", set_name, params, window, seed,
+        T=t_value, kmax=kmax, kcount=kcount, peaks=bool(peaks_only),
+    )
     if source.dimension != 1:
         raise InvalidArgument("the k-grid sweep is one-dimensional; use the library directly for n >= 2")
+    ps = source.materialize(region)
     ac = autocorrelation(ps, t_value)
     grid = np.linspace(0.0, kmax, kcount).reshape(-1, 1)
     spec = diffraction_estimate(ac, grid)
-    config = _config(
-        "diffraction",
-        set=source.name,
-        params=source.params,
-        window=region.to_json(),
-        T=t_value,
-        kmax=kmax,
-        kcount=kcount,
-        peaks=bool(peaks_only),
-        seed=seed,
-        pairs=ac.point_count,
-    )
+    config["pairs"] = ac.point_count
     if peaks_only:
         columns = ["k", "intensity", "tag"]
         rows = [[float(p.k[0]), float(p.intensity), "float-sum"] for p in detect_peaks(spec)]
@@ -457,17 +425,11 @@ def diffraction(set_name, params, seed, out, fmt, window, t_value, kmax, kcount,
 @click.option("--window", default="200", show_default=True)
 def address(set_name, params, seed, out, fmt, window):
     """Integer basis of the address group plus the linear part of the set."""
-    source, ps, region = _build(set_name, _parse_params(params), window)
+    source, region, config = _source("address", set_name, params, window, seed)
+    ps = source.materialize(region)
     amap = build_address_map(ps)
     fit = linear_fit(ps, amap)
     lip = lipschitz_constant(ps, amap, seed=seed)
-    config = _config(
-        "address",
-        set=source.name,
-        params=source.params,
-        window=region.to_json(),
-        seed=seed,
-    )
     columns = ["field", "value", "tag"]
     lip_tag = "exact" if lip.mode == "all-pairs" else "sampled"
     rows = [

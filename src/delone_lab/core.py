@@ -23,6 +23,9 @@ BALL_TOL = 1e-9
 # Coordinate slack for closed boxes and region containment: it absorbs float
 # roundoff in generated positions.
 REGION_SLACK = 1e-9
+# delone_constants brackets the covering radius to this share of the packing
+# radius r (at least 1e-6).
+COVERING_RESOLUTION_SHARE = 0.25
 
 
 def unit_ball_volume(n: int) -> float:
@@ -176,9 +179,15 @@ class Region:
 # a patch, always including the zero vector for the center itself.
 
 
+def _int_entry(c) -> int:
+    if isinstance(c, (bool, np.bool_)):  # operator.index(True) is 1
+        raise TypeError("%r is a boolean, not an integer" % (c,))
+    return operator.index(c)
+
+
 def make_patch_key(diffs: Iterable[Sequence[int]]) -> tuple:
     try:
-        key = tuple(sorted(tuple(operator.index(c) for c in d) for d in diffs))
+        key = tuple(sorted(tuple(_int_entry(c) for c in d) for d in diffs))
     except TypeError as exc:
         raise InvalidArgument("a patch key is a list of integer vectors: %s" % exc) from exc
     validate_patch_key(key)
@@ -436,14 +445,14 @@ def packing_radius(ps) -> float:
     return float(d[:, 1].min()) / 2.0
 
 
-def delone_constants(ps, resolution: Optional[float] = None) -> tuple:
+def delone_constants(ps) -> tuple:
     """Estimate (r, R): packing radius and covering radius over the window.
 
     r is half the minimum pairwise distance, exact. R is the covering radius
     of the points over the region eroded by a first-pass estimate, so points
     missing beyond the window cannot deflate it; in dimension one it is exact,
-    otherwise it is the upper end of a certified bracket at most resolution/2
-    wide.
+    otherwise it is the upper end of a certified bracket at most
+    COVERING_RESOLUTION_SHARE * r / 2 wide.
     """
     from .repetitivity import covering_radius
 
@@ -453,8 +462,7 @@ def delone_constants(ps, resolution: Optional[float] = None) -> tuple:
     r = packing_radius(ps)
 
     region = ps.region
-    if resolution is None:
-        resolution = max(r / 4.0, 1e-6)
+    resolution = max(r * COVERING_RESOLUTION_SHARE, 1e-6)
     _, rough = covering_radius(pts, region, resolution=resolution)
     try:
         eroded = region.erode(rough)

@@ -39,6 +39,46 @@ def parse_csv(text):
     return config, rows[0], rows[1:]
 
 
+FIB = ["--set", "fibonacci"]
+# (argv, part of the message): each option is bad, and each window is large
+BAD_OPTION_CASES = [
+    pytest.param(
+        ["repetitivity", *FIB, "--window", "20000", "--resolution", "-1"],
+        "resolution must be positive", id="resolution",
+    ),
+    pytest.param(
+        ["diffraction", *FIB, "--window", "2000", "--T", "1500", "--kmax", "nan"],
+        "k grid must be finite", id="kmax",
+    ),
+    pytest.param(
+        ["frequencies", *FIB, "--window", "20000", "--key", '[[0], ["x"]]'],
+        "list of integer vectors", id="key",
+    ),
+    pytest.param(
+        ["frequencies", *FIB, "--window", "20000", "--key", "[[0], [true]]"],
+        "is a boolean", id="bool-key",
+    ),
+    pytest.param(
+        ["frequencies", *FIB, "--window", '{"kind": "ball", "center": [0], "radius": 600}'],
+        "needs a box window", id="ball-window",
+    ),
+    pytest.param(["atlas", *FIB, "--window", "300000", "--T", "abc"], "--T", id="atlas-T"),
+    pytest.param(["repetitivity", *FIB, "--window", "300000", "--T", "abc"], "--T", id="repetitivity-T"),
+    pytest.param(["wdist", *FIB, "--window", "300000", "--U", "abc"], "--U", id="wdist-U"),
+    pytest.param(
+        ["wdist", *FIB, "--window", "300000", "--weight", "white"], "--set two-color", id="white-weight"
+    ),
+    pytest.param(
+        ["diffraction", "--set", "zn", "--params", '{"n": 2}', "--window", "600"],
+        "one-dimensional", id="diffraction-2d",
+    ),
+    pytest.param(["generate", *FIB, "--window", "300000", "--alpha"], "missing a value", id="generate-flag"),
+    pytest.param(
+        ["address", *FIB, "--window", "300000", "--params", "[1]"], "JSON object", id="address-params"
+    ),
+]
+
+
 class TestGenerate:
     def test_square_lattice_121_points(self, capsys):
         assert run_cli(["generate", "--set", "zn", "--n", "2", "--window", "5"]) == 0
@@ -600,24 +640,21 @@ class TestExitCodes:
         assert run_cli(["diffraction", "--set", "fibonacci", "--kmax", kmax]) == 1
         assert capsys.readouterr().err == "bad configuration: k grid must be finite\n"
 
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["repetitivity", "--window", "20000", "--resolution", "-1"],
-            ["diffraction", "--window", "2000", "--T", "1500", "--kmax", "nan"],
-            ["frequencies", "--window", "20000", "--key", '[[0], ["x"]]'],
-        ],
-        ids=["resolution", "kmax", "key"],
-    )
-    def test_bad_option_stops_before_the_set_is_built(self, monkeypatch, capsys, args):
+    @pytest.mark.parametrize("args, message", BAD_OPTION_CASES)
+    def test_bad_option_stops_before_the_set_is_built(self, monkeypatch, capsys, args, message):
         def forbidden(*_args, **_kwargs):
             raise AssertionError("ran before the options were checked")
 
+        # every set command has a case, so none can build its window first
+        covered = {case.values[0][0] for case in BAD_OPTION_CASES}
+        assert set(cli_mod.cli.commands) - {"verify", "import-float"} <= covered
         monkeypatch.setattr(PointSetSource, "materialize", forbidden)
+        monkeypatch.setattr(cli_mod, "atlas_ladder", forbidden)
         monkeypatch.setattr(repetitivity_mod, "atlas_ladder", forbidden)
         monkeypatch.setattr(cli_mod, "autocorrelation", forbidden)
-        assert run_cli([args[0], "--set", "fibonacci", *args[1:]]) == 1
-        assert capsys.readouterr().err.startswith("bad configuration: ")
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad configuration: ") and message in err
 
     @pytest.mark.parametrize("resolution", ["-1", "0", "nan"])
     @pytest.mark.parametrize("set_name", ["fibonacci", "zn"])

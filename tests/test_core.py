@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+import delone_lab.core as core_mod
 from delone_lab.core import (
     ExactPointSet,
     FloatPointSet,
@@ -117,7 +118,12 @@ class TestPatchKeys:
             make_patch_key([(0,), (1,), (1,)])
 
     @pytest.mark.parametrize(
-        "diffs", [5, [0, 1], [(0,), ("x",)], [(0,), ("2",)], [(0,), (1.5,)], [(0,), (None,)]]
+        "diffs",
+        [
+            5, [0, 1], [(0,), ("x",)], [(0,), ("2",)], [(0,), (1.5,)], [(0,), (None,)],
+            # operator.index(True) is 1, so booleans must be turned away by type
+            [(0,), (True,)], [(False,), (1,)], [(0,), (np.bool_(True),)],
+        ],
     )
     def test_entries_that_are_not_integer_vectors(self, diffs):
         with pytest.raises(InvalidArgument, match="list of integer vectors"):
@@ -316,9 +322,10 @@ class TestDeloneConstants:
         assert r == pytest.approx(0.5)
         assert R == pytest.approx(GOLDEN_TAU / 2, abs=1e-9)
 
-    def test_square_lattice(self):
+    def test_square_lattice(self, monkeypatch):
+        monkeypatch.setattr(core_mod, "COVERING_RESOLUTION_SHARE", 0.04)  # resolution 0.02 at r = 0.5
         ps = gen_integer_lattice(2).materialize(Region.box([(-8, 8)] * 2))
-        r, R = delone_constants(ps, resolution=0.02)
+        r, R = delone_constants(ps)
         assert r == pytest.approx(0.5)
         # true covering radius is sqrt(2)/2; the certified bracket may
         # overshoot it by at most half the resolution
