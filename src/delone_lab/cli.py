@@ -15,8 +15,6 @@ Exit codes: 1 bad config or input, 2 resource budget exhausted, 3 file I/O,
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import sys
@@ -159,23 +157,69 @@ def _config(command: str, **fields) -> dict:
     return cfg
 
 
+def _csv_field(value) -> str:
+    """One artifact field: None is empty, any other value its str(), quoted
+    when it holds a comma, a double quote or a line feed. A carriage return
+    alone is not quoted; this is the rule of `csv.writer(lineterminator="\\n")`
+    on Python 3.11, fixed here as the artifact format."""
+    text = "" if value is None else value if isinstance(value, str) else str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_format(column):
+    """A %-format for one column's field and the values it fills. A string
+    is a literal on every row. An integer or float64 array formats each
+    distinct value once, with str() (a float's str() is its repr), and fills
+    the rows through the inverse index; floats are told apart by their bits,
+    so 0.0 and -0.0 keep their own text. Any other column is formatted field
+    by field, an array through its tolist() values."""
+    if isinstance(column, str):
+        return _csv_field(column).replace("%", "%%"), None
+    if isinstance(column, np.ndarray) and (column.dtype.kind in "iu" or column.dtype == np.float64):
+        is_float = column.dtype.kind == "f"
+        uniq, inverse = np.unique(column.view(np.int64) if is_float else column, return_inverse=True)
+        text = np.array([str(v) for v in uniq.view(column.dtype).tolist()], dtype=object)
+        return "%s", text[inverse].tolist()
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    return "%s", [_csv_field(v) for v in column]
+
+
+def _csv_text(table: dict) -> str:
+    """The header and rows of a table of columns, byte for byte what
+    `csv.writer(lineterminator="\\n")` writes for them row by row. Every table
+    ends with its tag column, so no row is a lone empty field."""
+    formats, values = zip(*map(_column_format, table.values()))
+    values = [v for v in values if v is not None]
+    n, width = len(values[0]), len(values)
+    flat = [None] * (n * width)
+    for j, v in enumerate(values):
+        flat[j::width] = v
+    header = ",".join(map(_csv_field, table)) + "\n"
+    return header + (",".join(formats) + "\n") * n % tuple(flat)
+
+
+def _json_rows(table: dict) -> list:
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    n = len(next(c for c in columns if not isinstance(c, str)))
+    return list(zip(*([c] * n if isinstance(c, str) else c for c in columns), strict=True))
+
+
 def _emit(
     config: dict,
-    columns: List[str],
-    rows: List[list],
+    table: dict,
     fmt: str,
     out: Optional[str],
     extra_json: Optional[dict] = None,
 ):
+    """Write an artifact from a table of named columns. A column is a 1-D
+    array, a sequence, or one string that fills every row (a tag)."""
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write("# " + json.dumps(config, sort_keys=True) + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        text = buf.getvalue()
+        text = "# " + json.dumps(config, sort_keys=True) + "\n" + _csv_text(table)
     else:
-        payload = {"config": config, "columns": columns, "rows": rows}
+        payload = {"config": config, "columns": list(table), "rows": _json_rows(table)}
         if extra_json:
             payload.update(extra_json)
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -242,15 +286,12 @@ def generate(set_name, params, seed, out, fmt, window, extra):
     source, region, config = _source("generate", set_name, params, window, seed, extra)
     ps = source.materialize(region)
     config["count"] = len(ps.addresses)
-    n, rank = ps.dimension, ps.rank
-    columns = ["x%d" % i for i in range(n)] + ["a%d" % j for j in range(rank)] + ["tag"]
-    rows = [
-        pos + addr + ["exact"]
-        for pos, addr in zip(ps.points.tolist(), ps.addresses.tolist())
-    ]
+    table = {"x%d" % i: ps.points[:, i] for i in range(ps.dimension)}
+    table.update(("a%d" % j, ps.addresses[:, j]) for j in range(ps.rank))
+    table["tag"] = "exact"
     # JSON artifacts double as reloadable point-set files
     extra = {"point_set": ps.to_json()} if fmt == "json" else None
-    _emit(config, columns, rows, fmt, out, extra_json=extra)
+    _emit(config, table, fmt, out, extra_json=extra)
 
 
 @cli.command(short_help="patch classes per radius")
@@ -263,13 +304,16 @@ def atlas(set_name, params, seed, out, fmt, window, t_list, shape):
     t_values = _parse_scalar_list(t_list, "--T")
     source, region, config = _source("atlas", set_name, params, window, seed, T=t_values, shape=shape)
     ps = source.materialize(region)
-    columns = ["T", "classes", "centers", "boundary_flags", "engine", "tag"]
-    rows = []
-    for T, res in zip(t_values, atlas_ladder(ps, t_values, shape=shape)):
-        rows.append(
-            [T, res.n_lower, res.total_centers, res.boundary_flag_count, res.engine, "exact"]
-        )
-    _emit(config, columns, rows, fmt, out)
+    ladder = atlas_ladder(ps, t_values, shape=shape)
+    table = {
+        "T": t_values,
+        "classes": [res.n_lower for res in ladder],
+        "centers": [res.total_centers for res in ladder],
+        "boundary_flags": [res.boundary_flag_count for res in ladder],
+        "engine": [res.engine for res in ladder],
+        "tag": "exact",
+    }
+    _emit(config, table, fmt, out)
 
 
 @cli.command(short_help="repetitivity brackets per radius")
@@ -289,27 +333,20 @@ def repetitivity(set_name, params, seed, out, fmt, window, t_list, resolution):
         "repetitivity", set_name, params, window, seed, T=t_values, resolution=resolution
     )
     ps = source.materialize(region)
-    columns = [
-        "T",
-        "classes",
-        "M_lower",
-        "M_upper",
-        "M_shift_lower",
-        "M_shift_upper",
-        "certified_floor",
-        "notes",
-        "tag",
-    ]
-    rows = []
-    for T, res in zip(t_values, repetitivity_ladder(ps, t_values, resolution=resolution)):
-        lo, hi = res.prime()
-        rows.append(
-            [
-                T, res.n_lower, res.M_lower, res.M_upper, lo, hi, res.certified_floor,
-                "; ".join(res.notes), "certified-bracket",
-            ]
-        )
-    _emit(config, columns, rows, fmt, out)
+    ladder = repetitivity_ladder(ps, t_values, resolution=resolution)
+    shifted = [res.prime() for res in ladder]
+    table = {
+        "T": t_values,
+        "classes": [res.n_lower for res in ladder],
+        "M_lower": [res.M_lower for res in ladder],
+        "M_upper": [res.M_upper for res in ladder],
+        "M_shift_lower": [lo for lo, _ in shifted],
+        "M_shift_upper": [hi for _, hi in shifted],
+        "certified_floor": [res.certified_floor for res in ladder],
+        "notes": ["; ".join(res.notes) for res in ladder],
+        "tag": "certified-bracket",
+    }
+    _emit(config, table, fmt, out)
 
 
 @cli.command(short_help="patch frequencies over nested windows")
@@ -337,19 +374,15 @@ def frequencies(set_name, params, seed, out, fmt, window, t_value, key):
         Region.box([(c - h * s, c + h * s) for (c, h) in mid_half])
         for s in (0.4, 0.6, 0.8, 1.0)
     ]
-    columns = ["region", "count", "volume", "frequency", "tag"]
-    rows = []
-    for row in patch_frequency(ps, patch_key, t_value, ladder, atlas=full):
-        rows.append(
-            [
-                json.dumps(row.region.to_json(), sort_keys=True),
-                row.count,
-                row.volume,
-                row.frequency,
-                "exact",
-            ]
-        )
-    _emit(config, columns, rows, fmt, out)
+    counts = patch_frequency(ps, patch_key, t_value, ladder, atlas=full)
+    table = {
+        "region": [json.dumps(row.region.to_json(), sort_keys=True) for row in counts],
+        "count": [row.count for row in counts],
+        "volume": [row.volume for row in counts],
+        "frequency": [row.frequency for row in counts],
+        "tag": "exact",
+    }
+    _emit(config, table, fmt, out)
 
 
 @cli.command(short_help="weight-distribution averages over box sizes")
@@ -368,20 +401,22 @@ def wdist(set_name, params, seed, out, fmt, window, u_list, weight):
     source, region, config = _source("wdist", set_name, params, window, seed, U=u_values, weight=weight)
     if weight == "white" and source.name != "two_color":
         raise InvalidArgument("--weight white counts the white points of --set two-color only")
-    ps = source.materialize(region)
-    if weight == "vol":
+    if weight == "vol":  # reads no point, so the window is never built
         wd = volume_weight(source.dimension)
-    elif weight == "count":
-        wd = point_count_weight(ps)
     else:
-        wd = white_point_count_weight(ps)
-    prof = density_profile(wd, region, u_values, seed=seed)
-    columns = ["U", "f_plus", "f_minus", "f_median", "delta", "boxes", "tag"]
-    rows = [
-        [r.U, r.f_plus, r.f_minus, r.f_zero_median, r.delta, r.n_boxes, "sampled"]
-        for r in prof.rows
-    ]
-    _emit(config, columns, rows, fmt, out)
+        ps = source.materialize(region)
+        wd = point_count_weight(ps) if weight == "count" else white_point_count_weight(ps)
+    rows = density_profile(wd, region, u_values, seed=seed).rows
+    table = {
+        "U": [r.U for r in rows],
+        "f_plus": [r.f_plus for r in rows],
+        "f_minus": [r.f_minus for r in rows],
+        "f_median": [r.f_zero_median for r in rows],
+        "delta": [r.delta for r in rows],
+        "boxes": [r.n_boxes for r in rows],
+        "tag": "sampled",
+    }
+    _emit(config, table, fmt, out)
 
 
 @cli.command(short_help="autocorrelation and diffraction on a k-grid")
@@ -409,15 +444,12 @@ def diffraction(set_name, params, seed, out, fmt, window, t_value, kmax, kcount,
     spec = diffraction_estimate(ac, grid)
     config["pairs"] = ac.point_count
     if peaks_only:
-        columns = ["k", "intensity", "tag"]
-        rows = [[float(p.k[0]), float(p.intensity), "float-sum"] for p in detect_peaks(spec)]
+        peaks = detect_peaks(spec)
+        table = {"k": [float(p.k[0]) for p in peaks], "intensity": [float(p.intensity) for p in peaks]}
     else:
-        columns = ["k", "intensity", "tag"]
-        rows = [
-            [float(k), float(v), "float-sum"]
-            for k, v in zip(grid[:, 0], spec.intensity)
-        ]
-    _emit(config, columns, rows, fmt, out)
+        table = {"k": grid[:, 0], "intensity": spec.intensity}
+    table["tag"] = "float-sum"
+    _emit(config, table, fmt, out)
 
 
 @cli.command(short_help="address basis, linear fit, displacement bounds")
@@ -430,7 +462,6 @@ def address(set_name, params, seed, out, fmt, window):
     amap = build_address_map(ps)
     fit = linear_fit(ps, amap)
     lip = lipschitz_constant(ps, amap, seed=seed)
-    columns = ["field", "value", "tag"]
     lip_tag = "exact" if lip.mode == "all-pairs" else "sampled"
     rows = [
         ["origin", json.dumps([int(v) for v in amap.origin_address]), "exact"],
@@ -458,7 +489,8 @@ def address(set_name, params, seed, out, fmt, window):
         rows.append(["annulus_variation", rep.variation, "least-squares"])
     except DeloneLabError as exc:
         rows.append(["bounded_residual", "undetermined: %s" % exc, "least-squares"])
-    _emit(config, columns, rows, fmt, out)
+    names, values, tags = zip(*rows)
+    _emit(config, {"field": names, "value": values, "tag": tags}, fmt, out)
 
 
 @cli.command(short_help="run a named check suite")
@@ -479,9 +511,14 @@ def verify(suite, seed, out, fmt):
         click.echo(line)
     if out:
         config = _config("verify", suite=suite, seed=seed)
-        columns = ["suite", "check", "passed", "detail", "tag"]
-        rows = [[r.suite, r.name, int(r.passed), r.detail, "exact"] for r in results]
-        _emit(config, columns, rows, fmt, out)
+        table = {
+            "suite": [r.suite for r in results],
+            "check": [r.name for r in results],
+            "passed": [int(r.passed) for r in results],
+            "detail": [r.detail for r in results],
+            "tag": "exact",
+        }
+        _emit(config, table, fmt, out)
     if any(not r.passed for r in results):
         raise VerificationFailure("%d checks failed" % sum(1 for r in results if not r.passed))
 
@@ -524,9 +561,9 @@ def import_float(path, tolerance, out, fmt):
             tolerance=fps.tolerance,
             count=len(fps),
         )
-        columns = ["x%d" % i for i in range(fps.dimension)] + ["tag"]
-        rows = [row + ["exact"] for row in fps.points.tolist()]
-        _emit(config, columns, rows, fmt, out)
+        table = {"x%d" % i: fps.points[:, i] for i in range(fps.dimension)}
+        table["tag"] = "exact"
+        _emit(config, table, fmt, out)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,51 @@ class TestLipschitz:
         assert rep.mode == "sampled"
         assert (repr(rep.value), rep.pairs_used) == (value, pairs)
 
+    @pytest.mark.parametrize("exact_limit", [1_000, 10_000], ids=["sampled", "all-pairs"])
+    @pytest.mark.parametrize("block", [1, 7, 4_096])
+    def test_block_size_changes_no_value(self, exact_limit, block, monkeypatch):
+        ps = build_source("product", {"factors": [{"set": "fibonacci"}] * 2}).materialize(
+            Region.box([(-30, 30)] * 2)
+        )
+        amap = build_address_map(ps)
+        monkeypatch.setattr(address_mod, "LIPSCHITZ_EXACT_LIMIT", exact_limit)
+        monkeypatch.setattr(address_mod, "LIPSCHITZ_SAMPLE_PAIRS", 20_000)
+        want = lipschitz_constant(ps, amap, seed=5)
+        monkeypatch.setattr(address_mod, "LIPSCHITZ_BLOCK_PAIRS", block)
+        got = lipschitz_constant(ps, amap, seed=5)
+        assert (got.mode, got.pairs_used) == (want.mode, want.pairs_used)
+        assert np.float64(got.value).view(np.uint64) == np.float64(want.value).view(np.uint64)
+
+    @pytest.mark.parametrize(
+        "window, mode, fixed_bytes",
+        [
+            # the sampled scan keeps its two int64 index draws whole
+            ([(-10_000, 10_000)], "sampled", 16 * address_mod.LIPSCHITZ_SAMPLE_PAIRS),
+            ([(-2_000, 2_000)], "all-pairs", 0),
+        ],
+        ids=["sampled", "all-pairs"],
+    )
+    def test_scan_peak_is_bounded(self, window, mode, fixed_bytes):
+        """tracemalloc peak of one scan: the fixed arrays plus 96 bytes per
+        pair (or cdist entry) of one LIPSCHITZ_BLOCK_PAIRS block, 22.3 MB
+        sampled and 6.3 MB all-pairs. Scanning the whole sample at once
+        peaked at 47.9 MB here (fibonacci ±10⁴), and 4 M-entry cdist blocks
+        at 12.6 MB (fibonacci ±2000, 2 895 points)."""
+        import tracemalloc
+
+        from scipy.spatial.distance import cdist  # noqa: F401  (its import is no part of the scan)
+
+        ps = gen_fibonacci().materialize(Region.box(window))
+        amap = build_address_map(ps)
+        tracemalloc.start()
+        try:
+            rep = lipschitz_constant(ps, amap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.mode == mode
+        assert peak <= fixed_bytes + 96 * address_mod.LIPSCHITZ_BLOCK_PAIRS
+
     @pytest.mark.parametrize("width", range(1, 8))
     def test_column_squares_are_row_sums(self, width):
         rng = np.random.default_rng(width)
