@@ -20,8 +20,7 @@ from .core import (
     Region,
     lex_order,
     make_patch_key,
-    narrow_rows,
-    row_scalars,
+    unique_rows,
 )
 from .errors import InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
@@ -182,21 +181,17 @@ def _ladder(ps, rungs, shape, engine):
         t = _thresh2(T, shape)
         k = int(np.searchsorted(reach, t + BALL_TOL, side="right"))
         sel = np.nonzero(mask[cidx])[0]  # lex sorted, as cidx is
-        # one 1-D unique per 8-byte word of the shell bytes, refining the
-        # ids; bits below k_prev repeat the class before, bits past k go
-        cls = np.unique(ids[sel], return_inverse=True)[1]
-        if k > k_prev:
-            shell = bits[sel, k_prev >> 3 : (k + 7) >> 3]
-            if k & 7:
-                shell[:, -1] &= (1 << (k & 7)) - 1
-            words = row_scalars(shell).view(np.uint64).reshape(sel.size, -1)
-            for word in words.T:
-                word = np.unique(word, return_inverse=True)[1]
-                cls = np.unique(cls * sel.size + word, return_inverse=True)[1]
+        # the rows (class before, 8-byte words of the shell bits) group into
+        # the classes; bits below k_prev repeat the class before, bits past k go
+        lo, hi = k_prev >> 3, (k + 7) >> 3
+        shell = np.zeros((sel.size, (hi - lo + 7) // 8 * 8), dtype=np.uint8)
+        shell[:, : hi - lo] = bits[sel, lo:hi]
+        if k & 7:
+            shell[:, hi - lo - 1] &= (1 << (k & 7)) - 1
+        cls, rep = unique_rows([ids[sel], *shell.view(np.int64).T])
+        rep = sel[rep]  # any center of a class stands for it
         ids[sel] = cls
         k_prev = k
-        rep = np.empty(int(cls.max()) + 1, dtype=np.intp)
-        rep[cls] = sel  # any center of a class stands for it
 
         cols = lex[lex < k]
         seen = np.unpackbits(bits[rep], axis=1, count=k, bitorder="little")[:, cols]
@@ -298,19 +293,16 @@ def _engine_kdtree(ps, cidx, shape, thresh2):
         cKDTree(pos), rad, p=np.inf if shape == "cube" else 2.0, output_type="ndarray"
     )
     row = pairs["i"]
-    diffs = addr[pairs["j"]] - addr[cidx[row]]
+    # column by column: a 2-D gather of the differences is several times slower
+    cols = [c[pairs["j"]] - c[cidx][row] for c in addr.T]
 
     # the distinct differences in lex order, then stably in reach order, and
     # each pair's column among them
-    _, first, col = np.unique(
-        row_scalars(narrow_rows(diffs)), return_index=True, return_inverse=True
-    )
-    table = diffs[first]
-    lex = lex_order(table)
-    order, reach, per = _reach_order(table[lex], ps.projection, shape)
-    perm = lex[order]
-    table = table[perm]
-    col = np.argsort(perm)[col]
+    col, first = unique_rows(cols)
+    table = np.stack([c[first] for c in cols], axis=1)
+    order, reach, per = _reach_order(table, ps.projection, shape)
+    table = table[order]
+    col = np.argsort(order)[col]
     hit = np.zeros((cidx.size, table.shape[0]), dtype=bool)
     hit[row, col] = True
     return table, reach, per, np.packbits(hit, axis=1, bitorder="little"), "kdtree"

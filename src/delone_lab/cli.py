@@ -180,7 +180,7 @@ def _column_format(column):
     if isinstance(column, np.ndarray) and (column.dtype.kind in "iu" or column.dtype == np.float64):
         is_float = column.dtype.kind == "f"
         uniq, inverse = np.unique(column.view(np.int64) if is_float else column, return_inverse=True)
-        text = np.array([str(v) for v in uniq.view(column.dtype).tolist()], dtype=object)
+        text = np.array(list(map(str, uniq.view(column.dtype).tolist())), dtype=object)
         return "%s", text[inverse].tolist()
     if isinstance(column, np.ndarray):
         column = column.tolist()

@@ -26,6 +26,9 @@ REGION_SLACK = 1e-9
 # delone_constants brackets the covering radius to this share of the packing
 # radius r (at least 1e-6).
 COVERING_RESOLUTION_SHARE = 0.25
+# lex_code gives integer rows one int64 each while their box holds at most
+# this many cells.
+LEX_CODE_CELLS = 1 << 62
 
 
 def unit_ball_volume(n: int) -> float:
@@ -179,7 +182,9 @@ class Region:
 # a patch, always including the zero vector for the center itself.
 
 
-def _int_entry(c) -> int:
+def int_entry(c) -> int:
+    """An integer entry as a Python int; TypeError for a boolean or a
+    non-integer."""
     if isinstance(c, (bool, np.bool_)):  # operator.index(True) is 1
         raise TypeError("%r is a boolean, not an integer" % (c,))
     return operator.index(c)
@@ -187,7 +192,7 @@ def _int_entry(c) -> int:
 
 def make_patch_key(diffs: Iterable[Sequence[int]]) -> tuple:
     try:
-        key = tuple(sorted(tuple(_int_entry(c) for c in d) for d in diffs))
+        key = tuple(sorted(tuple(int_entry(c) for c in d) for d in diffs))
     except TypeError as exc:
         raise InvalidArgument("a patch key is a list of integer vectors: %s" % exc) from exc
     validate_patch_key(key)
@@ -213,53 +218,59 @@ def validate_patch_key(key: tuple) -> None:
 # Point sets
 
 
-def row_scalars(rows: np.ndarray) -> np.ndarray:
-    """One scalar per row of a 2-D array, equal exactly when the rows are.
+def lex_code(cols: Sequence[np.ndarray]):
+    """One int64 per row of int64 columns, equal exactly when the rows are
+    and ascending in lex order, and the number of cells the codes lie in.
 
-    Each row is padded to whole 8-byte words and read as one uint64, or one
-    void of several words, so a 1-D np.unique groups rows without the slow
-    axis=0 sort.
+    A code is the row's C-order index in the box of the rows. When the box
+    holds more than LEX_CODE_CELLS cells, it is the row's rank among the
+    distinct rows instead, found by np.lexsort and a comparison of
+    neighbours. Columns are reduced one at a time: numpy 2.4 reduces slowly
+    across a short axis.
     """
-    m = rows.shape[0]
-    raw = np.ascontiguousarray(rows).view(np.uint8)  # (m, bytes per row)
-    words = -(-raw.shape[1] // 8)
-    buf = np.zeros((m, 8 * words), dtype=np.uint8)
-    buf[:, : raw.shape[1]] = raw
-    scalar = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
-    return buf.view(scalar).ravel()
-
-
-def narrow_rows(rows: np.ndarray, signed: bool = False) -> np.ndarray:
-    """Integer rows translated so each column starts at 0, in the narrowest
-    integer type holding the largest entry (and its negative, if signed).
-
-    Translation keeps row equality and row differences, and narrow rows pack
-    into fewer words in row_scalars. The translated entries are exact for any
-    int64 input, since a span below 2^64 survives wrapping in uint64. Columns
-    are reduced one at a time: numpy 2.4 reduces slowly across a short axis.
-    """
-    low = np.array([col.min() for col in rows.T], dtype=rows.dtype)
-    span = (rows - low).view(np.uint64)
-    top = int(span.max())
-    return span.astype(np.min_scalar_type(-top - 1 if signed else top))
+    low = [int(col.min()) for col in cols]
+    sizes = [int(col.max()) - a + 1 for col, a in zip(cols, low)]
+    if math.prod(sizes) <= LEX_CODE_CELLS:
+        code = cols[0] - low[0]
+        for col, a, size in zip(cols[1:], low[1:], sizes[1:]):
+            code *= size
+            code += col - a
+        return code, math.prod(sizes)
+    order = np.lexsort(cols[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    for col in cols:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    code = np.empty(order.size, dtype=np.int64)
+    code[order] = np.cumsum(new)
+    return code, int(code[order[-1]]) + 1
 
 
 def lex_order(rows: np.ndarray) -> np.ndarray:
     """Stable permutation that sorts integer rows lexicographically, as
-    np.lexsort(rows.T[::-1]) does.
+    np.lexsort(rows.T[::-1]) does: one argsort of their lex codes, some 30
+    times faster than np.lexsort on 10^5 rows (numpy 2.4)."""
+    return np.argsort(lex_code(rows.T)[0], kind="stable")
 
-    Rows whose box has at most 2^62 cells sort as one int64 each, their
-    C-order index in the box: some 30 times faster than np.lexsort on 10^5
-    rows (numpy 2.4).
+
+def unique_rows(cols: Sequence[np.ndarray]):
+    """Each row's index among the distinct rows of int64 columns in lex
+    order, and one row index per distinct row: np.unique(rows, axis=0,
+    return_index=True, return_inverse=True) without its row sort.
+
+    The indices come from one dense count of the lex codes when these lie in
+    no more cells than there are rows, else from one np.unique of the codes.
     """
-    span = narrow_rows(rows)
-    sizes = [int(col.max()) + 1 for col in span.T]
-    if math.prod(sizes) > 1 << 62:
-        return np.lexsort(rows.T[::-1])
-    key = np.zeros(rows.shape[0], dtype=np.int64)
-    for col, size in zip(span.T, sizes):
-        key = key * size + col
-    return np.argsort(key, kind="stable")
+    code, cells = lex_code(cols)
+    if cells <= code.size:
+        seen = np.zeros(cells, dtype=bool)
+        seen[code] = True
+        ids = np.take(np.cumsum(seen) - 1, code, out=code)
+    else:
+        ids = np.unique(code, return_inverse=True)[1]
+    first = np.empty(int(ids.max()) + 1, dtype=np.int64)
+    first[ids] = np.arange(ids.size)
+    return ids, first
 
 
 class ExactPointSet:
@@ -295,9 +306,9 @@ class ExactPointSet:
         if region.dimension != dimension:
             raise InvalidArgument("region dimension mismatch")
         if addresses.shape[0] > 0:
-            # sort and compare neighbours: on 40 000 distinct uint64 keys a
+            # sort and compare neighbours: on 40 000 distinct int64 keys a
             # bare np.unique took about 20 times as long (numpy 2.4)
-            keys = np.sort(row_scalars(narrow_rows(addresses)))
+            keys = np.sort(lex_code(addresses.T)[0])
             if np.any(keys[1:] == keys[:-1]):
                 raise InvalidArgument("addresses must be distinct")
         self.dimension = int(dimension)

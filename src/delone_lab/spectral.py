@@ -15,11 +15,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import ExactPointSet, Region, lex_order, narrow_rows, row_scalars, unit_ball_volume
+from .core import LEX_CODE_CELLS, ExactPointSet, Region, int_entry, lex_order, unit_ball_volume
 from .errors import InvalidArgument, WindowTooSmall
 
 
-# difference rows per autocorrelation chunk, which bounds its memory
+# pair differences per autocorrelation chunk, which bounds its memory
 DIFF_CHUNK_ROWS = 1 << 22
 PEAK_THRESHOLD_RATIO = 0.5  # detect_peaks keeps maxima at least this share of the largest
 
@@ -44,7 +44,11 @@ class Autocorrelation:
         return out
 
     def weight_at(self, diff: tuple) -> float:
-        return self.counts.get(tuple(int(c) for c in diff), 0) / self.normalization
+        try:
+            key = tuple(int_entry(c) for c in diff)
+        except TypeError as exc:
+            raise InvalidArgument("an address difference is an integer vector: %s" % exc) from exc
+        return self.counts.get(key, 0) / self.normalization
 
 
 def autocorrelation(
@@ -69,23 +73,32 @@ def autocorrelation(
     sel = d2 < T * T  # strict by definition
     addr = ps.addresses[sel]
     P = addr.shape[0]
+    counts = {}
     if P:
-        # differences of narrow rows stay in the signed type holding +-span,
-        # so short rows pack into one 8-byte word
-        addr = narrow_rows(addr, signed=True)
-    rows, cnts = [np.zeros((0, ps.rank), dtype=addr.dtype)], [np.zeros(0, dtype=np.int64)]
-    chunk = max(1, DIFF_CHUNK_ROWS // max(P, 1))
-    for s in range(0, P, chunk):
-        block = addr[s : s + chunk]
-        diffs = (block[:, None, :] - addr[None, :, :]).reshape(-1, ps.rank)
-        _, first, cnt = np.unique(row_scalars(diffs), return_index=True, return_counts=True)
-        rows.append(diffs[first])
-        cnts.append(cnt)
-    rows = np.concatenate(rows)
-    _, first, inverse = np.unique(row_scalars(rows), return_index=True, return_inverse=True)
-    total = np.zeros(first.size, dtype=np.int64)
-    np.add.at(total, inverse, np.concatenate(cnts))
-    counts = dict(zip(map(tuple, rows[first].tolist()), total.tolist()))
+        # each point keyed in a balanced radix of 2 span + 1 per column, so a
+        # difference of keys is the key of the address difference; keys are
+        # Python ints where one int64 would hold too many cells
+        low = [int(col.min()) for col in addr.T]
+        radix = [2 * (int(col.max()) - a) + 1 for col, a in zip(addr.T, low)]
+        dtype = np.int64 if math.prod(radix) <= LEX_CODE_CELLS else object
+        key = np.zeros(P, dtype=dtype)
+        for col, a, r in zip(addr.T, low, radix):
+            key = key * r + (col.astype(dtype) - a)
+        codes, cnts = [], []
+        chunk = max(1, DIFF_CHUNK_ROWS // P)
+        for s in range(0, P, chunk):
+            code, cnt = np.unique(key[s : s + chunk, None] - key, return_counts=True)
+            codes.append(code)
+            cnts.append(cnt)
+        code, inverse = np.unique(np.concatenate(codes), return_inverse=True)
+        total = np.zeros(code.size, dtype=np.int64)
+        np.add.at(total, inverse, np.concatenate(cnts))
+        # the balanced digits of each code, last column first
+        rows = np.empty((code.size, ps.rank), dtype=dtype)
+        for j in range(ps.rank - 1, -1, -1):
+            rows[:, j] = (code + radix[j] // 2) % radix[j] - radix[j] // 2
+            code = (code - rows[:, j]) // radix[j]
+        counts = dict(zip(map(tuple, rows.tolist()), total.tolist()))
     norm = unit_ball_volume(n) * T**n
     return Autocorrelation(
         dimension=n,

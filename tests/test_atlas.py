@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delone_lab.atlas as atlas_mod
+import delone_lab.core as core_mod
 from delone_lab.atlas import (
     _engine_kdtree,
     _engine_lattice,
@@ -493,11 +494,16 @@ class TestLadder:
             assert at.boundary_flags[0] == ((-9, -9), 1.0)
 
 
+def lex_centers(ps, T, shape):
+    """The indices of the centers certified at T, in lex order."""
+    base = np.nonzero(per_T_rungs(ps, [T], shape)[0][2])[0]
+    return base[lex_order(ps.addresses[base])]
+
+
 def engine_rows(ps, T_values, shape, engine):
     """An engine's output for the centers of the smallest T, built for the
     largest, as _ladder asks for it."""
-    base = np.nonzero(per_T_rungs(ps, T_values, shape)[0][2])[0]
-    cidx = base[lex_order(ps.addresses[base])]
+    cidx = lex_centers(ps, T_values[0], shape)
     top = max(T_values)
     thresh2 = top * top if shape == "ball" else (top / 2.0) ** 2
     return cidx, engine(ps, cidx, shape, thresh2)
@@ -596,6 +602,121 @@ PREFIX_SETS = {
     "z2-holes": lambda c: gen_integer_lattice(2, deletions=[(c, c), (c + 2, c + 1)])
     .materialize(Region.box([(c - 5, c + 5)] * 2)),
 }
+
+
+def row_scalars(rows):
+    """One scalar per row: the row padded to whole 8-byte words, read as one
+    uint64 or one void of several words."""
+    m = rows.shape[0]
+    raw = np.ascontiguousarray(rows).view(np.uint8)
+    words = -(-raw.shape[1] // 8)
+    buf = np.zeros((m, 8 * words), dtype=np.uint8)
+    buf[:, : raw.shape[1]] = raw
+    scalar = np.uint64 if words == 1 else np.dtype((np.void, 8 * words))
+    return buf.view(scalar).ravel()
+
+
+def narrow_rows(rows):
+    """Rows translated so each column starts at 0, in the narrowest unsigned
+    type holding the largest entry."""
+    low = np.array([col.min() for col in rows.T], dtype=rows.dtype)
+    span = (rows - low).view(np.uint64)
+    return span.astype(np.min_scalar_type(int(span.max())))
+
+
+def kdtree_by_row_scalars(ps, cidx, shape, thresh2):
+    """The kdtree engine as it grouped differences before lex codes: the 2-D
+    differences, one np.unique of their narrowed row scalars, then lex_order
+    and reach order. Kept as the oracle of _engine_kdtree."""
+    from scipy.spatial import cKDTree
+
+    addr = ps.addresses
+    pos = (addr - addr.min(axis=0)).astype(float) @ ps.projection
+    rad = math.sqrt(thresh2 + 1e-9) * (1 + 1e-12)
+    pairs = cKDTree(pos[cidx]).sparse_distance_matrix(
+        cKDTree(pos), rad, p=np.inf if shape == "cube" else 2.0, output_type="ndarray"
+    )
+    row = pairs["i"]
+    diffs = addr[pairs["j"]] - addr[cidx[row]]
+    _, first, col = np.unique(
+        row_scalars(narrow_rows(diffs)), return_index=True, return_inverse=True
+    )
+    table = diffs[first]
+    lex = lex_order(table)
+    order, reach, per = atlas_mod._reach_order(table[lex], ps.projection, shape)
+    perm = lex[order]
+    table = table[perm]
+    col = np.argsort(perm)[col]
+    hit = np.zeros((cidx.size, table.shape[0]), dtype=bool)
+    hit[row, col] = True
+    return table, reach, per, np.packbits(hit, axis=1, bitorder="little"), "kdtree"
+
+
+GROUPING_SETS = {
+    "fibonacci": lambda c: gen_fibonacci().materialize(Region.box([(c - 40, c + 40)])),
+    "cut_project": lambda c: gen_cut_project_1d("golden")
+    .materialize(Region.box([(c - 40, c + 40)])),
+    "fibxfib": lambda c: gen_product([gen_fibonacci(), gen_fibonacci()])
+    .materialize(Region.box([(c - 10, c + 10)] * 2)),
+    "fib3": lambda c: gen_product([gen_fibonacci()] * 3)
+    .materialize(Region.box([(c - 6, c + 6)] * 3)),
+}
+GROUPING_T = {"fibonacci": 12.0, "cut_project": 12.0, "fibxfib": 5.0, "fib3": 3.5}
+
+
+class TestEngineGrouping:
+    """_engine_kdtree groups the differences by their lex codes: a dense
+    count, one np.unique, or ranks when the box is too large for one int64.
+    Each route gives the table, reach, squared coordinates and bits of the
+    row-scalar grouping it replaced."""
+
+    @pytest.mark.parametrize("route", ["dense", "unique", "ranks"])
+    @pytest.mark.parametrize("shape", ["ball", "cube"])
+    @pytest.mark.parametrize(
+        "name, c",
+        [
+            ("fibonacci", 0),
+            ("fibonacci", 300_000),
+            ("cut_project", 0),
+            ("cut_project", 300_000),
+            ("fibxfib", 0),
+            ("fib3", 0),
+        ],
+    )
+    def test_routes_equal_the_row_scalar_grouping(self, name, c, shape, route, monkeypatch):
+        ps = GROUPING_SETS[name](c)
+        T = GROUPING_T[name]
+        cidx = lex_centers(ps, T, shape)
+        if route == "unique":
+            cidx = cidx[cidx.size // 2 :][:1]  # one center: few pairs in a wide box
+        if route == "ranks":
+            monkeypatch.setattr(core_mod, "LEX_CODE_CELLS", 0)
+        thresh2 = T * T if shape == "ball" else (T / 2.0) ** 2
+        want = kdtree_by_row_scalars(ps, cidx, shape, thresh2)
+        got = _engine_kdtree(ps, cidx, shape, thresh2)
+        assert got[4] == want[4]
+        for a, b in zip(got[:4], want[:4]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # the route taken: the differences' box against the number of pairs
+        cells = np.prod(np.ptp(want[0], axis=0) + 1)
+        pairs = np.unpackbits(want[3]).sum()
+        assert (cells <= pairs) == (route != "unique")
+
+    def test_engine_peak_is_bounded(self):
+        """tracemalloc peak of the engine on fib^3 [-16, 16]^3 at T = 4
+        (4 913 centers, 490 359 pairs): at most 72 bytes a pair. The
+        row-scalar grouping peaked at 105 bytes a pair (51.3 MB) here."""
+        ps = gen_product([gen_fibonacci()] * 3).materialize(Region.box([(-16, 16)] * 3))
+        cidx = lex_centers(ps, 4.0, "ball")
+        tracemalloc.start()
+        try:
+            _, _, _, bits, _ = _engine_kdtree(ps, cidx, "ball", 16.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = int(np.unpackbits(bits).sum())
+        assert pairs == 490_359
+        assert peak <= 72 * pairs
 
 
 @functools.lru_cache(maxsize=None)

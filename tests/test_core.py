@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
@@ -15,15 +15,15 @@ from delone_lab.core import (
     FloatPointSet,
     Region,
     delone_constants,
+    lex_code,
     lex_order,
     load_point_set,
     make_patch_key,
-    narrow_rows,
     natural_distance,
     packing_radius,
     project,
-    row_scalars,
     save_point_set,
+    unique_rows,
     validate_patch_key,
 )
 from delone_lab.errors import InsufficientData, InvalidArgument, WindowTooSmall
@@ -190,27 +190,21 @@ class TestExactPointSet:
     def test_full_int64_span_is_exact(self):
         lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
         rows = np.array([[lo, 0], [hi, 0], [hi, 1], [lo + 1, 0]], dtype=np.int64)
-        narrow = narrow_rows(rows)
-        assert narrow.dtype == np.uint64
-        assert narrow[:, 0].tolist() == [0, 2**64 - 1, 2**64 - 1, 1]
-        assert narrow[:, 1].tolist() == [0, 0, 1, 0]
+        code, cells = lex_code(rows.T)  # a box of 2^65 cells: ranks instead
+        assert code.tolist() == [0, 2, 3, 1] and cells == 4
         assert len(self.rank_set(rows, 2)) == 4
         with pytest.raises(InvalidArgument, match="addresses must be distinct"):
             self.rank_set(np.concatenate([rows, rows[1:2]]), 2)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    def test_short_spans_pack_into_one_word(self, rank):
+    def test_short_spans_code_in_their_box(self, rank):
         spans = np.random.default_rng(rank).integers(0, 101, size=(30, rank))
         spans[0] = 0
         spans[1, 0] = 200
-        rows = spans - (1 << 50)
-        narrow = narrow_rows(rows)
-        assert narrow.dtype == np.uint8
-        assert row_scalars(narrow).dtype == np.uint64
-        assert np.array_equal(narrow, spans)
-        signed = narrow_rows(rows, signed=True)
-        assert signed.dtype == np.int16  # holds -200 as well as 200
-        assert np.array_equal(signed, spans)
+        code, cells = lex_code((spans - (1 << 50)).T)
+        sizes = spans.max(axis=0) + 1
+        assert cells == np.prod(sizes)
+        assert np.array_equal(code, np.ravel_multi_index(tuple(spans.T), sizes))
 
     @given(
         st.lists(
@@ -225,6 +219,53 @@ class TestExactPointSet:
         # for one int64 key and the order falls back to np.lexsort
         rows = np.array(rows, dtype=np.int64) * np.array([scale, 1, 1])
         assert np.array_equal(lex_order(rows), np.lexsort(rows.T[::-1]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda rank: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+                    min_size=1,
+                    max_size=30,
+                ),
+                st.lists(st.integers(-(1 << 40), 1 << 40), min_size=rank, max_size=rank),
+            )
+        )
+    )
+    def test_lex_codes_group_rows_on_every_route(self, case):
+        entries, offset = case
+        rows = np.array(entries, dtype=np.int64) + np.array(offset, dtype=np.int64)
+        tuples = list(map(tuple, rows.tolist()))
+        distinct = sorted(set(tuples))
+        want = np.array([distinct.index(t) for t in tuples])
+
+        def check(rows, want):
+            code, cells = lex_code(rows.T)
+            assert code.max() < cells
+            # codes ascend in lex order and are equal exactly when rows are
+            order = np.lexsort(rows.T[::-1])
+            assert np.all(np.diff(code[order]) >= 0)
+            steps = np.any(np.diff(rows[order], axis=0), axis=1)
+            assert np.array_equal(np.diff(code[order]) > 0, steps)
+            ids, first = unique_rows(list(rows.T))
+            assert np.array_equal(ids, want)
+            assert np.array_equal(rows[first][ids], rows)
+            return cells
+
+        # tiled until the box holds no more cells than there are rows: the
+        # dense count
+        cells = int(np.prod(np.ptp(rows, axis=0) + 1))
+        reps = -(-cells // rows.shape[0])
+        assert check(np.tile(rows, (reps, 1)), np.tile(want, reps)) <= reps * rows.shape[0]
+        # spread out, which keeps lex order and grouping: one np.unique
+        spread = (rows - rows.min(axis=0)) * 97 - (1 << 40)
+        if len(distinct) > 1:
+            assert check(spread, want) > rows.shape[0]
+        # a box past LEX_CODE_CELLS: ranks from np.lexsort
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core_mod, "LEX_CODE_CELLS", 0)
+            assert check(rows, want) == len(distinct)
 
     def test_empty_addresses_accepted(self):
         for rank in (1, 3):

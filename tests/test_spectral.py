@@ -1,6 +1,7 @@
 """Pair-difference measures and cosine-series spectra."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delone_lab.core import Region, unit_ball_volume
+from delone_lab.core import ExactPointSet, Region, unit_ball_volume
 from delone_lab.errors import InvalidArgument, WindowTooSmall
 from delone_lab import spectral
 from delone_lab.generators import (
@@ -71,6 +72,41 @@ class TestAutocorrelation:
         assert self.ac.normalization == 20.0
         assert self.ac.weight_at((5,)) == 14 / 20
         assert self.ac.weight_at((99,)) == 0.0
+
+    @pytest.mark.parametrize("bad", [(5.7,), (True,), (np.bool_(True),), ("5",), 5])
+    def test_weight_at_takes_integer_entries_only(self, bad):
+        assert self.ac.weight_at((np.int64(5),)) == 14 / 20
+        with pytest.raises(InvalidArgument, match="is an integer vector"):
+            self.ac.weight_at(bad)
+
+    def test_address_spans_past_one_int64_key(self):
+        # rank 3 with spans of 2^45: the keys of the differences need 139
+        # bits, so they are Python ints
+        rng = np.random.default_rng(5)
+        a = rng.integers(-(1 << 45), 1 << 45, size=40)
+        addr = np.stack([np.arange(40), a, a - rng.integers(0, 1 << 40, size=40)], axis=1)
+        proj = np.array([[1.0], [2.0**-40], [-(2.0**-40)]])
+        ps = ExactPointSet(1, 3, proj, addr, Region.box([(-0.5, 40.5)]))
+        ac = autocorrelation(ps, 12.0, center=[20.0])
+        assert ac.point_count == 24
+        assert ac.counts == brute_pair_counts(ps, 12.0, center=[20.0])
+        assert all(type(k) is int for k in ac.counts.values())
+        assert all(type(v) is int for diff in ac.counts for v in diff)
+
+    def test_peak_is_bounded(self):
+        """tracemalloc peak on fibonacci ±400 at T = 300 (434 points, 188 356
+        ordered pairs): at most 24 bytes a pair, one int64 key difference and
+        its sorted copy. Grouping narrowed difference rows peaked at 7.2 MB
+        (38 bytes a pair) here."""
+        ps = gen_fibonacci().materialize(Region.box([(-400, 400)]))
+        tracemalloc.start()
+        try:
+            ac = autocorrelation(ps, 300.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ac.point_count == 434
+        assert peak <= 24 * ac.point_count**2
 
     def test_symmetry(self):
         for diff, cnt in self.ac.counts.items():
