@@ -127,12 +127,17 @@ class Region:
             raise WindowTooSmall(f"ball of radius {self.radius} cannot be eroded by {margin}")
         return Region.ball(self.center, rad)
 
-    def bounding_box(self) -> "Region":
+    def extent(self) -> tuple:
+        """Per axis, a closed interval (lo, hi) holding every point that
+        contains accepts: boxes widened by REGION_SLACK, balls reaching
+        sqrt(radius^2 + BALL_TOL) from the center, so that a ball of
+        radius 0 still has intervals of positive length. The ball's reach
+        grows by a relative 1e-12, past the roundoff of the squared
+        distance in contains, which accepts points some ulps beyond it."""
         if self.kind == "box":
-            return self
-        return Region.box(
-            [(c - self.radius, c + self.radius) for c in self.center]
-        )
+            return tuple((a - REGION_SLACK, b + REGION_SLACK) for a, b in self.intervals)
+        reach = math.sqrt(self.radius**2 + BALL_TOL) * (1 + 1e-12)
+        return tuple((c - reach, c + reach) for c in self.center)
 
     def volume(self) -> float:
         if self.kind == "box":
@@ -279,8 +284,8 @@ class ExactPointSet:
     Point i sits at addresses[i] @ projection, a row vector in R^n. The
     projection has shape (rank, dimension); row j is the image in R^n of the
     j-th address basis vector. The set is complete for its region: it holds
-    every point of the underlying construction inside the region and nothing
-    else. Treat instances as immutable.
+    every point of the underlying construction that Region.contains accepts,
+    box or ball, and nothing else. Treat instances as immutable.
     """
 
     def __init__(

@@ -1,9 +1,10 @@
 """Point-set constructions with exact integer addresses.
 
-Each generator returns a PointSetSource: a recipe that can materialize the
-construction inside any region, with the guarantee that materializing a
-subregion of a larger window yields exactly the points of the larger window
-that fall in the subregion.
+Each generator returns a PointSetSource: a recipe that lists candidate
+addresses for any region, from which materialize keeps the points that
+Region.contains accepts. So materializing a subregion of a larger window,
+box or ball, yields exactly the points of the larger window that fall in
+the subregion.
 """
 
 from __future__ import annotations
@@ -23,24 +24,30 @@ GOLDEN_TAU = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 class PointSetSource:
-    """A named construction that can be materialized on demand."""
+    """A named construction that can be materialized on demand.
+
+    The projection has shape (rank, dimension), as in ExactPointSet.
+    candidates(region) returns int64 addresses, one row each, among them
+    every point of the construction in region.extent(); it may return more.
+    materialize keeps the rows whose points region.contains accepts, the one
+    window-membership rule of every construction.
+    """
 
     def __init__(
         self,
         name: str,
         params: dict,
-        dimension: int,
-        rank: int,
-        materialize_fn: Callable[[Region], ExactPointSet],
+        projection: np.ndarray,
+        candidates: Callable[[Region], np.ndarray],
         declared_r: Optional[float] = None,
         declared_R: Optional[float] = None,
         extras: Optional[dict] = None,
     ):
         self.name = name
         self.params = params
-        self.dimension = dimension
-        self.rank = rank
-        self._materialize = materialize_fn
+        self.projection = np.asarray(projection, dtype=float)
+        self.rank, self.dimension = self.projection.shape
+        self._candidates = candidates
         self.declared_r = declared_r
         self.declared_R = declared_R
         self.extras = extras or {}
@@ -51,32 +58,22 @@ class PointSetSource:
                 f"{self.name} lives in dimension {self.dimension}, "
                 f"got a region of dimension {region.dimension}"
             )
-        return self._materialize(region)
+        addr = self._candidates(region)
+        inside = region.contains(addr.astype(float) @ self.projection)
+        # np.compress: boolean indexing of 2-D rows is some 7 times slower
+        return ExactPointSet(
+            self.dimension, self.rank, self.projection, np.compress(inside, addr, axis=0), region
+        )
 
     def descriptor(self) -> dict:
         return {"set": self.name, "params": self.params}
 
 
-def _int_grid(region: Region) -> np.ndarray:
-    """All integer vectors in the region's bounding box, lex order."""
-    box = region.bounding_box()
-    axes = []
-    for a, b in box.intervals:
-        lo = math.ceil(a - 1e-9)
-        hi = math.floor(b + 1e-9)
-        if lo > hi:
-            return np.zeros((0, region.dimension), dtype=np.int64)
-        axes.append(np.arange(lo, hi + 1, dtype=np.int64))
+def _int_grid(intervals: Iterable[Sequence[float]]) -> np.ndarray:
+    """All integer vectors in a product of closed intervals, lex order."""
+    axes = [np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.int64) for a, b in intervals]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def _interval_of(region: Region) -> tuple:
-    if region.dimension != 1:
-        raise InvalidArgument("expected a one-dimensional region")
-    if region.kind == "box":
-        return region.intervals[0]
-    return region.center[0] - region.radius, region.center[0] + region.radius
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +88,20 @@ def gen_integer_lattice(n: int, deletions: Iterable[Sequence[int]] = ()) -> Poin
         if len(d) != n:
             raise InvalidArgument(f"deletion {d} has wrong dimension")
 
-    def mat(region: Region) -> ExactPointSet:
-        pts = _int_grid(region)
-        if pts.shape[0]:
-            pts = pts[region.contains(pts.astype(float))]
-        if dels and pts.shape[0]:
+    def candidates(region: Region) -> np.ndarray:
+        pts = _int_grid(region.extent())
+        if dels:
             keep = np.ones(pts.shape[0], dtype=bool)
             for hole in dels:
                 keep &= np.any(pts != hole, axis=1)
             pts = pts[keep]
-        return ExactPointSet(n, n, np.eye(n), pts, region)
+        return pts
 
     return PointSetSource(
         name="zn",
         params={"n": n, "deletions": sorted(map(list, dels))},
-        dimension=n,
-        rank=n,
-        materialize_fn=mat,
+        projection=np.eye(n),
+        candidates=candidates,
         declared_r=0.5,
         declared_R=math.sqrt(n) / 2.0 if not dels else None,
     )
@@ -131,32 +125,26 @@ def gen_beatty(alpha, tau: float) -> PointSetSource:
         v = int(cf.floor_multiples([i])[0])
         return (i - v) + tau * v
 
-    def mat(region: Region) -> ExactPointSet:
-        a, b = _interval_of(region)
+    def candidates(region: Region) -> np.ndarray:
+        ((a, b),) = region.extent()
         # index range from the mean slope, widened until both exact end
-        # points lie outside the window; x_i increases with i
+        # points lie outside the extent; x_i increases with i
         lo, hi = math.floor(a / slope), math.ceil(b / slope)
         step = 1
-        while x_of(lo) >= a - 1e-9:
+        while x_of(lo) >= a:
             lo, step = lo - step, 2 * step
         step = 1
-        while x_of(hi) <= b + 1e-9:
+        while x_of(hi) <= b:
             hi, step = hi + step, 2 * step
         i = np.arange(lo, hi + 1, dtype=np.int64)
         v = cf.floor_multiples(i)
-        u = i - v
-        p = u + tau * v
-        keep = (a - 1e-9 <= p) & (p <= b + 1e-9)
-        arr = np.stack([u[keep], v[keep]], axis=1)
-        proj = np.array([[1.0], [tau]])
-        return ExactPointSet(1, 2, proj, arr, region)
+        return np.stack([i - v, v], axis=1)
 
     return PointSetSource(
         name="beatty",
         params={"alpha": _alpha_param(alpha), "tau": tau},
-        dimension=1,
-        rank=2,
-        materialize_fn=mat,
+        projection=np.array([[1.0], [tau]]),
+        candidates=candidates,
         declared_r=0.5,
         declared_R=tau / 2.0,
     )
@@ -187,23 +175,18 @@ def gen_cut_project_1d(alpha) -> PointSetSource:
     af = cf.value_float()
     norm = math.sqrt(1.0 + af * af)
 
-    def mat(region: Region) -> ExactPointSet:
-        a, b = _interval_of(region)
+    def candidates(region: Region) -> np.ndarray:
+        ((a, b),) = region.extent()
         m = np.arange(math.floor(a / norm) - 2, math.ceil(b / norm) + 3, dtype=np.int64)
         # p = ceil(alpha m), which is floor(alpha m) + 1 for m != 0
         p = np.where(m == 0, 0, cf.floor_multiples(m) + 1)
-        t = (m + p * af) / norm
-        keep = (a - 1e-9 <= t) & (t <= b + 1e-9)
-        arr = np.stack([m[keep], p[keep]], axis=1)
-        proj = np.array([[1.0 / norm], [af / norm]])
-        return ExactPointSet(1, 2, proj, arr, region)
+        return np.stack([m, p], axis=1)
 
     return PointSetSource(
         name="cut_project",
         params={"alpha": _alpha_param(alpha)},
-        dimension=1,
-        rank=2,
-        materialize_fn=mat,
+        projection=np.array([[1.0 / norm], [af / norm]]),
+        candidates=candidates,
         declared_r=0.5 / norm,
         declared_R=(1.0 + af) / (2.0 * norm),
         extras={"alpha_float": af, "norm": norm},
@@ -218,47 +201,32 @@ def gen_product(factors: Sequence[PointSetSource]) -> PointSetSource:
     factors = list(factors)
     if len(factors) < 2:
         raise InvalidArgument("product needs at least 2 factors")
-    dim = sum(f.dimension for f in factors)
-    rank = sum(f.rank for f in factors)
+    proj = np.zeros((sum(f.rank for f in factors), sum(f.dimension for f in factors)))
+    ro = co = 0
+    for f in factors:
+        proj[ro : ro + f.rank, co : co + f.dimension] = f.projection
+        ro += f.rank
+        co += f.dimension
 
-    def mat(region: Region) -> ExactPointSet:
-        box = region.bounding_box()
-        # split the bounding box among the factors
-        parts = []
+    def candidates(region: Region) -> np.ndarray:
+        # the cartesian product of each factor's points in its share of the extent
+        ivs = region.extent()
+        addr = np.zeros((1, 0), dtype=np.int64)
         off = 0
         for f in factors:
-            ivs = box.intervals[off : off + f.dimension]
-            parts.append(f.materialize(Region.box(ivs)))
+            sub = f.materialize(Region.box(ivs[off : off + f.dimension])).addresses
             off += f.dimension
-        # cartesian product of addresses
-        addr = parts[0].addresses
-        for sub in parts[1:]:
-            if addr.shape[0] == 0 or sub.addresses.shape[0] == 0:
-                addr = np.zeros((0, addr.shape[1] + sub.addresses.shape[1]), np.int64)
-                continue
-            left = np.repeat(addr, sub.addresses.shape[0], axis=0)
-            right = np.tile(sub.addresses, (addr.shape[0], 1))
-            addr = np.concatenate([left, right], axis=1)
-        proj = np.zeros((rank, dim))
-        ro = co = 0
-        for f, sub in zip(factors, parts):
-            proj[ro : ro + f.rank, co : co + f.dimension] = sub.projection
-            ro += f.rank
-            co += f.dimension
-        ps = ExactPointSet(dim, rank, proj, addr, region)
-        if region.kind == "ball" and len(ps):
-            keep = region.contains(ps.points)
-            ps = ExactPointSet(dim, rank, proj, addr[keep], region)
-        return ps
+            left = np.repeat(addr, sub.shape[0], axis=0)
+            addr = np.concatenate([left, np.tile(sub, (addr.shape[0], 1))], axis=1)
+        return addr
 
     rs = [f.declared_r for f in factors]
     Rs = [f.declared_R for f in factors]
     return PointSetSource(
         name="product",
         params={"factors": [f.descriptor() for f in factors]},
-        dimension=dim,
-        rank=rank,
-        materialize_fn=mat,
+        projection=proj,
+        candidates=candidates,
         declared_r=min(rs) if all(r is not None for r in rs) else None,
         declared_R=math.sqrt(sum(R * R for R in Rs)) if all(R is not None for R in Rs) else None,
     )
@@ -300,22 +268,15 @@ def gen_deleted_lines(a: Sequence[int]) -> PointSetSource:
         lvl = _deleted_lines_levels(coords, a)
         return lvl % 2 == 0
 
-    def mat(region: Region) -> ExactPointSet:
-        if region.dimension != 3:
-            raise InvalidArgument("deleted-lines sets live in dimension 3")
-        pts = _int_grid(region)
-        if pts.shape[0]:
-            pts = pts[region.contains(pts.astype(float))]
-        if pts.shape[0]:
-            pts = pts[present_mask(pts)]
-        return ExactPointSet(3, 3, np.eye(3), pts, region)
+    def candidates(region: Region) -> np.ndarray:
+        pts = _int_grid(region.extent())
+        return pts[present_mask(pts)]
 
     return PointSetSource(
         name="deleted_lines",
         params={"a": list(a)},
-        dimension=3,
-        rank=3,
-        materialize_fn=mat,
+        projection=np.eye(3),
+        candidates=candidates,
         declared_r=0.5,
         declared_R=math.sqrt(5.0) / 2.0,
         extras={
@@ -524,15 +485,10 @@ def gen_two_color(n: int, a: Sequence[int]) -> PointSetSource:
             out[:, i] = cells[:, i] - cells[:, 0]
         return out
 
-    def mat(region: Region) -> ExactPointSet:
-        box = region.bounding_box()
-        lo = [math.floor(a_ - 1e-9) - 1 for a_, _ in box.intervals]
-        hi = [math.ceil(b_ + 1e-9) + 1 for _, b_ in box.intervals]
-        axes = [np.arange(l, h + 1, dtype=np.int64) for l, h in zip(lo, hi)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        cells = np.stack([g.ravel() for g in grids], axis=1)
+    def candidates(region: Region) -> np.ndarray:
+        cells = _int_grid((math.floor(a_) - 1, math.ceil(b_) + 1) for a_, b_ in region.extent())
         white = st.cell_is_white(cells)
-        addr = np.concatenate(
+        return np.concatenate(
             [
                 addr_of_cells(cells[white], 0),
                 addr_of_cells(cells[~white], -1),
@@ -540,16 +496,12 @@ def gen_two_color(n: int, a: Sequence[int]) -> PointSetSource:
             ],
             axis=0,
         )
-        pts = addr.astype(float) @ proj
-        keep = region.contains(pts)
-        return ExactPointSet(n, n, proj, addr[keep], region)
 
     return PointSetSource(
         name="two_color",
         params={"n": n, "a": list(st.a), "coding": "pair-offset"},
-        dimension=n,
-        rank=n,
-        materialize_fn=mat,
+        projection=proj,
+        candidates=candidates,
         declared_r=1.0 / 6.0,
         declared_R=None,
         extras={

@@ -107,6 +107,22 @@ class TestGenerate:
         assert "mode approximate" in echo
         assert "imported %d points" % obj["config"]["count"] in echo
 
+    @pytest.mark.parametrize(
+        "name, params, dimension",
+        [
+            ("zn", {"n": 2}, 2),
+            ("product", {"factors": [{"set": "zn"}, {"set": "fibonacci"}]}, 2),
+            ("deleted_lines", {"a": [2]}, 3),
+        ],
+    )
+    def test_zero_radius_ball_holds_the_origin(self, name, params, dimension, capsys):
+        window = {"kind": "ball", "center": [0] * dimension, "radius": 0}
+        argv = ["generate", "--set", name, "--params", json.dumps(params), "--window", json.dumps(window)]
+        assert run_cli(argv) == 0
+        config, header, rows = parse_csv(capsys.readouterr().out)
+        assert config["count"] == 1
+        assert rows == [["0.0"] * dimension + ["0"] * (len(header) - dimension - 1) + ["exact"]]
+
     def test_subprocess_byte_determinism(self, cli_env):
         cmd = [sys.executable, "-m", "delone_lab.cli", "generate", "--set", "fibonacci", "--window", "30"]
         a = subprocess.run(cmd, capture_output=True, check=True, env=cli_env)

@@ -89,6 +89,29 @@ class TestRegion:
         assert outer.contains_region(Region.ball([0.0], 5.0))
         assert not outer.contains_region(Region.box([(-6, 0)]))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        center=st.lists(st.floats(-1e5, 1e5), min_size=1, max_size=3),
+        size=st.one_of(st.just(0.0), st.floats(0.0, 1e-4), st.floats(0.0, 5.0)),
+        ball=st.booleans(),
+    )
+    def test_extent_holds_what_contains_accepts(self, center, size, ball):
+        n = len(center)
+        if ball:
+            region, reach = Region.ball(center, size), math.sqrt(size**2 + core_mod.BALL_TOL)
+        else:
+            size += 1e-3
+            region, reach = Region.box((c - size, c + size) for c in center), size + core_mod.REGION_SLACK
+        # points along the axes and a diagonal, a few ulps either side of the reach
+        dirs = np.vstack([np.eye(n), -np.eye(n), np.ones((1, n)) / math.sqrt(n)])
+        base = np.asarray(center) + dirs * reach
+        steps = np.arange(-4, 5)[None, :, None]
+        pts = (base[:, None, :] + np.spacing(base)[:, None, :] * steps).reshape(-1, n)
+        lo, hi = np.array(region.extent()).T
+        assert np.all(lo < hi)
+        inside = pts[region.contains(pts)]
+        assert len(inside) and np.all((lo <= inside) & (inside <= hi))
+
     def test_degenerate_interval_rejected(self):
         with pytest.raises(InvalidArgument):
             Region.box([(2, 1)])

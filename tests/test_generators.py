@@ -1,6 +1,8 @@
 """Construction generators: walks, congruences, hierarchical colorings."""
 
+import inspect
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -559,3 +561,95 @@ class TestRegistry:
             {"factors": [{"set": "zn"}, {"set": "fibonacci"}]},
         )
         assert src.dimension == 2
+
+
+# One source per case, and at least one case for every name build_source knows.
+MEMBERSHIP_CASES = {
+    "zn-1": ("zn", {"n": 1}),
+    "zn-2-holes": ("zn", {"n": 2, "deletions": [[1, 1], [1, -1], [-2, 3]]}),
+    "zn-3-holes": ("zn", {"n": 3, "deletions": [[0, 0, 1], [1, 0, -1]]}),
+    "beatty-rational": ("beatty", {"alpha": RATIONAL_CF, "tau": 1.7}),
+    "fibonacci": ("fibonacci", {}),
+    "cut_project": ("cut_project", {"alpha": "golden"}),
+    "product": ("product", {"factors": [{"set": "fibonacci"}, {"set": "zn", "params": {"n": 1}}]}),
+    "deleted_lines": ("deleted_lines", {"a": [2, 10]}),
+    "two_color-1": ("two_color", {"n": 1}),
+    "two_color-2": ("two_color", {"n": 2, "a": [100, 144]}),  # cells reach 120 from the origin
+}
+MEMBERSHIP_SOURCES = {case: build_source(*spec) for case, spec in MEMBERSHIP_CASES.items()}
+
+
+def assert_window_is_a_restriction(src, window):
+    """materialize(window) holds exactly the points of a larger box that
+    window.contains accepts, in the box's order. The box reaches a unit
+    past the window on every side, so it holds window.extent(). Returns the
+    window's point set."""
+    if window.kind == "box":
+        ivs = window.intervals
+    else:
+        ivs = [(c - window.radius, c + window.radius) for c in window.center]
+    big = src.materialize(Region.box((a - 1.0, b + 1.0) for a, b in ivs))
+    ps = src.materialize(window)
+    assert ps.addresses.tolist() == big.addresses[window.contains(big.points)].tolist()
+    return ps
+
+
+@st.composite
+def membership_windows(draw, src):
+    """Boxes and balls: zero and sub-1e-4 radii at off-lattice centers,
+    balls within 2e-9 of a point's distance, and one-dimensional centers
+    near 3e5."""
+    offset = draw(st.sampled_from([0.0, 300_000.0, -300_000.0])) if src.dimension == 1 else 0.0
+    center = [
+        offset + draw(st.one_of(st.integers(-6, 6).map(float), st.floats(-6.0, 6.0)))
+        for _ in range(src.dimension)
+    ]
+    if draw(st.booleans()):
+        near = src.materialize(Region.box((c - 4.0, c + 4.0) for c in center)).points
+        edges = np.sqrt(np.sum((near - center) ** 2, axis=1)).tolist()
+        radius = draw(
+            st.one_of(
+                st.just(0.0),
+                st.floats(0.0, 1e-4),
+                st.floats(0.0, 4.0),
+                st.tuples(st.sampled_from(edges), st.floats(-2e-9, 2e-9)).map(
+                    lambda e: max(e[0] + e[1], 0.0)
+                ),
+            )
+        )
+        return Region.ball(center, radius)
+    halves = [draw(st.one_of(st.floats(1e-6, 1e-4), st.floats(0.01, 4.0))) for _ in center]
+    return Region.box((c - h, c + h) for c, h in zip(center, halves))
+
+
+class TestWindowMembership:
+    def test_every_registered_name_has_a_case(self):
+        names = set(re.findall(r'name == "(\w+)"', inspect.getsource(build_source)))
+        assert names and names == {name for name, _ in MEMBERSHIP_CASES.values()}
+
+    @pytest.mark.parametrize("case", sorted(MEMBERSHIP_CASES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_window_is_a_restriction_of_a_larger_box(self, case, data):
+        src = MEMBERSHIP_SOURCES[case]
+        assert_window_is_a_restriction(src, data.draw(membership_windows(src)))
+
+    @pytest.mark.parametrize(
+        "case, window, count",
+        [
+            # half a nanometre short of the point at 1 + tau, which the
+            # squared-distance BALL_TOL leaves out and a linear 1e-9 let in
+            pytest.param("fibonacci", Region.ball([0.0], 1 + GOLDEN_TAU - 5e-10), 3, id="fibonacci-edge"),
+            # likewise short of the seventh-nearest point, at 3.6034146498
+            pytest.param("cut_project", Region.ball([0.0], 3.603414648794387), 6, id="cut_project-edge"),
+            # the origin lies within sqrt(BALL_TOL) of a tiny off-lattice ball
+            pytest.param("zn-2-holes", Region.ball([1e-5, 0.0], 1e-6), 1, id="zn-2-tiny-ball"),
+            pytest.param("zn-3-holes", Region.ball([0.0, 1e-5, 0.0], 1e-6), 1, id="zn-3-tiny-ball"),
+            pytest.param("zn-1", Region.ball([0.0], 0.0), 1, id="zn-zero-radius"),
+            pytest.param("deleted_lines", Region.ball([0.0] * 3, 0.0), 1, id="deleted_lines-zero-radius"),
+            pytest.param("two_color-2", Region.ball([0.0, 0.0], 0.0), 1, id="two_color-zero-radius"),
+            pytest.param("product", Region.ball([0.0, 0.0], 0.0), 1, id="product-zero-radius"),
+        ],
+    )
+    def test_ball_edges_follow_region_contains(self, case, window, count):
+        assert len(assert_window_is_a_restriction(MEMBERSHIP_SOURCES[case], window)) == count
