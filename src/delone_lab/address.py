@@ -213,8 +213,35 @@ def build_address_map(ps: ExactPointSet) -> AddressMap:
 @dataclass
 class LipschitzReport:
     value: float  # a certified lower bound on the true constant
-    pairs_used: int
+    pairs_used: int  # the pairs the maximum covers
     mode: str  # "all-pairs" or "sampled"
+    pairs_scanned: int  # of those, the pairs whose ratio was computed
+
+
+def _ratio_bound(coords: np.ndarray, x: np.ndarray) -> tuple:
+    """(LT, head, tail, slack): the computed ratio of any pair at distance d
+    is at most B(d) = head + tail / d.
+
+    LT is one least-squares fit of the coordinates on the positions x, taken
+    relative to the origin point, and L = LT.T. For any L, a pair at
+    distance d has |phi(x) - phi(y)| <= |L| d + 2 rho, where |L| is the
+    Frobenius norm, at least the operator norm, and rho bounds every
+    residual |phi(x) - L x|. Both are rounded outward: |L| past the roundoff
+    of its sum of squares, rho past its own and past the residuals' absolute
+    roundoff, under (n + 3) ulps of |x| |L|, each taken twice over. Then
+    B(d) = (|L| + 2 rho / d)(1 + slack), where slack = 8 (n + s) ulps, as
+    covering_radius rounds, covers the rounding of the computed ratio, at
+    most (n + s) / 2 + 3 ulps.
+    """
+    n, s = x.shape[1], coords.shape[1]
+    ulp = math.ulp(1.0)
+    LT = np.linalg.lstsq(x, coords, rcond=None)[0]
+    norm = math.sqrt(math.fsum((LT * LT).flat)) * (1.0 + 3.0 * ulp)
+    reach = math.sqrt(float(np.max(_sum_of_squares(x.T))))
+    rho = math.sqrt(float(np.max(_sum_of_squares((coords - x @ LT).T))))
+    rho = (rho + 2.0 * (n + 3) * ulp * reach * norm) * (1.0 + 2.0 * (s + 3) * ulp)
+    slack = 8.0 * (n + s) * ulp
+    return LT, norm * (1.0 + slack), 2.0 * rho * (1.0 + slack), slack
 
 
 def lipschitz_constant(
@@ -223,12 +250,25 @@ def lipschitz_constant(
     """Largest observed ratio |phi(x)-phi(y)| / |x-y|.
 
     All pairs up to LIPSCHITZ_EXACT_LIMIT points, otherwise a seeded pair
-    sample; both modes give lower bounds on the true constant. The sample
-    draws LIPSCHITZ_SAMPLE_PAIRS index pairs and drops those with equal
-    ends; each squared distance is summed one coordinate column at a time,
-    bitwise equal to a row sum. Both modes scan LIPSCHITZ_BLOCK_PAIRS pairs
-    at a time; the ratios are elementwise and the maximum is exact, so the
-    block size changes no value.
+    sample; both modes give lower bounds on the true constant, and
+    pairs_used counts the pairs the maximum covers. The sample draws
+    LIPSCHITZ_SAMPLE_PAIRS index pairs and drops those with equal ends; each
+    squared distance is summed one coordinate column at a time, bitwise
+    equal to a row sum. Both modes scan LIPSCHITZ_BLOCK_PAIRS pairs at a
+    time; the ratios are elementwise and the maximum is exact, so the block
+    size changes no value.
+
+    Not every covered pair is scanned. With a linear map L whose residuals
+    are at most rho, the computed ratio of a pair at distance d is at most
+    B(d) = (|L| + 2 rho / d)(1 + margin), the margin covering the ratio's
+    own rounding (_ratio_bound). Once the running maximum exceeds B(d), no
+    pair at distance d or more can raise it: the all-pairs scan, sorted by
+    the first coordinate, meets only the columns whose first coordinate lies
+    within that cutoff, and the sample takes address-map differences only
+    for the pairs nearer than it. So the value is bitwise that of a scan of
+    every covered pair, and pairs_scanned counts the pairs whose ratio was
+    computed. On a lattice rho is about 0 and no ratio exceeds |L|, so the
+    cutoff stays infinite and every pair is scanned.
     """
     if amap is None:
         amap = build_address_map(ps)
@@ -237,39 +277,74 @@ def lipschitz_constant(
     coords = amap.phi(ps.addresses).astype(float)
     pts = ps.points
     P = len(ps)
-    best = 0.0
+    _, head, tail, slack = _ratio_bound(coords, pts - amap.origin_address.astype(float) @ ps.projection)
+
+    def cutoff(best):
+        # B(d) < best for every d beyond this; the slack covers its own
+        # rounding and that of the distances it is compared with
+        return tail / (best - head) * (1.0 + slack) if best > head else math.inf
+
+    best, cut, scanned = 0.0, math.inf, 0
     if P <= LIPSCHITZ_EXACT_LIMIT:
         used = P * (P - 1) // 2
-        # the ratio is symmetric in the pair, so each row block meets only
-        # the columns after its rows; at least 16 blocks keep the diagonal
-        # blocks' wasted half small
+        # the ratio is symmetric in the pair, so each row block meets only the
+        # columns after its rows; at least 16 blocks keep the diagonal blocks'
+        # wasted half small. Sorted by the first coordinate, a pair is at
+        # least its first-coordinate gap apart, so once the cutoff is finite
+        # row i needs only the columns before ends[i]. Blocks then take up to
+        # `band` rows, fewer if their columns would pass LIPSCHITZ_BLOCK_PAIRS:
+        # the triangle a block masks, or scans past the cutoff, stays within
+        # 1/32 of a block
+        order = np.argsort(pts[:, 0], kind="stable")
+        pts, coords = pts[order], coords[order]
+        x0 = pts[:, 0]
+        pad = 4.0 * math.ulp(float(np.max(np.abs(x0))))  # the rounding of x0 + cut
         chunk = max(1, min(LIPSCHITZ_BLOCK_PAIRS // P, -(-P // 16)))
+        band = max(1, math.isqrt(LIPSCHITZ_BLOCK_PAIRS // 16))
+        ends = np.full(P, P)
         from scipy.spatial.distance import cdist
 
+        s = 0
         with np.errstate(divide="ignore"):
-            for s in range(0, P, chunk):
-                e = min(s + chunk, P)
-                nx = cdist(pts[s:e], pts[s:])
-                nphi = cdist(coords[s:e], coords[s:])
-                nx[np.arange(s, e)[:, None] >= np.arange(s, P)[None, :]] = np.inf
-                best = max(best, float(np.max(nphi / nx)))
-        return LipschitzReport(value=best, pairs_used=used, mode="all-pairs")
+            while s < P:
+                e = min(s + (chunk if cut == math.inf else band), P)
+                while e - s > 1 and (e - s) * (ends[e - 1] - s) > LIPSCHITZ_BLOCK_PAIRS:
+                    e = s + (e - s) // 2
+                h = int(ends[e - 1])
+                nx = cdist(pts[s:e], pts[s:h])
+                nphi = cdist(coords[s:e], coords[s:h])
+                nx[np.arange(s, e)[:, None] >= np.arange(s, h)[None, :]] = np.inf
+                scanned += (e - s) * (h - s) - (e - s) * (e - s + 1) // 2
+                top = float(np.max(nphi / nx))
+                if top > best:
+                    best, cut = top, cutoff(top)
+                    if cut < math.inf:
+                        ends = np.searchsorted(x0, x0 + (cut + pad), side="right")
+                s = e
+        return LipschitzReport(value=best, pairs_used=used, mode="all-pairs", pairs_scanned=scanned)
     rng = np.random.default_rng(seed)
     ii = rng.integers(0, P, size=LIPSCHITZ_SAMPLE_PAIRS)
     jj = rng.integers(0, P, size=LIPSCHITZ_SAMPLE_PAIRS)
     coords_t, pts_t = np.ascontiguousarray(coords.T), np.ascontiguousarray(pts.T)
-    block_max, used = [], 0
+    used = 0
     with np.errstate(divide="ignore"):
         for s in range(0, ii.size, LIPSCHITZ_BLOCK_PAIRS):
             i, j = ii[s : s + LIPSCHITZ_BLOCK_PAIRS], jj[s : s + LIPSCHITZ_BLOCK_PAIRS]
             keep = i != j
             i, j = i[keep], j[keep]
             used += i.size
+            nx = np.sqrt(_sum_of_squares(c[i] - c[j] for c in pts_t))
+            if cut < math.inf:
+                near = nx < cut
+                i, j, nx = i[near], j[near], nx[near]
+            scanned += i.size
             if i.size:
                 ratios = np.sqrt(_sum_of_squares(c[i] - c[j] for c in coords_t))
-                ratios /= np.sqrt(_sum_of_squares(c[i] - c[j] for c in pts_t))
-                block_max.append(np.max(ratios))
-    return LipschitzReport(value=float(np.max(block_max)), pairs_used=used, mode="sampled")
+                ratios /= nx
+                top = float(np.max(ratios))
+                if top > best:
+                    best, cut = top, cutoff(top)
+    return LipschitzReport(value=best, pairs_used=used, mode="sampled", pairs_scanned=scanned)
 
 
 # ---------------------------------------------------------------------------

@@ -168,23 +168,41 @@ def _csv_field(value) -> str:
     return text
 
 
-def _column_format(column):
-    """A %-format for one column's field and the values it fills. A string
-    is a literal on every row. An integer or float64 array formats each
-    distinct value once, with str() (a float's str() is its repr), and fills
+def _column_format(column, field=_csv_field):
+    """A %-format for one column's field and the values it fills, each
+    rendered by field. A string is a literal on every row. An integer or
+    float64 array formats each distinct value once, with str() (a float's
+    str() is its repr; a NaN or an infinity goes through field), and fills
     the rows through the inverse index; floats are told apart by their bits,
     so 0.0 and -0.0 keep their own text. Any other column is formatted field
     by field, an array through its tolist() values."""
     if isinstance(column, str):
-        return _csv_field(column).replace("%", "%%"), None
+        return field(column).replace("%", "%%"), None
     if isinstance(column, np.ndarray) and (column.dtype.kind in "iu" or column.dtype == np.float64):
         is_float = column.dtype.kind == "f"
         uniq, inverse = np.unique(column.view(np.int64) if is_float else column, return_inverse=True)
-        text = np.array(list(map(str, uniq.view(column.dtype).tolist())), dtype=object)
+        uniq = uniq.view(column.dtype)
+        text = np.array(list(map(str, uniq.tolist())), dtype=object)
+        if is_float and not np.all(np.isfinite(uniq)):
+            wild = ~np.isfinite(uniq)
+            text[wild] = [field(v) for v in uniq[wild].tolist()]
         return "%s", text[inverse].tolist()
     if isinstance(column, np.ndarray):
         column = column.tolist()
-    return "%s", [_csv_field(v) for v in column]
+    return "%s", [field(v) for v in column]
+
+
+def _fill(formats, values, row: str, sep: str) -> str:
+    """Rows made by filling the %-template row, built from the column
+    formats, with each row's column values, joined by sep."""
+    values = [v for v in values if v is not None]
+    n, width = len(values[0]), len(values)
+    if any(len(v) != n for v in values):
+        raise ValueError("columns of different lengths")
+    flat = [None] * (n * width)
+    for j, v in enumerate(values):
+        flat[j::width] = v
+    return sep.join([row] * n) % tuple(flat)
 
 
 def _csv_text(table: dict) -> str:
@@ -192,19 +210,38 @@ def _csv_text(table: dict) -> str:
     `csv.writer(lineterminator="\\n")` writes for them row by row. Every table
     ends with its tag column, so no row is a lone empty field."""
     formats, values = zip(*map(_column_format, table.values()))
-    values = [v for v in values if v is not None]
-    n, width = len(values[0]), len(values)
-    flat = [None] * (n * width)
-    for j, v in enumerate(values):
-        flat[j::width] = v
     header = ",".join(map(_csv_field, table)) + "\n"
-    return header + (",".join(formats) + "\n") * n % tuple(flat)
+    return header + _fill(formats, values, ",".join(formats) + "\n", "")
 
 
-def _json_rows(table: dict) -> list:
-    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
-    n = len(next(c for c in columns if not isinstance(c, str)))
-    return list(zip(*([c] * n if isinstance(c, str) else c for c in columns), strict=True))
+class _Rows:
+    """A list of rows held as columns: 1-D arrays, sequences, or one string
+    that fills every row. _json_text writes it column by column."""
+
+    def __init__(self, columns):
+        self.columns = list(columns)
+
+
+def _json_field(indent: str):
+    """json.dumps of one value nested at this indent of an indent=2 text."""
+    return lambda v: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) byte for byte, where a
+    _Rows stands for its list of rows and every dict has string keys. The
+    rows are written as _csv_text writes its rows: each column's values are
+    formatted once and filled into one %-template."""
+    inner = indent + "  "
+    if isinstance(value, _Rows):
+        formats, values = zip(*(_column_format(c, _json_field(inner + "  ")) for c in value.columns))
+        row = "\n%s[\n%s  %s\n%s]" % (inner, inner, (",\n  " + inner).join(formats), inner)
+        text = _fill(formats, values, row, ",")
+        return "[" + text + "\n" + indent + "]" if text else "[]"
+    if isinstance(value, dict) and value:
+        items = ("\n" + inner + json.dumps(k) + ": " + _json_text(value[k], inner) for k in sorted(value))
+        return "{" + ",".join(items) + "\n" + indent + "}"
+    return _json_field(indent)(value)
 
 
 def _emit(
@@ -219,10 +256,10 @@ def _emit(
     if fmt == "csv":
         text = "# " + json.dumps(config, sort_keys=True) + "\n" + _csv_text(table)
     else:
-        payload = {"config": config, "columns": list(table), "rows": _json_rows(table)}
+        payload = {"config": config, "columns": list(table), "rows": _Rows(table.values())}
         if extra_json:
             payload.update(extra_json)
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
@@ -290,7 +327,9 @@ def generate(set_name, params, seed, out, fmt, window, extra):
     table.update(("a%d" % j, ps.addresses[:, j]) for j in range(ps.rank))
     table["tag"] = "exact"
     # JSON artifacts double as reloadable point-set files
-    extra = {"point_set": ps.to_json()} if fmt == "json" else None
+    extra = None
+    if fmt == "json":
+        extra = {"point_set": dict(ps.to_json(), addresses=_Rows(ps.addresses.T))}
     _emit(config, table, fmt, out, extra_json=extra)
 
 

@@ -124,34 +124,55 @@ class ContinuedFraction:
     def floor_multiples(self, js) -> np.ndarray:
         """floor(j * alpha) for every entry of an int64 array, exact (1-D).
 
-        The vector form of floor_multiple: each entry resolves at the first
-        convergent bracket whose two floors agree, and only unresolved entries
-        go one convergent deeper. An entry whose products |j| * max(p, q)
-        could overflow int64 is handed to floor_multiple (Python ints).
+        The vector form of floor_multiple. No fraction with a denominator
+        below q_k + q_{k+1} lies strictly between the convergents k and
+        k + 1, so once q_k + q_{k+1} > |j| the floors of j times both ends of
+        that bracket agree, unless an end is itself m / j. Each entry starts
+        at the first such level, or at the deepest level whose products
+        |j| * max(p, q) fit in int64 if that is shallower, and goes one
+        level deeper only while its two floors disagree; an end m / j
+        clears within two levels. An entry whose products could overflow
+        int64 at its level is handed to floor_multiple (Python ints).
         """
         js = np.asarray(js, dtype=np.int64).reshape(-1)
         out = np.zeros(js.shape, dtype=np.int64)
         todo = np.flatnonzero(js)
-        k = 1
-        while todo.size:
+        mag = np.abs(js[todo]).view(np.uint64)  # |INT64_MIN| wraps to 2**63, as it should
+        top = int(mag.max(initial=0))
+        # per level k = 1, 2, ...: both bracket ends (p, q, p', q'), the largest
+        # |j| whose products fit, and q + q'; up to two levels past the first
+        # with q + q' > top. A rational alpha has one level, its exact value.
+        ends, lims, reach, past = [], [], [], 0
+        while past < 3:
             if self.is_rational:
                 (plo, qlo) = (phi, qhi) = self.convergent(len(self._quotients))
+                past = 3
             else:
-                (plo, qlo), (phi, qhi) = self._bounds_pq(k)
+                (plo, qlo), (phi, qhi) = self._bounds_pq(len(ends) + 1)
+                past += qlo + qhi > top
             lim = _INT64_MAX // max(plo, qlo, phi, qhi)
-            j = js[todo]
-            safe = (j <= lim) & (j >= -lim)
-            for i in todo[~safe].tolist():
+            if not lim:
+                break
+            ends.append((plo, qlo, phi, qhi))
+            lims.append(lim)
+            reach.append(qlo + qhi)
+        ends = np.array(ends, dtype=np.int64).reshape(-1, 4).T  # one row per end
+        lims = np.array(lims, dtype=np.uint64)
+        deepest = lims.size - 1 - np.searchsorted(lims[::-1], mag)  # lims fall with k
+        level = np.minimum(np.searchsorted(np.array(reach, dtype=np.uint64), mag, side="right"), deepest)
+        while todo.size:
+            fits = (level >= 0) & (level <= deepest)
+            for i in todo[~fits].tolist():
                 out[i] = self.floor_multiple(int(js[i]))
-            todo, j = todo[safe], j[safe]
+            todo, level, deepest = todo[fits], level[fits], deepest[fits]
             if not todo.size:
                 break
+            j, (plo, qlo, phi, qhi) = js[todo], (e[level] for e in ends)
             flo = (j * plo) // qlo
             fhi = (j * phi) // qhi
             same = flo == fhi
             out[todo[same]] = flo[same]
-            todo = todo[~same]
-            k += 1
+            todo, level, deepest = todo[~same], level[~same] + 1, deepest[~same]
         return out
 
     def _bounds_pq(self, k: int) -> tuple:

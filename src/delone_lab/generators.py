@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .contfrac import ContinuedFraction
-from .core import ExactPointSet, Region
+from .core import REGION_SLACK, ExactPointSet, Region
 from .errors import InvalidArgument, WindowTooSmall
 
 GOLDEN_TAU = (1.0 + math.sqrt(5.0)) / 2.0
@@ -486,7 +486,10 @@ def gen_two_color(n: int, a: Sequence[int]) -> PointSetSource:
         return out
 
     def candidates(region: Region) -> np.ndarray:
-        cells = _int_grid((math.floor(a_) - 1, math.ceil(b_) + 1) for a_, b_ in region.extent())
+        # each point lies within 1/3 of its cell on every axis, give or take
+        # the roundoff that REGION_SLACK absorbs
+        reach = 1.0 / 3.0 + REGION_SLACK
+        cells = _int_grid((a_ - reach, b_ + reach) for a_, b_ in region.extent())
         white = st.cell_is_white(cells)
         return np.concatenate(
             [

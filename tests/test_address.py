@@ -2,6 +2,8 @@
 
 import functools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -213,6 +215,60 @@ class TestAddressMap:
             build_address_map(thin)
 
 
+def full_scan(ps, amap, seed=0):
+    """(value, pairs, mode) of the Lipschitz scan that looks at every covered
+    pair: all pairs by cdist row blocks up to LIPSCHITZ_EXACT_LIMIT points,
+    otherwise every pair of the seeded sample."""
+    from scipy.spatial.distance import cdist
+
+    coords = amap.phi(ps.addresses).astype(float)
+    pts, P, block = ps.points, len(ps), address_mod.LIPSCHITZ_BLOCK_PAIRS
+    best = 0.0
+    with np.errstate(divide="ignore"):
+        if P <= address_mod.LIPSCHITZ_EXACT_LIMIT:
+            chunk = max(1, min(block // P, -(-P // 16)))
+            for s in range(0, P, chunk):
+                e = min(s + chunk, P)
+                nx = cdist(pts[s:e], pts[s:])
+                nx[np.arange(s, e)[:, None] >= np.arange(s, P)[None, :]] = np.inf
+                best = max(best, float(np.max(cdist(coords[s:e], coords[s:]) / nx)))
+            return best, P * (P - 1) // 2, "all-pairs"
+        rng = np.random.default_rng(seed)
+        ii = rng.integers(0, P, size=address_mod.LIPSCHITZ_SAMPLE_PAIRS)
+        jj = rng.integers(0, P, size=address_mod.LIPSCHITZ_SAMPLE_PAIRS)
+        keep = ii != jj
+        i, j = ii[keep], jj[keep]
+        ratios = np.sqrt(_sum_of_squares(c[i] - c[j] for c in coords.T))
+        ratios /= np.sqrt(_sum_of_squares(c[i] - c[j] for c in pts.T))
+        return float(np.max(ratios)), i.size, "sampled"
+
+
+FIB_X_FIB = {"factors": [{"set": "fibonacci"}] * 2}
+# construction, its parameters and the center of its windows
+LIPSCHITZ_SETS = {
+    "fibonacci": ("fibonacci", {}, 0.0),
+    "cut_project": ("cut_project", {"alpha": "golden"}, 0.0),
+    "beatty-far": ("beatty", {"alpha": "golden", "tau": math.sqrt(2.0)}, 3e5),
+    "fib-x-fib": ("product", FIB_X_FIB, 0.0),
+    "z2-holes": ("zn", {"n": 2, "deletions": [[0, 0], [3, 1], [-2, 4]]}, 0.0),
+    "deleted-lines": ("deleted_lines", {"a": [2, 10]}, 0.0),
+}
+
+
+def lipschitz_set(name, half, shift):
+    """A window of one LIPSCHITZ_SETS entry, of some 40 to 900 points."""
+    kind, params, center = LIPSCHITZ_SETS[name]
+    src = build_source(kind, params)
+    n = src.dimension
+    half = {1: 60.0 + 4.0 * half, 2: 4.0 + half / 12.0, 3: 2.0 + half / 60.0}[n]
+    return src.materialize(Region.box([(center + shift - half, center + shift + half)] * n))
+
+
+def dist2(u, v):
+    """Squared distance of two vectors of floats or Fractions, exactly."""
+    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(u, v))
+
+
 class TestLipschitz:
     def test_lattice_exact(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(-40, 40)]))
@@ -313,6 +369,101 @@ class TestLipschitz:
         ps = gen_integer_lattice(1).materialize(Region.box([(-0.5, 0.5)]))
         with pytest.raises(InsufficientData):
             lipschitz_constant(ps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(LIPSCHITZ_SETS)),
+        st.integers(0, 120),
+        st.floats(-40.0, 40.0),
+        st.sampled_from(["all-pairs", "sampled"]),
+        st.sampled_from([1 << 16, 4_096, 7]),
+        st.integers(0, 3),
+    )
+    def test_equals_the_full_scan_bitwise(self, name, half, shift, mode, block, seed):
+        """The bound skips pairs, never the maximum: value, pair count and
+        mode are those of the scan over every covered pair."""
+        ps = lipschitz_set(name, half, shift)
+        amap = build_address_map(ps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(address_mod, "LIPSCHITZ_BLOCK_PAIRS", block)
+            mp.setattr(address_mod, "LIPSCHITZ_SAMPLE_PAIRS", 30_000)
+            if mode == "sampled":
+                mp.setattr(address_mod, "LIPSCHITZ_EXACT_LIMIT", 10)
+            want = full_scan(ps, amap, seed)
+            rep = lipschitz_constant(ps, amap, seed=seed)
+        assert (rep.pairs_used, rep.mode) == want[1:]
+        assert np.float64(rep.value).view(np.uint64) == np.float64(want[0]).view(np.uint64)
+        assert 0 < rep.pairs_scanned <= rep.pairs_used
+
+    @pytest.mark.parametrize(
+        "src, window, skips",
+        [
+            (gen_fibonacci(), [(-2_000, 2_000)], True),
+            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, False),
+            (build_source("deleted_lines", {"a": [2, 10]}), [(-6, 6)] * 3, False),
+            (ExactPointSet(1, 1, [[0.75]], np.arange(-300, 301)[:, None], Region.box([(-300, 300)])), None, False),
+            (ExactPointSet(1, 1, [[0.625]], np.arange(-300, 301)[:, None], Region.box([(-300, 300)])), None, False),
+        ],
+        ids=["fibonacci-allpairs", "z2-holes-sampled", "deleted-lines", "lattice-0.75", "lattice-0.625"],
+    )
+    def test_pairs_scanned(self, src, window, skips):
+        """Fibonacci ±2000 scans under 5 % of its 4.19 M pairs. On a lattice
+        every ratio is the same and the bound never falls below it, so every
+        pair is scanned, as on deleted lines."""
+        ps = src if window is None else src.materialize(Region.box(window))
+        rep = lipschitz_constant(ps)
+        if skips:
+            assert rep.pairs_scanned < 0.05 * rep.pairs_used
+        else:
+            assert rep.pairs_scanned == rep.pairs_used
+
+    @pytest.mark.parametrize(
+        "name, half, shift",
+        [
+            ("fibonacci", 10, 0.0),
+            ("cut_project", 30, 7.5),
+            ("beatty-far", 0, 0.0),
+            ("fib-x-fib", 0, 0.3),
+            ("z2-holes", 0, 0.0),
+            ("lattice-0.75", 0, 0.0),
+            ("lattice-0.1", 0, 0.0),
+        ],
+    )
+    def test_ratio_bound_is_rounded_outward(self, name, half, shift):
+        """In exact arithmetic on the float inputs: B(d) = head + tail / d
+        exceeds (|L| + 2 rho / d)(1 + R), where R = (n + s) / 2 + 3 ulps
+        bounds the rounding of a computed ratio; and no computed ratio
+        exceeds its exact value by more than R."""
+        if name.startswith("lattice-"):
+            c = float(name.split("-")[1])
+            ps = ExactPointSet(1, 1, [[c]], np.arange(-150, 151)[:, None], Region.box([(-150 * c, 150 * c)]))
+        else:
+            ps = lipschitz_set(name, half, shift)
+        amap = build_address_map(ps)
+        coords = amap.phi(ps.addresses).astype(float)
+        x = ps.points - amap.origin_address.astype(float) @ ps.projection
+        LT, head, tail, _ = address_mod._ratio_bound(coords, x)
+        ulp = Fraction(math.ulp(1.0))
+        R = 1 + (Fraction(x.shape[1] + coords.shape[1], 2) + 3) * ulp
+        L = [[Fraction(v) for v in row] for row in LT.T.tolist()]
+        rho2 = max(
+            dist2(c, [sum(map(operator.mul, map(Fraction, xr), row)) for row in L])
+            for xr, c in zip(x.tolist(), coords.tolist())
+        )
+        assert Fraction(head) ** 2 >= dist2(LT.ravel().tolist(), [0] * LT.size) * R * R
+        assert Fraction(tail) ** 2 >= 4 * rho2 * R * R
+        # the computed ratios of one point's pairs, in both scans' arithmetic,
+        # against their exact values
+        from scipy.spatial.distance import cdist
+
+        pts = ps.points
+        sampled = np.sqrt(_sum_of_squares(c[1:] - c[0] for c in coords.T))
+        sampled /= np.sqrt(_sum_of_squares(c[1:] - c[0] for c in pts.T))
+        all_pairs = (cdist(coords[:1], coords[1:]) / cdist(pts[:1], pts[1:]))[0]
+        for k, r1, r2 in zip(range(1, len(ps)), sampled.tolist(), all_pairs.tolist()):
+            num = dist2(coords[k].tolist(), coords[0].tolist())
+            den = dist2(pts[k].tolist(), pts[0].tolist())
+            assert max(Fraction(r1), Fraction(r2)) ** 2 * den <= num * R * R
 
     @pytest.mark.parametrize(
         "src, window",

@@ -214,6 +214,56 @@ class TestLatticeEngine:
         assert at.engine == "lattice"
         assert as_dict(at) == brute_atlas(ps, 3.0)
 
+    @staticmethod
+    def cells_read(ps, T, monkeypatch):
+        """(cells the lattice engine reads at T, offsets, centers)."""
+        cidx = np.flatnonzero(ps.region.erode(T).contains(ps.points))
+        with monkeypatch.context() as mp:
+            mp.setattr(atlas_mod, "np", CountingNumpy())
+            CountedReads.reads = 0
+            k = len(_engine_lattice(ps, cidx, "ball", T * T)[0])
+            return CountedReads.reads, k, cidx.size
+
+    @pytest.mark.parametrize("name, T", [("z2-holes", 3.0), ("deleted-lines", 3.0), ("z1", 8.0)])
+    def test_cells_read_per_point(self, name, T, monkeypatch):
+        """The engine reads one occupancy cell per offset within the reach at
+        each site of the centers' box, and one byte per center per eight
+        offsets: at most k + ceil(k / 8) cells per site of the window's
+        address box, for k offsets. The count, not the time, is bounded, and
+        it does not depend on where the window sits."""
+        if name == "z2-holes":
+            ps = self.holes(0)
+            assert self.cells_read(self.holes(self.FAR), T, monkeypatch) == self.cells_read(ps, T, monkeypatch)
+        elif name == "deleted-lines":
+            ps = gen_deleted_lines([2, 10]).materialize(Region.box([(-12, 12)] * 3))
+        else:
+            ps = gen_integer_lattice(1).materialize(Region.box([(-300, 300)]))
+        reads, k, centers = self.cells_read(ps, T, monkeypatch)
+        sites = math.prod(int(np.ptp(col)) + 1 for col in ps.addresses.T)
+        assert k * centers <= reads <= (k + -(-k // 8)) * sites
+
+
+class CountedReads(np.ndarray):
+    """An array that adds the size of every read through indexing to
+    `reads`, as do its views."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        out = super().__getitem__(index)
+        CountedReads.reads += np.size(out)
+        return out
+
+
+class CountingNumpy:
+    """numpy, with every zeros array a CountedReads."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        return np.zeros(*args, **kwargs).view(CountedReads)
+
 
 class TestFibonacciAtlas:
     def test_three_classes_frozen_keys(self):

@@ -198,6 +198,41 @@ class TestGenerateRows:
         assert config["count"] > 10
         assert text == row_by_row_generate(config, fmt)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(
+            [
+                ("zn", {"n": 1}),
+                ("zn", {"n": 2, "deletions": [[0, 0], [3, 1]]}),
+                ("fibonacci", {}),
+                ("cut_project", {"alpha": "golden"}),
+                ("product", {"factors": [{"set": "fibonacci"}, {"set": "zn"}]}),
+                ("deleted_lines", {"a": [2, 10]}),
+                ("two_color", {"n": 2, "a": [100, 144]}),
+            ]
+        ),
+        st.sampled_from([0.0, -3.7, 3e5]),
+        st.floats(0.25, 9.0),
+        st.booleans(),
+    )
+    def test_json_bytes_match_json_dumps(self, source, center, half, ball):
+        """`generate --format json`, written column by column, against
+        json.dumps(payload, sort_keys=True, indent=2) of its rows and point
+        set, on boxes and balls, empty ones and ones far from the origin."""
+        name, params = source
+        n = build_source(name, params).dimension
+        center = min(center, 100.0) if name == "two_color" else center  # its 2 levels span ±120
+        window = (
+            {"kind": "ball", "center": [center] * n, "radius": half - 0.25}
+            if ball
+            else {"kind": "box", "intervals": [[center - half, center + half]] * n}
+        )
+        argv = ["generate", "--set", name, "--params", json.dumps(params), "--window", json.dumps(window)]
+        with contextlib.redirect_stdout(io.StringIO()) as sink:
+            assert run_cli(argv + ["--format", "json"]) == 0
+        text = sink.getvalue()
+        assert text == row_by_row_generate(json.loads(text)["config"], "json")
+
     def test_csv_never_builds_the_point_set_json(self, capsys, monkeypatch):
         calls = []
         orig = ExactPointSet.to_json

@@ -90,6 +90,35 @@ class TestVectorFloors:
         assert got.dtype == np.int64
         assert got.tolist() == [cf.floor_multiple(j) for j in js]
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_floor_at_level_edges(self, data):
+        """Entries where floor_multiples changes its start level or its
+        arithmetic, mixed in one array: multiples of a denominator q_k (j
+        alpha next to a bracket end), q_k + q_{k+1} (where an entry's start
+        level moves), and INT64_MAX // max(p, q) (where products stop
+        fitting), each give or take a little, beside small and far entries."""
+        name = data.draw(st.sampled_from(sorted(ALPHAS)))
+        cf = ALPHAS[name]()
+        edges = []
+        for k in range(1, 60):
+            try:
+                (p1, q1), (p2, q2) = cf.convergent(k), cf.convergent(k + 1)
+            except NeedsMoreTerms:
+                break
+            edges += [q1, 2 * q1, 3 * q2, q1 + q2, INT64_MAX // max(p1, q1, p2, q2)]
+        edges = [e for e in edges if 0 < e <= INT64_MAX - 2]
+        near = st.builds(
+            lambda e, d, sign: sign * min(e + d, INT64_MAX),
+            st.sampled_from(edges),
+            st.integers(-2, 2),
+            st.sampled_from([1, -1]),
+        )
+        far = st.integers(299_000, 305_000) | st.integers(-305_000, -299_000)
+        js = data.draw(st.lists(near | far | st.integers(-50, 50), min_size=1, max_size=40))
+        got = cf.floor_multiples(np.array(js, dtype=np.int64))
+        assert got.tolist() == [cf.floor_multiple(j) for j in js]
+
     def test_golden_window_far_from_origin(self):
         g = ContinuedFraction.golden()
         js = np.arange(-300_500, -299_000)

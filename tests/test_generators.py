@@ -525,6 +525,26 @@ class TestTwoColor:
         with pytest.raises(InvalidArgument):
             structure.white_count_in_box([0] * n, [1] * (n + 1))
 
+    @pytest.mark.parametrize("n, a", [(1, [16]), (1, [16, 32]), (2, [100])], ids=["1d", "1d-two-levels", "2d"])
+    def test_window_on_the_last_level(self, n, a):
+        """The box [0, side_K - 1]^n draws its points from cells of level K
+        alone: every point sits within 1/3 of its cell on each axis. So it
+        materializes, with every such point the box holds. A ring of one
+        more cell per side reached past level K and raised WindowTooSmall."""
+        src = gen_two_color(n, a)
+        structure = src.extras["structure"]
+        side = structure.sides[-1]
+        region = Region.box([(0, side - 1)] * n)
+        ps = src.materialize(region)
+        cells = np.indices((side,) * n).reshape(n, -1).T.astype(float)
+        white = structure.cell_is_white(cells.astype(np.int64))
+        want = np.concatenate([cells[white], cells[~white] - 1.0 / 3.0, cells[~white] + 1.0 / 3.0])
+        want = want[region.contains(want)]
+        assert len(ps) == len(want)
+        got = ps.points[np.lexsort(ps.points.T[::-1])]
+        want = want[np.lexsort(want.T[::-1])]
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
     def test_white_count_half_per_level(self):
         # each scale places exactly half its new color budget as white blocks
         st = gen_two_color(1, [16, 32, 64, 128]).extras["structure"]
