@@ -71,6 +71,7 @@ from .generators import (
 from .repetitivity import (
     GrowthReport,
     RepetitivityResult,
+    covering_radii,
     covering_radius,
     crystal_gap_probe,
     growth_classification,

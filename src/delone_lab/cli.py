@@ -326,10 +326,12 @@ def generate(set_name, params, seed, out, fmt, window, extra):
     table = {"x%d" % i: ps.points[:, i] for i in range(ps.dimension)}
     table.update(("a%d" % j, ps.addresses[:, j]) for j in range(ps.rank))
     table["tag"] = "exact"
-    # JSON artifacts double as reloadable point-set files
+    # JSON artifacts double as reloadable point-set files: ExactPointSet.to_json's
+    # fields, with the addresses written by column
     extra = None
     if fmt == "json":
-        extra = {"point_set": dict(ps.to_json(), addresses=_Rows(ps.addresses.T))}
+        fields = dict(dimension=ps.dimension, rank=ps.rank, projection=ps.projection.tolist())
+        extra = {"point_set": dict(fields, addresses=_Rows(ps.addresses.T), region=ps.region.to_json())}
     _emit(config, table, fmt, out, extra_json=extra)
 
 

@@ -39,6 +39,11 @@ class ContinuedFraction:
         self._p: List[int] = [1, 0]
         self._q: List[int] = [0, 1]
         self._floor_hint = 1
+        # floor_multiples' per-level table: Python lists, whether it is complete,
+        # and the arrays built from the lists
+        self._levels: tuple = ([], [], [])
+        self._levels_complete = False
+        self._level_arrays: Optional[tuple] = None
 
     # -- quotients and convergents -----------------------------------------
 
@@ -138,28 +143,9 @@ class ContinuedFraction:
         out = np.zeros(js.shape, dtype=np.int64)
         todo = np.flatnonzero(js)
         mag = np.abs(js[todo]).view(np.uint64)  # |INT64_MIN| wraps to 2**63, as it should
-        top = int(mag.max(initial=0))
-        # per level k = 1, 2, ...: both bracket ends (p, q, p', q'), the largest
-        # |j| whose products fit, and q + q'; up to two levels past the first
-        # with q + q' > top. A rational alpha has one level, its exact value.
-        ends, lims, reach, past = [], [], [], 0
-        while past < 3:
-            if self.is_rational:
-                (plo, qlo) = (phi, qhi) = self.convergent(len(self._quotients))
-                past = 3
-            else:
-                (plo, qlo), (phi, qhi) = self._bounds_pq(len(ends) + 1)
-                past += qlo + qhi > top
-            lim = _INT64_MAX // max(plo, qlo, phi, qhi)
-            if not lim:
-                break
-            ends.append((plo, qlo, phi, qhi))
-            lims.append(lim)
-            reach.append(qlo + qhi)
-        ends = np.array(ends, dtype=np.int64).reshape(-1, 4).T  # one row per end
-        lims = np.array(lims, dtype=np.uint64)
+        ends, lims, reach = self._floor_levels(int(mag.max(initial=0)))
         deepest = lims.size - 1 - np.searchsorted(lims[::-1], mag)  # lims fall with k
-        level = np.minimum(np.searchsorted(np.array(reach, dtype=np.uint64), mag, side="right"), deepest)
+        level = np.minimum(np.searchsorted(reach, mag, side="right"), deepest)
         while todo.size:
             fits = (level >= 0) & (level <= deepest)
             for i in todo[~fits].tolist():
@@ -174,6 +160,39 @@ class ContinuedFraction:
             out[todo[same]] = flo[same]
             todo, level, deepest = todo[~same], level[~same] + 1, deepest[~same]
         return out
+
+    def _floor_levels(self, top: int) -> tuple:
+        """floor_multiples' table for entries up to |j| = top.
+
+        Per level k = 1, 2, ...: both bracket ends (p, q, p', q') as int64
+        rows, the largest |j| whose products fit, and q + q', through two
+        levels past the first with q + q' > top. A rational alpha has one
+        level, its exact value; the table stops early where no product fits.
+        It is kept on the instance and extended only when a larger top needs
+        deeper levels.
+        """
+        ends, lims, reach = self._levels
+        while not self._levels_complete and sum(r > top for r in reach[-3:]) < 3:
+            if self.is_rational:
+                (plo, qlo) = (phi, qhi) = self.convergent(len(self._quotients))
+                self._levels_complete = True
+            else:
+                (plo, qlo), (phi, qhi) = self._bounds_pq(len(ends) + 1)
+            lim = _INT64_MAX // max(plo, qlo, phi, qhi)
+            if not lim:  # deeper levels have larger ends
+                self._levels_complete = True
+                break
+            ends.append((plo, qlo, phi, qhi))
+            lims.append(lim)
+            reach.append(qlo + qhi)
+            self._level_arrays = None
+        if self._level_arrays is None:
+            self._level_arrays = (
+                np.array(ends, dtype=np.int64).reshape(-1, 4).T,  # one row per end
+                np.array(lims, dtype=np.uint64),
+                np.array(reach, dtype=np.uint64),
+            )
+        return self._level_arrays
 
     def _bounds_pq(self, k: int) -> tuple:
         p1, q1 = self.convergent(k)

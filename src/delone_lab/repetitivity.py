@@ -21,7 +21,11 @@ from .core import ExactPointSet, Region, packing_radius
 from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
-COVERING_EVAL_BUDGET = 4_000_000  # cap on distance evaluations per covering-radius call
+# Cap on distance evaluations per center set, and on the cells live at once in
+# covering_radii. Arrays cost under 100 bytes a live cell in 3-D (about 75 in
+# 2-D), so a capped call stays under about 100 MB: one center at the middle
+# of a radius-8 ball in 3-D, at resolution 1e-6, peaks at 63 MB (tracemalloc).
+COVERING_EVAL_BUDGET = 1_000_000
 THREADED_QUERY_MIN = 4096  # smaller cKDTree batches run faster on one thread
 
 
@@ -36,47 +40,67 @@ def query_workers() -> int:
     return int(threads)
 
 
+def _covering_1d(centers: np.ndarray, region: Region) -> tuple:
+    """Exact covering radius on an interval: midpoints and endpoints decide the sup."""
+    lo, hi = (
+        region.intervals[0]
+        if region.kind == "box"
+        else (region.center[0] - region.radius, region.center[0] + region.radius)
+    )
+    xs = np.sort(centers[:, 0])
+    cand = []
+    for t in (lo, hi):
+        j = np.searchsorted(xs, t)
+        best = math.inf
+        if j < xs.size:
+            best = min(best, xs[j] - t)
+        if j > 0:
+            best = min(best, t - xs[j - 1])
+        cand.append(abs(best))
+    mids = (xs[:-1] + xs[1:]) / 2.0
+    keep = (mids >= lo) & (mids <= hi)
+    if np.any(keep):
+        cand.append(float(np.max((xs[1:] - xs[:-1])[keep] / 2.0)))
+    val = float(max(cand))
+    return val, val
+
+
 def covering_radius(
     centers: np.ndarray, region: Region, resolution: Optional[float] = None
 ) -> tuple:
-    """Bracket (lower, upper) for sup over the region of dist(t, centers).
+    """Bracket (lower, upper) for sup over the region of dist(t, centers):
+    covering_radii for one center set."""
+    return covering_radii([centers], region, resolution)[0]
+
+
+def covering_radii(
+    center_sets: Sequence[np.ndarray], region: Region, resolution: Optional[float] = None
+) -> List[tuple]:
+    """One bracket (lower, upper) per center set for sup over the region of
+    dist(t, centers); (inf, inf) for an empty set.
 
     Dimension one is exact (midpoints and endpoints decide the sup). Higher
     dimensions branch and bound over origin-anchored dyadic cubes meeting the
-    region, to a bracket at most resolution/2 wide with both ends rounded
-    outward. Past COVERING_EVAL_BUDGET distance evaluations, or once cells are
-    as fine as floats resolve at the region's coordinates, it comes back
-    wider, still certified.
+    region, to brackets at most resolution/2 wide with both ends rounded
+    outward. The cells of all sets are refined together, one level at a time;
+    each set keeps its own first side, its own cKDTree and its own cap of
+    COVERING_EVAL_BUDGET distance evaluations, so its bracket is the one it
+    would get alone. Past that cap, or once cells are as fine as floats
+    resolve at the region's coordinates, a bracket comes back wider, still
+    certified. At most COVERING_EVAL_BUDGET cells are live at once: a set
+    that would push past that is dropped from the group and starts over in
+    a later one.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if centers.shape[0] == 0:
-        return math.inf, math.inf
+    sets = [np.atleast_2d(np.asarray(c, dtype=float)) for c in center_sets]
+    out = [(math.inf, math.inf)] * len(sets)
+    todo = [k for k, c in enumerate(sets) if c.shape[0]]
     n = region.dimension
-    if centers.shape[1] != n:
+    if any(sets[k].shape[1] != n for k in todo):
         raise InvalidArgument("center dimension does not match region")
-
     if n == 1:
-        lo, hi = (
-            region.intervals[0]
-            if region.kind == "box"
-            else (region.center[0] - region.radius, region.center[0] + region.radius)
-        )
-        xs = np.sort(centers[:, 0])
-        cand = []
-        for t in (lo, hi):
-            j = np.searchsorted(xs, t)
-            best = math.inf
-            if j < xs.size:
-                best = min(best, xs[j] - t)
-            if j > 0:
-                best = min(best, t - xs[j - 1])
-            cand.append(abs(best))
-        mids = (xs[:-1] + xs[1:]) / 2.0
-        keep = (mids >= lo) & (mids <= hi)
-        if np.any(keep):
-            cand.append(float(np.max((xs[1:] - xs[:-1])[keep] / 2.0)))
-        val = float(max(cand))
-        return val, val
+        for k in todo:
+            out[k] = _covering_1d(sets[k], region)
+        return out
 
     # a box is its bounding box met with a ball of infinite radius
     ball = region.kind == "ball"
@@ -92,51 +116,94 @@ def covering_radius(
     slack = 8.0 * n * math.ulp(1.0)
 
     def meets(p, h, grow):  # which cells of half-side h centered at p meet the region
-        gap = np.maximum(np.abs(p - c0) - h, 0.0)
         near = np.all((p + h >= lo_box) & (p - h <= hi_box), axis=1)
-        return near & (np.sum(gap * gap, axis=1) <= rad * rad * grow)
+        gap = p - c0  # max(|p - c0| - h, 0), squared, in place
+        np.abs(gap, out=gap)
+        gap -= h
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        return near & (np.sum(gap, axis=1) <= rad * rad * grow)
+
+    def grid(side):  # the cells of one side covering the bounding box, as counts
+        return np.ceil(hi_box / side) - np.floor(lo_box / side)
+
+    def first_cells(side):  # the centers of those cells, in C order
+        index = np.indices(grid(side).astype(np.int64)).reshape(n, -1).T
+        return (index + np.floor(lo_box / side) + 0.5) * side
 
     from scipy.spatial import cKDTree
 
     workers = query_workers()
-    tree = cKDTree(centers)
-    best = float(tree.query(c0)[0])  # largest distance seen at a point of the region
+    trees = {k: cKDTree(sets[k]) for k in todo}
+    # largest distance seen at a point of the region, per set
+    start_best = np.zeros(len(sets))
+    for k in todo:
+        start_best[k] = trees[k].query(c0)[0]
     if rad == 0:  # the region is a single point
-        return best * (1.0 - slack), best * (1.0 + slack)
+        for k in todo:
+            out[k] = (float(start_best[k] * (1.0 - slack)), float(start_best[k] * (1.0 + slack)))
+        return out
 
-    # first level: a power of two at most the mean center spacing and the box side;
-    # cells never get finer than `finest`, so every cell center is an exact float
-    spacing = (float(np.prod(lens)) / centers.shape[0]) ** (1.0 / n)
-    side = 2.0 ** math.floor(math.log2(min(spacing, float(lens.max()))))
+    # first level per set: a power of two at most its mean center spacing and the
+    # box side; cells never get finer than `finest`, so every cell center is an
+    # exact float
     finest = 8.0 * math.ulp(1.0) * float(np.abs([lo_box, hi_box]).max())
-    while (
-        side <= finest
-        or np.prod(np.ceil(hi_box / side) - np.floor(lo_box / side)) > COVERING_EVAL_BUDGET
-    ):
-        side *= 2.0
-    first = np.floor(lo_box / side)
-    counts = (np.ceil(hi_box / side) - first).astype(np.int64)
-    cells = (np.indices(counts).reshape(n, -1).T + first + 0.5) * side
+    first_side, first_count = np.zeros(len(sets)), np.zeros(len(sets), dtype=np.int64)
+    for k in todo:
+        spacing = (float(np.prod(lens)) / sets[k].shape[0]) ** (1.0 / n)
+        side = 2.0 ** math.floor(math.log2(min(spacing, float(lens.max()))))
+        while side <= finest or np.prod(grid(side)) > COVERING_EVAL_BUDGET:
+            side *= 2.0
+        first_side[k], first_count[k] = side, np.prod(grid(side))
     corners = np.indices((2,) * n).reshape(n, -1).T - 0.5
+    best, upper = start_best.copy(), np.full(len(sets), -math.inf)
+    side, evaluations = first_side.copy(), np.ones(len(sets), dtype=np.int64)
+    small = np.min_scalar_type(len(sets))  # dtype of `owner`, each cell's set; cells sort by it
+    cells, owner = np.zeros((0, n)), np.zeros(0, dtype=small)
+    waiting = todo
+    while waiting or cells.shape[0]:
+        if not cells.shape[0]:
+            # a new group: sets in order while their first cells fit, at least one
+            fit = max(1, np.count_nonzero(np.cumsum(first_count[waiting]) <= COVERING_EVAL_BUDGET))
+            group, waiting = waiting[:fit], waiting[fit:]
+            best[group], upper[group] = start_best[group], -math.inf
+            side[group], evaluations[group] = first_side[group], 1
+            cells = np.concatenate([first_cells(side[k]) for k in group])
+            owner = np.repeat(np.array(group, dtype=small), first_count[group])
 
-    upper, evaluations = -math.inf, 1
-    while cells.shape[0]:
-        cells = cells[meets(cells, side / 2.0, 1.0 + slack)]
-        threaded = cells.shape[0] >= THREADED_QUERY_MIN
-        d, _ = tree.query(cells, workers=workers if threaded else 1)
-        evaluations += cells.shape[0]
-        best = float(np.max(d[meets(cells, 0.0, 1.0 - slack)], initial=best))
-        bound = (d + math.sqrt(n) * side / 2.0) * (1.0 + slack)
-        done = bound - best * (1.0 - slack) <= resolution / 2.0
-        upper = float(np.max(bound[done], initial=upper))
-        cells, bound = cells[~done], bound[~done]
-        too_many = evaluations + cells.shape[0] * corners.shape[0] > COVERING_EVAL_BUDGET
-        if too_many or side <= finest:
-            upper = float(np.max(bound, initial=upper))
-            break
+        keep = meets(cells, (side / 2.0)[owner][:, None], 1.0 + slack)
+        cells, owner = cells[keep], owner[keep]
+        sizes = np.bincount(owner, minlength=len(sets))
+        evaluations += sizes
+        d = np.empty(cells.shape[0])
+        for k, end in zip(np.flatnonzero(sizes), np.cumsum(sizes)[sizes > 0]):
+            begin = end - sizes[k]
+            threaded = sizes[k] >= THREADED_QUERY_MIN
+            d[begin:end] = trees[k].query(cells[begin:end], workers=workers if threaded else 1)[0]
+        inside = meets(cells, 0.0, 1.0 - slack)
+        np.maximum.at(best, owner[inside], d[inside])
+        bound = (d + (math.sqrt(n) * side / 2.0)[owner]) * (1.0 + slack)
+        done = bound - (best * (1.0 - slack))[owner] <= resolution / 2.0
+        np.maximum.at(upper, owner[done], bound[done])
+        cells, owner, bound = cells[~done], owner[~done], bound[~done]
+        # a set stops at its cap or at the float grid, its open cells feeding the upper end
+        left = np.bincount(owner, minlength=len(sets))
+        stop = (evaluations + left * corners.shape[0] > COVERING_EVAL_BUDGET) | (side <= finest)
+        halt = stop[owner]
+        np.maximum.at(upper, owner[halt], bound[halt])
+        # the sets that go on, in order, while their children fit; later ones start over
+        grow = np.where(stop, 0, left) * corners.shape[0]
+        drop = (grow > 0) & (np.cumsum(grow) > COVERING_EVAL_BUDGET)
+        waiting = np.flatnonzero(drop).tolist() + waiting
+        going = ~(halt | drop[owner])
+        cells, owner = cells[going], owner[going]
         side /= 2.0
-        cells = (cells[:, None, :] + corners * side).reshape(-1, n)
-    return best * (1.0 - slack), upper
+        kids = corners * side[owner][:, None, None]
+        kids += cells[:, None, :]
+        cells, owner = kids.reshape(-1, n), np.repeat(owner, corners.shape[0])
+    for k in todo:
+        out[k] = (float(best[k] * (1.0 - slack)), float(upper[k]))
+    return out
 
 
 @dataclass
@@ -153,6 +220,7 @@ class RepetitivityResult:
     M_lower: float
     M_upper: float
     certified_floor: float  # min(lower, T) per class, immune to unseen centers
+    resolution: Optional[float]  # covering-radius tolerance used; None in dimension one
     n_lower: int
     per_class: List[ClassCovering]
     evaluation_region: Region
@@ -185,22 +253,24 @@ def repetitivity_function(
     elif atlas.T != T:
         raise InvalidArgument("atlas was computed for a different T")
     eval_region = ps.region.erode(2.0 * T)
+    if not atlas.classes:
+        raise WindowTooSmall("no certified patch centers in the window")
     if resolution is None and ps.dimension > 1:
         resolution = min(packing_radius(ps) / 4.0, T / 100.0)
-    per = []
-    notes = []
-    for cls in atlas.classes:
-        pos = cls.centers.astype(float) @ ps.projection
-        lo, hi = covering_radius(pos, eval_region, resolution=resolution)
-        per.append(
-            ClassCovering(key=cls.key, lower=lo, upper=hi, n_centers=cls.centers.shape[0])
-        )
-    if not per:
-        raise WindowTooSmall("no certified patch centers in the window")
+    brackets = covering_radii(
+        [cls.centers.astype(float) @ ps.projection for cls in atlas.classes],
+        eval_region,
+        resolution=resolution,
+    )
+    per = [
+        ClassCovering(key=cls.key, lower=lo, upper=hi, n_centers=cls.centers.shape[0])
+        for cls, (lo, hi) in zip(atlas.classes, brackets)
+    ]
     M_lower = max(c.lower for c in per)
     M_upper = max(c.upper for c in per)
     floor_val = max(min(c.lower, T) for c in per)
     tol = resolution / 2.0 if resolution else math.inf
+    notes = []
     wide = [c.upper - c.lower for c in per if c.upper - c.lower > tol]
     if wide:
         notes.append(
@@ -218,6 +288,7 @@ def repetitivity_function(
         M_lower=M_lower,
         M_upper=M_upper,
         certified_floor=floor_val,
+        resolution=resolution if ps.dimension > 1 else None,
         n_lower=atlas.n_lower,
         per_class=per,
         evaluation_region=eval_region,

@@ -139,6 +139,47 @@ class TestVectorFloors:
         assert got[1] == 3 and got[3] == 0 and got[4] == floor_golden(10**12)
         assert got[0] == floor_golden(2**62)
 
+    @given(
+        st.sampled_from(["golden", "rational"]),
+        st.lists(st.lists(INT64_ENTRIES, min_size=1, max_size=6), min_size=2, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_instance_across_calls(self, name, calls):
+        """Calls of rising and falling magnitudes on one instance, whose
+        level table carries over from call to call."""
+        cf = ALPHAS[name]()
+        for js in calls:
+            got = cf.floor_multiples(np.array(js, dtype=np.int64))
+            assert got.tolist() == [cf.floor_multiple(j) for j in js]
+
+    @pytest.mark.parametrize("name", ["golden", "rational"])
+    def test_table_grows_only_for_a_larger_entry(self, name):
+        cf = ALPHAS[name]()
+        sequence = [5, 300_000, 2, 10**12, 7, 2**62, 1, INT64_MAX, 40, -INT64_MAX - 1, 10**15, 3]
+        top = 0
+        for j in sequence:
+            js = np.array([j, -(j // 7), j // 3, 0], dtype=np.int64)
+            table = cf._floor_levels(top)
+            assert cf.floor_multiples(js).tolist() == [cf.floor_multiple(v) for v in js.tolist()]
+            if abs(j) <= top:  # the table of a larger magnitude serves it as it is
+                assert cf._floor_levels(abs(j)) is table
+            top = max(top, abs(j))
+        if name == "rational":
+            assert cf._floor_levels(0)[1].size == 1  # one level, its exact value
+
+    def test_a_larger_entry_extends_the_table(self, monkeypatch):
+        g = ContinuedFraction.golden()
+        assert g.floor_multiples([5]).tolist() == [3]
+        js = [10**8, -(10**7), 300_001]
+        want = [g.floor_multiple(j) for j in js]
+
+        def no_fallback(self, j):
+            raise AssertionError("entry %d left the vector path" % j)
+
+        # far from the int64 edge, deeper levels are added, not left to Python ints
+        monkeypatch.setattr(ContinuedFraction, "floor_multiple", no_fallback)
+        assert g.floor_multiples(js).tolist() == want
+
     def test_empty_and_list_input(self):
         g = ContinuedFraction.golden()
         assert g.floor_multiples(np.zeros(0, dtype=np.int64)).shape == (0,)

@@ -1,6 +1,7 @@
 """Covering radii, repetitivity brackets, growth verdicts, word recurrence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from delone_lab import repetitivity
 from delone_lab.contfrac import ContinuedFraction, recurrence_formula
-from delone_lab.core import ExactPointSet, Region
+from delone_lab.core import ExactPointSet, Region, packing_radius
 from delone_lab.errors import InsufficientData, InvalidArgument, WindowTooSmall
 from delone_lab.generators import GOLDEN_TAU, gen_fibonacci, gen_integer_lattice
 from delone_lab.repetitivity import (
+    covering_radii,
     covering_radius,
     crystal_gap_probe,
     growth_classification,
@@ -218,6 +220,173 @@ class TestBranchAndBound:
         assert res.notes == []
 
 
+def per_class_covering_radius(centers, region, resolution=None):
+    """The branch and bound for one center set alone, as covering_radius ran
+    it before covering_radii refined all sets together (n >= 2)."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    if centers.shape[0] == 0:
+        return math.inf, math.inf
+    n = region.dimension
+    ball = region.kind == "ball"
+    rad = region.radius if ball else math.inf
+    c0 = np.asarray(region.center) if ball else np.mean(region.intervals, axis=1)
+    lo_box, hi_box = (c0 - rad, c0 + rad) if ball else np.array(region.intervals).T
+    lens = hi_box - lo_box
+    if resolution is None:
+        resolution = max(float(lens.max()) / 100.0, 1e-9)
+    slack = 8.0 * n * math.ulp(1.0)
+    budget = repetitivity.COVERING_EVAL_BUDGET
+
+    def meets(p, h, grow):
+        gap = np.maximum(np.abs(p - c0) - h, 0.0)
+        near = np.all((p + h >= lo_box) & (p - h <= hi_box), axis=1)
+        return near & (np.sum(gap * gap, axis=1) <= rad * rad * grow)
+
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(centers)
+    best = float(tree.query(c0)[0])
+    if rad == 0:
+        return best * (1.0 - slack), best * (1.0 + slack)
+    spacing = (float(np.prod(lens)) / centers.shape[0]) ** (1.0 / n)
+    side = 2.0 ** math.floor(math.log2(min(spacing, float(lens.max()))))
+    finest = 8.0 * math.ulp(1.0) * float(np.abs([lo_box, hi_box]).max())
+    while side <= finest or np.prod(np.ceil(hi_box / side) - np.floor(lo_box / side)) > budget:
+        side *= 2.0
+    first = np.floor(lo_box / side)
+    counts = (np.ceil(hi_box / side) - first).astype(np.int64)
+    cells = (np.indices(counts).reshape(n, -1).T + first + 0.5) * side
+    corners = np.indices((2,) * n).reshape(n, -1).T - 0.5
+    upper, evaluations = -math.inf, 1
+    while cells.shape[0]:
+        cells = cells[meets(cells, side / 2.0, 1.0 + slack)]
+        d, _ = tree.query(cells)
+        evaluations += cells.shape[0]
+        best = float(np.max(d[meets(cells, 0.0, 1.0 - slack)], initial=best))
+        bound = (d + math.sqrt(n) * side / 2.0) * (1.0 + slack)
+        done = bound - best * (1.0 - slack) <= resolution / 2.0
+        upper = float(np.max(bound[done], initial=upper))
+        cells, bound = cells[~done], bound[~done]
+        if evaluations + cells.shape[0] * corners.shape[0] > budget or side <= finest:
+            upper = float(np.max(bound, initial=upper))
+            break
+        side /= 2.0
+        cells = (cells[:, None, :] + corners * side).reshape(-1, n)
+    return best * (1.0 - slack), upper
+
+
+def peak_bytes(fn):
+    """tracemalloc peak of one call, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+PEAK_BYTES_PER_CELL = 100  # the COVERING_EVAL_BUDGET comment's bound, n <= 3
+
+
+class TestBatchedCovering:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_per_class_oracle(self, data):
+        """covering_radii gives each center set the bracket the per-class
+        branch and bound gives it, bit for bit: 1-7 sets (empty ones and single
+        centers at the region's middle among them), boxes and balls (radius 0
+        too), n = 2 and 3, at the origin and 2^30 away, capped and not."""
+        n = data.draw(st.sampled_from([2, 3]))
+        shift = data.draw(st.sampled_from([0.0, 2.0**30]))
+        budget = data.draw(st.sampled_from([3_000, 20_000, repetitivity.COVERING_EVAL_BUDGET]))
+        resolution = data.draw(
+            st.sampled_from([0.03, 0.1] + ([1e-4] if budget < 100_000 else []))
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans()):
+            lo = rng.uniform(-3.0, 0.0, n) + shift
+            region = Region.box(list(zip(lo, lo + rng.uniform(0.5, 4.0, n))))
+        else:
+            radius = data.draw(st.sampled_from([0.0, 0.7, 2.5]))
+            region = Region.ball(rng.uniform(-1.0, 1.0, n) + shift, radius)
+        middle = np.asarray(region.center) if region.kind == "ball" else np.mean(region.intervals, axis=1)
+        sets = []
+        for _ in range(data.draw(st.integers(1, 7))):
+            kind = data.draw(st.sampled_from(["few", "few", "many", "middle", "middle", "empty"]))
+            if kind == "middle":  # every point at one distance maximizes: a capped set
+                sets.append(middle[None, :] + rng.uniform(-1e-3, 1e-3, n))
+            else:  # sets of different sizes start from different sides
+                m = {"empty": 0, "few": int(rng.integers(1, 13)), "many": int(rng.integers(40, 150))}[kind]
+                sets.append(rng.uniform(-4.0, 4.0, (m, n)) + shift)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(repetitivity, "COVERING_EVAL_BUDGET", budget)
+            want = [per_class_covering_radius(c, region, resolution) for c in sets]
+            assert covering_radii(sets, region, resolution) == want
+
+    def test_each_slice_picks_its_own_thread_count(self, monkeypatch):
+        from scipy import spatial
+
+        calls = []
+
+        class Recorded(spatial.cKDTree):
+            def query(self, x, *args, **kwargs):
+                calls.append((np.shape(x), kwargs.get("workers", 1)))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(spatial, "cKDTree", Recorded)
+        monkeypatch.setattr(repetitivity, "THREADED_QUERY_MIN", 64)
+        monkeypatch.setenv("DELONE_LAB_THREADS", "2")
+        rng = np.random.default_rng(3)
+        sets = [rng.uniform(-3.0, 3.0, (m, 2)) for m in (400, 3, 2)]
+        covering_radii(sets, Region.box([(-2.0, 2.0)] * 2), 0.01)
+        batches = [(shape[0], workers) for shape, workers in calls if len(shape) == 2]
+        assert all(workers == (2 if m >= 64 else 1) for m, workers in batches)
+        assert {workers for _, workers in batches} == {1, 2}
+
+    def test_one_set_is_covering_radius(self):
+        centers = z2(4) + 0.25
+        region = Region.box([(-3.0, 2.5), (-1.0, 3.0)])
+        assert covering_radii([centers], region, 0.05) == [covering_radius(centers, region, 0.05)]
+        assert covering_radii([], region, 0.05) == []
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(InvalidArgument):
+            covering_radii([z2(1), np.zeros((2, 3))], Region.box([(-1, 1)] * 2))
+
+    def test_1d_sets_are_exact(self):
+        fib = gen_fibonacci().materialize(Region.centered_box(1, 40.0)).points
+        region = Region.box([(-20.0, 25.0)])
+        sets = [fib[::2], np.zeros((0, 1)), fib]
+        got = covering_radii(sets, region)
+        assert got == [covering_radius(c, region) for c in sets]
+        assert got[1] == (math.inf, math.inf)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_capped_call_stays_under_the_stated_peak(self, n):
+        # one center at the middle of a radius-8 ball at resolution 1e-6: every
+        # point of the sphere is a maximizer, so the call runs to the cap
+        center = np.zeros((1, n))
+        peak, (lower, upper) = peak_bytes(
+            lambda: covering_radius(center, Region.ball([0.0] * n, 8.0), 1e-6)
+        )
+        assert lower <= 8.0 <= upper
+        assert upper - lower > 5e-7
+        assert peak <= PEAK_BYTES_PER_CELL * repetitivity.COVERING_EVAL_BUDGET
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_eight_capped_sets_share_one_peak_bound(self, n, monkeypatch):
+        budget = 50_000
+        monkeypatch.setattr(repetitivity, "COVERING_EVAL_BUDGET", budget)
+        region = Region.ball([0.0] * n, 8.0)
+        sets = [np.full((1, n), 1e-3 * k) for k in range(8)]
+        peak, got = peak_bytes(lambda: covering_radii(sets, region, 1e-6))
+        assert got == [per_class_covering_radius(c, region, 1e-6) for c in sets]
+        assert all(hi - lo > 5e-7 for lo, hi in got)
+        # the group sheds and restarts sets, but stays under the bound of one
+        # capped set, not eight times it
+        assert peak <= PEAK_BYTES_PER_CELL * budget
+
+
 class TestRepetitivityFunction:
     def test_fibonacci_value_frozen(self):
         ps = gen_fibonacci().materialize(Region.centered_box(1, 80.0))
@@ -277,8 +446,22 @@ class TestRepetitivityFunction:
         # min(r / 4, T / 100) with r = 1/2 on Z^2
         ps = gen_integer_lattice(2, deletions=[(0, 0)]).materialize(Region.box([(-10, 10)] * 2))
         res = repetitivity_function(ps, 2.0)
+        assert res.resolution == 0.02
         assert res == repetitivity_function(ps, 2.0, resolution=0.02)
         assert res.M_upper != repetitivity_function(ps, 2.0, resolution=0.05).M_upper
+        assert repetitivity_function(ps, 2.0, resolution=0.3).resolution == 0.3
+        # r / 4 wins when two points sit close: Z^2 plus one point 0.01 from the origin
+        addresses = [(x, y, 0) for x in range(-3, 4) for y in range(-3, 4)] + [(0, 0, 1)]
+        projection = np.array([[1.0, 0.0], [0.0, 1.0], [0.01, 0.0]])
+        close = ExactPointSet(2, 3, projection, np.array(addresses), Region.box([(-3, 3)] * 2))
+        res = repetitivity_function(close, 1.0)
+        assert res.resolution == packing_radius(close) / 4.0 < 1.0 / 100.0
+
+    def test_resolution_is_none_in_1d(self):
+        ps = gen_fibonacci().materialize(Region.centered_box(1, 40.0))
+        assert repetitivity_function(ps, 1.2).resolution is None
+        # a 1-D bracket is exact and uses none, even when one is given
+        assert repetitivity_function(ps, 1.2, resolution=0.1).resolution is None
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
