@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import ExactPointSet
+from .core import ExactPointSet, pairs_within
 from .ergodic import WeightDistribution
 from .errors import (
     DegenerateGeometry,
@@ -506,46 +506,51 @@ def path_displacement_distribution(
     grid of phi at the nearest set point to the far face node minus phi at
     the near face node, grid nodes on the boundary counting half per touching
     face. Nodes must have a set point within R or the window is too small.
-    One tree query per box finds every node's 8 nearest points; those within
-    1e-12 of the nearest tie, and the least (position, address) wins.
+    One `pairs_within` search over the nodes of all boxes finds every point
+    within R of a node; those within 1e-12 of the nearest tie, and the least
+    (position, address) wins.
     """
     n = ps.dimension
     if not 0 <= axis < n:
         raise InvalidArgument("axis out of range")
     if R <= 0:
         raise InvalidArgument("R must be positive")
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(ps.points)
-    ks = np.arange(1, min(8, len(ps)) + 1)  # a list of k keeps query results 2-D
     coords = amap.phi(ps.addresses)
     order = np.lexsort((*ps.addresses.T[::-1], *ps.points.T[::-1]))
     rank = np.argsort(order)  # point -> its place in the tie-break order
 
-    def one(box: np.ndarray):
-        faces = np.delete(box, axis, axis=0)
-        grids = [np.arange(math.ceil(a - 1e-9), math.floor(b + 1e-9) + 1) for a, b in faces]
-        if any(g.size == 0 for g in grids):
-            return np.zeros(amap.rank)
-        # cross-section nodes in C order, each as a near-face then a far-face node
-        cross = np.array(list(itertools.product(*grids)), dtype=float)
-        ends = [float(math.floor(c)) for c in box[axis]]
-        nodes = np.insert(np.repeat(cross, 2, axis=0), axis, ends * len(cross), axis=1)
-        dist, idx = tree.query(nodes, k=ks)
-        lost = dist[:, 0] > R
-        if lost.any():
-            node = nodes[np.argmax(lost)].tolist()
-            raise WindowTooSmall(f"no set point within R = {R} of grid node {node}")
-        tied = np.where(dist <= dist[:, :1] + 1e-12, rank[idx], len(ps))
-        near, far = order[tied.min(axis=1)].reshape(-1, 2).T
-        touching = (np.abs(cross[:, :, None] - faces) < 1e-9).sum(axis=(1, 2))
-        terms = 0.5 ** touching[:, None] * (coords[far] - coords[near]).astype(float)
-        # row after row, as a loop adds; a one-column reduce would sum pairwise
-        return np.add.accumulate(terms, axis=0)[-1]
-
     def ev(boxes: np.ndarray) -> np.ndarray:
         if boxes.shape[1:] != (n, 2):
             raise InvalidArgument("boxes must be an (m, %d, 2) array, not %s" % (n, boxes.shape))
-        return np.array([one(box) for box in boxes]).reshape(-1, amap.rank)
+        nodes, weights = [np.zeros((0, n))], []
+        for box in boxes:
+            faces = np.delete(box, axis, axis=0)
+            grids = [np.arange(math.ceil(a - 1e-9), math.floor(b + 1e-9) + 1) for a, b in faces]
+            # cross-section nodes in C order, each as a near-face then a far-face node
+            cross = np.array(list(itertools.product(*grids)), dtype=float)
+            cross = cross.reshape(math.prod(map(len, grids)), n - 1)  # -1 fails for n = 1
+            ends = [float(math.floor(c)) for c in box[axis]]
+            nodes.append(np.insert(np.repeat(cross, 2, axis=0), axis, ends * len(cross), axis=1))
+            weights.append(0.5 ** (np.abs(cross[:, :, None] - faces) < 1e-9).sum(axis=(1, 2)))
+        nodes = np.concatenate(nodes)
+        # reaching past R finds every tie of a nearest point at distance R
+        i, j = pairs_within(nodes, R + 1e-12, b=ps.points)
+        dist = np.sqrt(_sum_of_squares((nodes[i] - ps.points[j]).T))
+        nearest = np.full(len(nodes), np.inf)
+        np.minimum.at(nearest, i, dist)
+        lost = nearest > R
+        if lost.any():
+            node = nodes[np.argmax(lost)].tolist()
+            raise WindowTooSmall(f"no set point within R = {R} of grid node {node}")
+        tied = dist <= nearest[i] + 1e-12
+        pick = np.full(len(nodes), len(ps))
+        np.minimum.at(pick, i[tied], rank[j[tied]])
+        near, far = order[pick].reshape(-1, 2).T
+        terms = np.concatenate([[], *weights])[:, None] * (coords[far] - coords[near]).astype(float)
+        stops = np.cumsum([0, *map(len, weights)])
+        # row after row, as a loop adds; a one-column reduce would sum pairwise
+        sums = [np.add.accumulate(terms[a:b], axis=0)[-1] if b > a else np.zeros(amap.rank)
+                for a, b in zip(stops, stops[1:])]
+        return np.array(sums).reshape(-1, amap.rank)
 
     return WeightDistribution(label=f"path-displacement[axis={axis}]", evaluate=ev, u0=1.0)

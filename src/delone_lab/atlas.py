@@ -20,6 +20,7 @@ from .core import (
     Region,
     lex_order,
     make_patch_key,
+    pairs_within,
     unique_rows,
 )
 from .errors import InvalidArgument, WindowTooSmall
@@ -274,27 +275,22 @@ def _engine_lattice(ps, cidx, shape, thresh2):
 
 
 def _engine_kdtree(ps, cidx, shape, thresh2):
-    """Any projection: one tree query at the centers finds every point within
-    T of each, and the distinct differences are the table's columns.
+    """Any projection: `pairs_within` finds every point within T of each
+    center, and the distinct differences are the table's columns.
 
-    The trees hold positions taken from the addresses less the window's
+    The search runs on positions taken from the addresses less the window's
     smallest, and a pair's offset is its address difference times the
     projection, so neither cost nor precision depends on where the window
-    sits. The query reaches 1e-12 past T; differences past T + BALL_TOL sit
+    sits. The search reaches 1e-12 past T; differences past T + BALL_TOL sit
     at the end of the table, outside every rung's prefix.
     """
-    from scipy.spatial import cKDTree
-
     addr = ps.addresses
     pos = (addr - addr.min(axis=0)).astype(float) @ ps.projection
     rad = math.sqrt(thresh2 + BALL_TOL) * (1 + 1e-12)
     # (center row, neighbour) pairs, each center with itself included
-    pairs = cKDTree(pos[cidx]).sparse_distance_matrix(
-        cKDTree(pos), rad, p=np.inf if shape == "cube" else 2.0, output_type="ndarray"
-    )
-    row = pairs["i"]
+    row, nbr = pairs_within(pos[cidx], rad, p=np.inf if shape == "cube" else 2.0, b=pos)
     # column by column: a 2-D gather of the differences is several times slower
-    cols = [c[pairs["j"]] - c[cidx][row] for c in addr.T]
+    cols = [c[nbr] - c[cidx][row] for c in addr.T]
 
     # the distinct differences in lex order, then stably in reach order, and
     # each pair's column among them

@@ -371,13 +371,14 @@ class FloatPointSet:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise InvalidArgument(f"tolerance must be finite and positive, got {tolerance}")
-        bad = close_pairs(points, tolerance)
-        if bad:
-            raise InvalidArgument(
-                "points closer than tolerance at index pairs " + repr(bad[:20])
-            )
         if region.dimension != points.shape[1] and points.shape[0] > 0:
             raise InvalidArgument("region dimension mismatch")
+        i, j = pairs_within(points, tolerance * (1 + 1e-12))
+        if i.size:
+            raise InvalidArgument(
+                "points closer than tolerance at index pairs "
+                + repr(sorted(zip(i.tolist(), j.tolist()))[:20])
+            )
         self.points = points
         self.tolerance = float(tolerance)
         self.region = region
@@ -410,16 +411,6 @@ class FloatPointSet:
             raise InvalidArgument(f"malformed point set: {type(exc).__name__}: {exc}") from exc
 
 
-def close_pairs(points: np.ndarray, tolerance: float) -> list:
-    """Index pairs at distance <= tolerance (used by the float importer)."""
-    if points.shape[0] < 2:
-        return []
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(points)
-    return sorted(tuple(p) for p in tree.query_pairs(tolerance * (1 + 1e-12)))
-
-
 def save_point_set(ps, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(ps.to_json(), fh, sort_keys=True)
@@ -450,15 +441,30 @@ def project(ps: ExactPointSet, address: Sequence[int]) -> np.ndarray:
     return a.astype(float) @ ps.projection
 
 
+def pairs_within(a: np.ndarray, rad: float, p: float = 2.0, b: Optional[np.ndarray] = None):
+    """Index arrays (i, j) of every pair with |a[i] - b[j]|_p <= rad, in no
+    promised order; without b, the pairs of rows of a with i < j. This is the
+    package's one radius search: every neighbour query goes through it."""
+    from scipy.spatial import cKDTree
+
+    if b is None:
+        ij = cKDTree(a).query_pairs(rad, p=p, output_type="ndarray")
+        return ij[:, 0], ij[:, 1]
+    # the record columns are views: copying them would add 16 bytes a pair
+    pairs = cKDTree(a).sparse_distance_matrix(cKDTree(b), rad, p=p, output_type="ndarray")
+    return pairs["i"], pairs["j"]
+
+
 def packing_radius(ps) -> float:
     """Half the minimum pairwise distance, exact; inf for fewer than 2 points."""
     pts = ps.points
     if pts.shape[0] < 2:
         return math.inf
-    from scipy.spatial import cKDTree
-
-    d, _ = cKDTree(pts).query(pts, k=2)
-    return float(d[:, 1].min()) / 2.0
+    # double s from the mean spacing until a pair lies within it; the nearest is among them
+    s = (np.prod(np.ptp(pts, axis=0) + 1) / pts.shape[0]) ** (1 / pts.shape[1])
+    while not (ij := pairs_within(pts, s))[0].size:
+        s *= 2
+    return float(np.linalg.norm(pts[ij[0]] - pts[ij[1]], axis=1).min()) / 2.0
 
 
 def delone_constants(ps) -> tuple:
@@ -502,21 +508,14 @@ def natural_distance(f1, f2, k: float) -> float:
         raise InvalidArgument("k must be >= 0")
     p1 = f1.points if hasattr(f1, "points") else np.atleast_2d(np.asarray(f1, float))
     p2 = f2.points if hasattr(f2, "points") else np.atleast_2d(np.asarray(f2, float))
-    if p1.shape[0] and p2.shape[0] and p1.shape[1] != p2.shape[1]:
+    if p1.shape[1] != p2.shape[1]:
         raise InvalidArgument("dimension mismatch")
 
     def one_sided(a: np.ndarray, b: np.ndarray) -> float:
-        if a.shape[0] == 0:
-            return 0.0  # nothing in the window, the inclusion is vacuous
         inside = a[np.sum(a * a, axis=1) <= k * k + BALL_TOL]
-        if inside.shape[0] == 0:
-            return 0.0
-        if b.shape[0] == 0:
-            return math.inf
-        from scipy.spatial import cKDTree
+        i, j = pairs_within(inside, 1.0, b=b)
+        d = np.ones(inside.shape[0])  # the cap, for points with no partner within it
+        np.minimum.at(d, i, np.linalg.norm(inside[i] - b[j], axis=1))
+        return float(d.max(initial=0.0))  # an empty window includes vacuously
 
-        d, _ = cKDTree(b).query(inside)
-        return float(np.max(d))
-
-    delta = max(one_sided(p1, p2), one_sided(p2, p1))
-    return min(delta, 1.0)
+    return max(one_sided(p1, p2), one_sided(p2, p1))

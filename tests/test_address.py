@@ -727,3 +727,45 @@ class TestPathDisplacementOracle:
         with pytest.raises(WindowTooSmall, match=r"grid node \[0\.0, 0\.0\]"):
             one_box(wd)(box)
         assert outcome(one_box(wd), box) == outcome(per_node_weight(ps, amap, 1, 0.5), box)
+
+
+def box_by_box(wd, rank):
+    """evaluate on each (1, n, 2) slice in turn, stopping at the first error."""
+    return lambda boxes: np.array([wd.evaluate(b[None])[0] for b in boxes]).reshape(-1, rank)
+
+
+class TestPathDisplacementBatch:
+    @pytest.mark.parametrize("c", [0, 300_000])
+    @pytest.mark.parametrize("name", sorted(PATH_SETS))
+    def test_one_evaluate_equals_box_by_box(self, name, c):
+        ps, amap = path_set(name, c)
+        n = ps.dimension
+        rng = np.random.default_rng(7)
+        starts = c + rng.choice(FACE_STARTS, size=(12, n))
+        boxes = np.stack([starts, starts + rng.choice(WIDTHS, size=(12, n))], axis=2)
+        boxes[3] = [c - 0.4, c - 0.1]  # no integer in any interval: empty cross-sections
+        for axis in range(n):
+            for R in (0.5, 2.0):  # R = 0.5 loses a node in some sets
+                wd = path_displacement_distribution(ps, amap, axis, R)
+                for batch in (boxes, boxes[:0], boxes[3:4]):
+                    got = outcome(wd.evaluate, batch)
+                    assert got == outcome(box_by_box(wd, amap.rank), batch)
+        assert wd.evaluate(boxes[:0]).shape == (0, amap.rank)
+
+    @pytest.mark.parametrize(
+        "second, node",
+        [
+            ([(-1.0, 1.0), (0.0, 2.0)], r"\[0\.0, 0\.0\]"),
+            ([(2.5, 3.5), (-2.0, 0.0)], r"\[3\.0, -2\.0\]"),
+        ],
+    )
+    def test_failing_second_box_names_its_first_lost_node(self, second, node):
+        # z2-holes misses (0, 0), (1, 0), (-2, 1) and (3, -2); with R = 0.5 a
+        # node on a hole is lost, and the first box has none
+        ps, amap = path_set("z2-holes", 0)
+        wd = path_displacement_distribution(ps, amap, axis=1, R=0.5)
+        other = [(-1.0, 1.0), (0.0, 2.0)] if second[0][0] == 2.5 else [(2.5, 3.5), (-2.0, 0.0)]
+        boxes = np.array([[(4.0, 5.0), (4.0, 5.0)], second, other])
+        with pytest.raises(WindowTooSmall, match="grid node " + node):
+            wd.evaluate(boxes)
+        assert outcome(wd.evaluate, boxes) == outcome(box_by_box(wd, amap.rank), boxes)

@@ -1,7 +1,10 @@
 """Regions, point sets, patch keys, Delone constants, set distance."""
 
+import ast
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from delone_lab.core import (
     make_patch_key,
     natural_distance,
     packing_radius,
+    pairs_within,
     project,
     save_point_set,
     unique_rows,
@@ -329,6 +333,15 @@ class TestFloatPointSet:
             )
         assert "(1, 2)" in str(err.value)
 
+    def test_first_twenty_offenders_in_order_as_plain_ints(self):
+        # 60 random points with tolerance 0.1: the tree finds their pairs out of order
+        pts = np.random.default_rng(0).random((60, 2))
+        with pytest.raises(InvalidArgument) as err:
+            FloatPointSet(pts, tolerance=0.1, region=Region.box([(0, 1)] * 2))
+        close = [p for p in itertools.combinations(range(60), 2) if math.dist(*pts[list(p)]) <= 0.1]
+        assert len(close) > 20
+        assert str(err.value) == "points closer than tolerance at index pairs " + repr(close[:20])
+
     def test_round_trip(self, tmp_path):
         fps = FloatPointSet(
             np.array([[0.0], [1.0], [2.5]]), tolerance=0.1, region=Region.box([(-3, 3)])
@@ -433,7 +446,19 @@ class TestNaturalDistance:
     def test_capped_at_one(self):
         sparse = line_set([0])
         dense = gen_integer_lattice(1).materialize(Region.box([(-20, 20)]))
-        assert natural_distance(sparse, dense, 10.0) <= 1.0
+        assert natural_distance(sparse, dense, 10.0) == 1.0
+
+    def test_dyadic_shift_is_exact(self):
+        base = gen_integer_lattice(2).materialize(Region.box([(-12, 12)] * 2))
+        as_float = FloatPointSet(base.points, tolerance=1e-9, region=base.region)
+        shifted = FloatPointSet(base.points + [0.25, 0.0], tolerance=1e-9, region=base.region)
+        assert natural_distance(as_float, shifted, 10.0) == 0.25
+
+    def test_empty_second_set_is_the_cap(self):
+        ps = gen_integer_lattice(1).materialize(Region.box([(-20, 20)]))
+        empty = FloatPointSet(np.zeros((0, 1)), tolerance=1e-9, region=ps.region)
+        assert natural_distance(ps, empty, 10.0) == 1.0
+        assert natural_distance(empty, empty, 10.0) == 0.0
 
     def test_symmetry(self):
         a = gen_integer_lattice(1).materialize(Region.box([(-20, 20)]))
@@ -441,3 +466,76 @@ class TestNaturalDistance:
         assert natural_distance(a, b, 8.0) == pytest.approx(
             natural_distance(b, a, 8.0)
         )
+
+
+def grid_rows(n):
+    return st.lists(st.tuples(*[st.integers(-8, 8)] * n), max_size=25).map(
+        lambda rows: np.array(rows, dtype=np.int64).reshape(-1, n)
+    )
+
+
+def scipy_spatial_imports() -> set:
+    """(module, outermost function, imported name) for each import from
+    scipy.spatial in the package; None for a module-level import."""
+    found = set()
+
+    def walk(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, module, where or child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = ["%s.%s" % (child.module, a.name) for a in child.names]
+            else:
+                names = []
+            found.update((module, where, m) for m in names if m.startswith("scipy.spatial"))
+            walk(child, module, where)
+
+    for path in sorted(Path(core_mod.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+class TestPairsWithin:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        p=st.sampled_from([2.0, math.inf]),
+        origin=st.sampled_from([0.0, 3e5, 2.0**30]),
+        cross=st.booleans(),
+        r4=st.integers(0, 12),
+        data=st.data(),
+    )
+    def test_equals_brute_force(self, n, p, origin, cross, r4, data):
+        # points and radius on the quarter grid, so every distance is exact,
+        # coordinates are often shared, and many pairs sit exactly at rad
+        ka = data.draw(grid_rows(n))
+        kb = data.draw(grid_rows(n)) if cross else ka
+        d = np.abs(ka[:, None, :] - kb[None, :, :])
+        near = (d.max(axis=2) <= r4) if p == math.inf else ((d * d).sum(axis=2) <= r4 * r4)
+        if not cross:
+            near &= np.triu(np.ones_like(near), k=1)
+        a, b = origin + ka / 4.0, origin + kb / 4.0
+        i, j = pairs_within(a, r4 / 4.0, p=p, b=b if cross else None)
+        assert i.dtype == j.dtype == np.int64
+        got = list(zip(i.tolist(), j.tolist()))
+        assert len(got) == len(set(got))  # each pair once
+        assert set(got) == set(zip(*np.nonzero(near)))
+
+    def test_empty_and_single_row(self):
+        one, empty = np.zeros((1, 2)), np.zeros((0, 2))
+        for a, b, count in [(empty, None, 0), (one, None, 0), (empty, one, 0), (one, empty, 0), (one, one, 1)]:
+            i, j = pairs_within(a, 1.0, b=b)
+            assert i.dtype == j.dtype == np.int64
+            assert i.size == j.size == count
+
+    def test_only_pairs_within_builds_a_tree(self):
+        # the covering radius keeps its own nearest queries and the Lipschitz
+        # scan its cdist; any other neighbour query goes through pairs_within
+        assert scipy_spatial_imports() == {
+            ("core", "pairs_within", "scipy.spatial.cKDTree"),
+            ("repetitivity", "covering_radii", "scipy.spatial.cKDTree"),
+            ("address", "lipschitz_constant", "scipy.spatial.distance.cdist"),
+        }
