@@ -26,7 +26,6 @@ from .core import (
 from .errors import InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
-FLAG_CAP = 1000  # boundary_flags keeps this many near-threshold (center, distance) pairs
 WINDOW_R_FACTOR = 50.0  # patch_count_profile: the first window's radius is this times R
 WINDOW_GROWTH = 2.0  # and grows by this factor per step
 WINDOW_MAX_DOUBLINGS = 4  # for at most this many steps
@@ -34,8 +33,18 @@ WINDOW_MAX_DOUBLINGS = 4  # for at most this many steps
 
 @dataclass
 class PatchClass:
-    key: tuple
+    diffs: np.ndarray  # (k, rank) int64 address differences of the key, lex sorted
     centers: np.ndarray  # (m, rank) integer addresses, lex sorted
+
+    @property
+    def key(self) -> tuple:
+        """The patch key: the differences as a sorted tuple of int tuples."""
+        return tuple(map(tuple, self.diffs.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PatchClass):
+            return NotImplemented
+        return np.array_equal(self.diffs, other.diffs) and np.array_equal(self.centers, other.centers)
 
 
 @dataclass
@@ -44,8 +53,7 @@ class AtlasResult:
     shape: str
     certified_region: Region
     classes: List[PatchClass]
-    boundary_flag_count: int
-    boundary_flags: list  # up to FLAG_CAP entries of (center_address, distance)
+    boundary_flag_count: int  # (center, point) pairs within BALL_TOL of the threshold
     engine: str
 
     @property
@@ -61,10 +69,11 @@ class AtlasResult:
 
     def class_for(self, key: tuple) -> Optional[PatchClass]:
         key = make_patch_key(key)
-        for c in self.classes:
-            if c.key == key:
-                return c
-        return None
+        try:
+            want = np.array(key, dtype=np.int64)
+        except OverflowError:  # no address difference lies past int64
+            return None
+        return next((c for c in self.classes if np.array_equal(c.diffs, want)), None)
 
 
 def _erosion_margin(T: float, shape: str, region_kind: str, n: int) -> float:
@@ -89,8 +98,9 @@ def atlas_ladder(
     shape "ball" uses the closed euclidean ball of radius T; shape "cube"
     uses the axis-aligned closed cube of side T. Membership is decided on
     squared distances with a 1e-9 slack, and near-threshold points are
-    flagged (they stay included). boundary_flags holds the FLAG_CAP smallest
-    (center address, distance) pairs of the near-threshold points.
+    counted in boundary_flag_count (they stay included). Classes come in key
+    order; a class holds its key as an array, and builds the tuple only when
+    it is read.
 
     A rung of a subset of Z^n (n <= 3) with the identity projection goes to
     the lattice engine when the box of its centers, grown by 2T + 1, holds
@@ -117,7 +127,7 @@ def atlas_ladder(
     for T in sorted(certified):
         mask = certified[T].contains(ps.points)
         if not mask.any():
-            done[T] = AtlasResult(T, shape, certified[T], [], 0, [], "empty")
+            done[T] = AtlasResult(T, shape, certified[T], [], 0, "empty")
             continue
         # the lattice engine scans the centers' box grown by the patch reach
         box = [np.ptp(col[mask]) + 2.0 * T + 1.0 for col in ps.addresses.T]
@@ -127,10 +137,6 @@ def atlas_ladder(
         if rungs:
             done.update(_ladder(ps, rungs, shape, engine))
     return [done[T] for T in T_values]
-
-
-# the number of set bits of each byte value
-_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
 
 
 def _thresh2(T, shape):
@@ -173,7 +179,6 @@ def _ladder(ps, rungs, shape, engine):
     zero = np.flatnonzero(~table.any(axis=1))
     if zero.size == 0 or not np.all(bits[:, zero[0] >> 3] >> (zero[0] & 7) & 1):
         raise InvalidArgument("patch key must contain the zero vector")
-    entries = list(map(tuple, table.tolist()))
     lex = lex_order(table)
     ids = np.zeros(cidx.size, dtype=np.int64)
     k_prev = 0
@@ -194,44 +199,26 @@ def _ladder(ps, rungs, shape, engine):
         ids[sel] = cls
         k_prev = k
 
+        # centers by class, then by address; narrow ints sort by radix
+        order = np.argsort(cls.astype(np.min_scalar_type(cls.max())), kind="stable")
+        sizes = np.bincount(cls)
+        centers = np.split(caddr[sel[order]], np.cumsum(sizes)[:-1])
+        # a class's key is the differences its center sees, by lex rank; the
+        # ranks' big-endian bytes compare as the keys do, a proper prefix first
         cols = lex[lex < k]
         seen = np.unpackbits(bits[rep], axis=1, count=k, bitorder="little")[:, cols]
-        keys = [tuple([entries[j] for j in cols[row].tolist()]) for row in seen.astype(bool)]
-        # by class, then by address; narrow ints sort by radix
-        order = np.argsort(cls.astype(np.min_scalar_type(cls.max())), kind="stable")
-        bounds = np.cumsum(np.bincount(cls))[:-1]
-        classes = [
-            PatchClass(key=key, centers=c)
-            for key, c in zip(keys, np.split(caddr[sel[order]], bounds))
-        ]
-        classes.sort(key=lambda c: c.key)
+        ranks = [np.flatnonzero(r) for r in seen]
+        names = [r.astype(">u4").tobytes() for r in ranks]
+        by_key = sorted(range(len(names)), key=names.__getitem__)
+        classes = [PatchClass(table[cols[ranks[i]]], centers[i]) for i in by_key]
 
-        # near-threshold hits, counted byte by byte in (center, column)
-        # order: the centers up to the one holding the FLAG_CAP-th hit hold
-        # the FLAG_CAP smallest flags
+        # near-threshold hits: every center of a class sees its key
         if shape == "ball":
             near = np.abs(reach[:k] - t) < BALL_TOL
         else:
             near = np.any(np.abs(per[:k] - t) < BALL_TOL, axis=1)
-        masks = np.packbits(near, bitorder="little")
-        count = np.zeros(sel.size, dtype=_POPCOUNT.dtype)
-        for b in np.flatnonzero(masks).tolist():
-            count += _POPCOUNT[bits[sel, b] & masks[b]]
-        per_center = np.cumsum(count)
-        flagged = sel[np.flatnonzero(count[: np.searchsorted(per_center, FLAG_CAP) + 1])]
-        hits = np.unpackbits(bits[flagged], axis=1, count=k, bitorder="little") & near
-        rr, cc = np.nonzero(hits)
-        dist = np.sqrt(per[cc].sum(axis=1))
-        flags = sorted(zip(map(tuple, caddr[flagged[rr]].tolist()), dist.tolist()))
-        out[T] = AtlasResult(
-            T=T,
-            shape=shape,
-            certified_region=certified,
-            classes=classes,
-            boundary_flag_count=int(per_center[-1]),
-            boundary_flags=flags[:FLAG_CAP],
-            engine=name,
-        )
+        flags = int(np.count_nonzero(seen[:, near[cols]], axis=1) @ sizes)
+        out[T] = AtlasResult(T, shape, certified, classes, flags, name)
     return out
 
 

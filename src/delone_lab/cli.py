@@ -404,7 +404,8 @@ def frequencies(set_name, params, seed, out, fmt, window, t_value, key):
     ps = source.materialize(region)
     full = compute_atlas(ps, t_value)
     if patch_key is None:
-        patch_key = max(full.classes, key=lambda c: (c.centers.shape[0], c.key)).key
+        # classes come in key order: the last of the most common has the largest key
+        patch_key = max(reversed(full.classes), key=lambda c: c.centers.shape[0]).key
     config["key"] = [list(v) for v in patch_key]
     # count inside fractions of the certified part of the window, scaled
     # about its center, so every ladder rung is fully covered by classified

@@ -460,8 +460,9 @@ def packing_radius(ps) -> float:
     pts = ps.points
     if pts.shape[0] < 2:
         return math.inf
-    # double s from the mean spacing until a pair lies within it; the nearest is among them
-    s = (np.prod(np.ptp(pts, axis=0) + 1) / pts.shape[0]) ** (1 / pts.shape[1])
+    # double s from the shortest gap between lex neighbours, a real pair however
+    # the points cluster, until a pair lies within it; the nearest is among them
+    s = np.linalg.norm(np.diff(pts[np.lexsort(pts.T[::-1])], axis=0), axis=1).min()
     while not (ij := pairs_within(pts, s))[0].size:
         s *= 2
     return float(np.linalg.norm(pts[ij[0]] - pts[ij[1]], axis=1).min()) / 2.0
@@ -506,10 +507,9 @@ def natural_distance(f1, f2, k: float) -> float:
     """
     if k < 0:
         raise InvalidArgument("k must be >= 0")
-    p1 = f1.points if hasattr(f1, "points") else np.atleast_2d(np.asarray(f1, float))
-    p2 = f2.points if hasattr(f2, "points") else np.atleast_2d(np.asarray(f2, float))
-    if p1.shape[1] != p2.shape[1]:
-        raise InvalidArgument("dimension mismatch")
+    p1, p2 = (f.points if hasattr(f, "points") else np.asarray(f, float) for f in (f1, f2))
+    if p1.ndim != 2 or p2.ndim != 2 or p1.shape[1] != p2.shape[1]:
+        raise InvalidArgument("need shapes (m, n) and (m', n), not %s and %s" % (p1.shape, p2.shape))
 
     def one_sided(a: np.ndarray, b: np.ndarray) -> float:
         inside = a[np.sum(a * a, axis=1) <= k * k + BALL_TOL]

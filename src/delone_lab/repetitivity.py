@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .atlas import AtlasResult, atlas_ladder, compute_atlas
+from .atlas import AtlasResult, PatchClass, atlas_ladder, compute_atlas
 from .core import ExactPointSet, Region, packing_radius
 from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
@@ -208,10 +208,9 @@ def covering_radii(
 
 @dataclass
 class ClassCovering:
-    key: tuple
+    patch_class: PatchClass
     lower: float
     upper: float
-    n_centers: int
 
 
 @dataclass
@@ -262,10 +261,7 @@ def repetitivity_function(
         eval_region,
         resolution=resolution,
     )
-    per = [
-        ClassCovering(key=cls.key, lower=lo, upper=hi, n_centers=cls.centers.shape[0])
-        for cls, (lo, hi) in zip(atlas.classes, brackets)
-    ]
+    per = [ClassCovering(cls, lo, hi) for cls, (lo, hi) in zip(atlas.classes, brackets)]
     M_lower = max(c.lower for c in per)
     M_upper = max(c.upper for c in per)
     floor_val = max(min(c.lower, T) for c in per)

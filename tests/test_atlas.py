@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import delone_lab.atlas as atlas_mod
 import delone_lab.core as core_mod
 from delone_lab.atlas import (
+    PatchClass,
     _engine_kdtree,
     _engine_lattice,
     _erosion_margin,
@@ -79,20 +80,17 @@ class TestLatticeAtlas:
         at = compute_atlas(ps, 3.0)
         # each of the 15 centers sees 2 points at exactly distance 3
         assert at.boundary_flag_count == 30
-        assert len(at.boundary_flags) == 30
 
     def test_no_flags_off_integer(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(-10, 10)]))
         assert compute_atlas(ps, 2.5).boundary_flag_count == 0
 
-    def test_flag_cap_truncates_list_not_count(self, monkeypatch):
-        monkeypatch.setattr(atlas_mod, "FLAG_CAP", 100)
+    def test_flag_count_of_a_punctured_plane(self):
         ps = gen_integer_lattice(2, deletions=[(0, 0)]).materialize(
             Region.box([(-10, 10)] * 2)
         )
         at = compute_atlas(ps, 1.0)
         assert at.boundary_flag_count == 1436
-        assert len(at.boundary_flags) == 100
 
 
 class TestPuncturedLattice:
@@ -122,6 +120,23 @@ class TestPuncturedLattice:
         assert sizes[:4] == [1, 1, 1, 1]
         full = make_patch_key([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
         assert at.class_for(full).centers.shape[0] == sizes[-1]
+
+    def test_class_for_compares_arrays(self):
+        ps = gen_integer_lattice(2, deletions=[(0, 0)]).materialize(
+            Region.box([(-7, 7)] * 2)
+        )
+        at = compute_atlas(ps, 1.0)
+        for c in at.classes:
+            assert c.diffs.dtype == np.int64
+            assert at.class_for(c.key) is c
+            assert at.class_for(reversed(c.key)) is c
+        assert at.class_for([(0, 0)]) is None  # never occurs
+        assert at.class_for([(0,), (1,)]) is None  # another width
+        assert at.class_for([(0, 0), (2**70, 0)]) is None  # past int64
+        # classes compare by value: a second atlas equals the first
+        assert compute_atlas(ps, 1.0).classes == at.classes
+        c = at.classes[0]
+        assert PatchClass(c.diffs[1:], c.centers) != c != PatchClass(c.diffs, c.centers[1:])
 
 
 class TestLatticeEngine:
@@ -409,12 +424,9 @@ class TestEnginesAgree:
 
     @pytest.mark.parametrize("shape", ["ball", "cube"])
     @pytest.mark.parametrize("case", ["z2-holes", "z2-holes-far", "deleted-lines", "z1"])
-    def test_lattice_and_kdtree_agree(self, case, shape, monkeypatch):
+    def test_lattice_and_kdtree_agree(self, case, shape):
         ps, T_values = self.case(case)
         rungs = per_T_rungs(ps, T_values, shape)
-        # one ladder per engine, with a small flag cap so the flag lists are
-        # cut short too
-        monkeypatch.setattr(atlas_mod, "FLAG_CAP", 20)
         lat = _ladder(ps, rungs, shape, _engine_lattice)
         kd = _ladder(ps, rungs, shape, _engine_kdtree)
         flagged = 0
@@ -424,10 +436,35 @@ class TestEnginesAgree:
             assert a.keys() == b.keys()
             for ca, cb in zip(a.classes, b.classes):
                 assert np.array_equal(ca.centers, cb.centers)
-            assert a.boundary_flags == b.boundary_flags
             assert a.boundary_flag_count == b.boundary_flag_count
             flagged += a.boundary_flag_count
         assert flagged > 0
+
+    @pytest.mark.parametrize("engine", [_engine_lattice, _engine_kdtree])
+    def test_classes_come_in_key_order(self, engine):
+        for case in ("z2-holes", "z2-holes-far", "deleted-lines", "z1"):
+            ps, T_values = self.case(case)
+            for shape in ("ball", "cube"):
+                ladder = _ladder(ps, per_T_rungs(ps, T_values, shape), shape, engine)
+                for at in ladder.values():
+                    assert at.keys() == sorted(at.keys())
+        # keys of 3-D balls at T = 4 hold up to 257 differences: lex ranks
+        # past one byte
+        holes = gen_integer_lattice(3, deletions=[(0, 0, 0), (2, 1, 0)])
+        ps = holes.materialize(Region.box([(-7, 7)] * 3))
+        at = _ladder(ps, per_T_rungs(ps, [4.0]), "ball", engine)[4.0]
+        assert at.keys() == sorted(at.keys())
+        assert at.n_lower > 50 and max(len(k) for k in at.keys()) == 257
+        # a key comes before the keys it is a proper prefix of
+        holes = gen_integer_lattice(1, deletions=[(0,), (5,), (7,)])
+        ps = holes.materialize(Region.box([(-10, 10)]))
+        at = _ladder(ps, per_T_rungs(ps, [1.0]), "ball", engine)[1.0]
+        assert at.keys() == [
+            ((-1,), (0,)),
+            ((-1,), (0,), (1,)),
+            ((0,),),
+            ((0,), (1,)),
+        ]
 
 
 FAR = 10**6
@@ -496,10 +533,7 @@ class TestLadder:
             assert at.certified_region == one.certified_region
             assert as_dict(at) == as_dict(one) == brute_for(name, T, shape)
             assert at.keys() == one.keys()
-            assert (at.boundary_flag_count, at.boundary_flags) == (
-                one.boundary_flag_count,
-                one.boundary_flags,
-            )
+            assert at.boundary_flag_count == one.boundary_flag_count
 
     def test_engine_switches_between_rungs(self):
         ps = sparse_line()
@@ -526,22 +560,6 @@ class TestLadder:
         with pytest.raises(InvalidArgument, match="unknown patch shape"):
             atlas_ladder(ps, [1.0], shape="hexagon")
         assert atlas_ladder(ps, []) == []
-
-    @pytest.mark.parametrize("engine", [_engine_lattice, _engine_kdtree])
-    def test_capped_flags_do_not_depend_on_point_order(self, engine, monkeypatch):
-        # the FLAG_CAP smallest (center, distance) pairs, whatever the order
-        ps = gen_integer_lattice(2, deletions=[(0, 0)]).materialize(Region.box([(-10, 10)] * 2))
-        perm = np.random.default_rng(3).permutation(len(ps))
-        shuffled = ExactPointSet(2, 2, ps.projection, ps.addresses[perm], ps.region)
-        monkeypatch.setattr(atlas_mod, "FLAG_CAP", 10**6)
-        every = _ladder(ps, per_T_rungs(ps, [1.0]), "ball", engine)[1.0]
-        assert len(every.boundary_flags) == every.boundary_flag_count == 1436
-        monkeypatch.setattr(atlas_mod, "FLAG_CAP", 100)
-        for p in (ps, shuffled):
-            at = _ladder(p, per_T_rungs(p, [1.0]), "ball", engine)[1.0]
-            assert at.boundary_flag_count == 1436
-            assert at.boundary_flags == sorted(every.boundary_flags)[:100]
-            assert at.boundary_flags[0] == ((-9, -9), 1.0)
 
 
 def lex_centers(ps, T, shape):
@@ -797,10 +815,7 @@ class TestPrefixLadder:
             assert at.engine == one.engine == ("lattice" if name == "z2-holes" else "kdtree")
             assert at.keys() == one.keys()
             assert as_dict(at) == as_dict(one) == prefix_brute(name, c, T, shape)
-            assert (at.boundary_flag_count, at.boundary_flags) == (
-                one.boundary_flag_count,
-                one.boundary_flags,
-            )
+            assert at.boundary_flag_count == one.boundary_flag_count
 
 
 class TestProfile:

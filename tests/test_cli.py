@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import delone_lab.cli as cli_mod
 import delone_lab.repetitivity as repetitivity_mod
 import delone_lab.verify as verify_mod
-from delone_lab.atlas import compute_atlas
+from delone_lab.atlas import PatchClass, compute_atlas
 from delone_lab.cli import main
 from delone_lab.core import ExactPointSet, FloatPointSet, Region, make_patch_key
 from delone_lab.ergodic import WeightDistribution, density_profile
@@ -511,6 +511,48 @@ class TestAnalysisCommands:
         monkeypatch.setattr(ergodic_mod, "compute_atlas", counted)
         assert run_cli(["frequencies", "--set", "zn", "--window", "30"]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "set_name, params, window, tied",
+        [
+            # T-patches of Z less every third point: two classes, one each way,
+            # of one count in a symmetric window
+            ("zn", {"n": 1, "deletions": [[k] for k in range(-30, 31, 3)]}, "30", True),
+            ("fibonacci", {}, "40", True),
+            ("zn", {"n": 2, "deletions": [[0, 0], [3, 1]]}, "12", False),
+        ],
+    )
+    def test_frequencies_default_key_is_the_largest_most_common(
+        self, set_name, params, window, tied, capsys
+    ):
+        argv = ["frequencies", "--set", set_name, "--params", json.dumps(params)]
+        assert run_cli(argv + ["--window", window]) == 0
+        config, _, _ = parse_csv(capsys.readouterr().out)
+        ps = build_source(set_name, params).materialize(Region.from_json(config["window"]))
+        classes = compute_atlas(ps, 2.000001).classes
+        # the most common class, ties to the largest key
+        want = max(classes, key=lambda c: (c.centers.shape[0], c.key))
+        assert make_patch_key(config["key"]) == want.key
+        counts = sorted(c.centers.shape[0] for c in classes)
+        assert (counts[-2] == counts[-1]) == tied
+
+    def test_atlas_and_repetitivity_build_no_key(self, capsys, monkeypatch):
+        def no_key(cls):
+            raise AssertionError("a patch key was built")
+
+        monkeypatch.setattr(PatchClass, "key", property(no_key))
+        z2 = json.dumps({"n": 2, "deletions": [[0, 0], [3, 1]]})
+        fibxfib = json.dumps({"factors": [{"set": "fibonacci"}, {"set": "fibonacci"}]})
+        for argv in (
+            ["atlas", "--set", "zn", "--params", z2, "--window", "12", "--T", "1,2.000001"],
+            ["atlas", "--set", "product", "--params", fibxfib, "--window", "10", "--T", "2,3.000001"],
+            ["atlas", "--set", "fibonacci", "--window", "60", "--shape", "cube"],
+            ["repetitivity", "--set", "zn", "--params", z2, "--window", "8", "--T", "2.000001"],
+            ["repetitivity", "--set", "fibonacci", "--window", "60"],
+        ):
+            assert run_cli(argv) == 0
+        with pytest.raises(AssertionError, match="a patch key was built"):
+            run_cli(["frequencies", "--set", "fibonacci", "--window", "40"])
 
     def test_frequencies_with_key(self, capsys):
         code = run_cli(

@@ -4,6 +4,8 @@ import ast
 import itertools
 import json
 import math
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +431,30 @@ class TestDeloneConstants:
             assert packing_radius(ps) == delone_constants(ps)[0] == pytest.approx(brute)
         assert packing_radius(line_set([0])) == math.inf
 
+    def test_packing_radius_of_far_clusters_pays_for_their_pairs(self):
+        # two 40 x 40 unit grids 10^6 apart: a start at the mean spacing over
+        # the bounding box held every pair of a cluster (123 MB)
+        grid = np.stack(np.meshgrid(np.arange(40.0), np.arange(40.0)), axis=-1).reshape(-1, 2)
+        ps = FloatPointSet(
+            np.concatenate([grid, grid + 1e6]),
+            tolerance=1e-9,
+            region=Region.box([(-1, 1e6 + 40)] * 2),
+        )
+        tracemalloc.start()
+        try:
+            r = packing_radius(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r == 0.5
+        assert peak < 5e6
+
+    def test_packing_radius_of_coincident_points_is_zero(self):
+        # the second address coordinate projects to 0: (3, 0) and (3, 1) coincide
+        addr = np.array([[0, 0], [3, 0], [3, 1], [7, 0]])
+        ps = ExactPointSet(1, 2, np.array([[1.0], [0.0]]), addr, Region.box([(-1, 8)]))
+        assert packing_radius(ps) == 0.0
+
 
 class TestNaturalDistance:
     def test_identical_sets(self):
@@ -459,6 +485,22 @@ class TestNaturalDistance:
         empty = FloatPointSet(np.zeros((0, 1)), tolerance=1e-9, region=ps.region)
         assert natural_distance(ps, empty, 10.0) == 1.0
         assert natural_distance(empty, empty, 10.0) == 0.0
+
+    def test_raw_arrays_are_m_by_n(self):
+        # a flat list is not read as one point of dimension m
+        column = [[0.0], [0.5]]
+        for flat in ([0.0, 0.5], np.zeros((2, 1, 1)), 0.5):
+            shape = np.shape(flat)
+            with pytest.raises(InvalidArgument, match=re.escape("not %s and (2, 1)" % (shape,))):
+                natural_distance(flat, column, 3.0)
+            with pytest.raises(InvalidArgument, match=re.escape("not (2, 1) and %s" % (shape,))):
+                natural_distance(column, flat, 3.0)
+        with pytest.raises(InvalidArgument, match=re.escape("not (2,) and (2,)")):
+            natural_distance([0.0, 0.5], [0.0, 0.5], 3.0)
+        with pytest.raises(InvalidArgument, match=re.escape("not (2, 1) and (1, 2)")):
+            natural_distance(column, [[0.0, 0.5]], 3.0)
+        assert natural_distance(column, [[0.0], [0.75]], 3.0) == 0.25
+        assert natural_distance(np.zeros((0, 1)), [[0.0]], 3.0) == 1.0
 
     def test_symmetry(self):
         a = gen_integer_lattice(1).materialize(Region.box([(-20, 20)]))

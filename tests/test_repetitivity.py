@@ -429,6 +429,15 @@ class TestRepetitivityFunction:
         assert res.M_lower <= truth <= res.M_upper
         assert res.M_upper - res.M_lower < 0.04
 
+    def test_each_bracket_holds_its_class(self):
+        from delone_lab.atlas import compute_atlas
+
+        ps = gen_fibonacci().materialize(Region.centered_box(1, 40.0))
+        atlas = compute_atlas(ps, 1.2)
+        res = repetitivity_function(ps, 1.2, atlas=atlas)
+        assert len(res.per_class) == atlas.n_lower == 3
+        assert all(c.patch_class is a for c, a in zip(res.per_class, atlas.classes))
+
     def test_stale_atlas_rejected(self):
         from delone_lab.atlas import compute_atlas
 
