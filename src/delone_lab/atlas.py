@@ -9,7 +9,7 @@ and the class count is a certified lower bound for the infinite set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -33,8 +33,14 @@ WINDOW_MAX_DOUBLINGS = 4  # for at most this many steps
 
 @dataclass
 class PatchClass:
-    diffs: np.ndarray  # (k, rank) int64 address differences of the key, lex sorted
+    table: np.ndarray = field(repr=False)  # the run's (K, rank) int64 differences, one for all
+    rows: np.ndarray  # narrow unsigned rows of the table in the key, in lex order
     centers: np.ndarray  # (m, rank) integer addresses, lex sorted
+
+    @property
+    def diffs(self) -> np.ndarray:
+        """The key's (k, rank) int64 address differences, lex sorted."""
+        return self.table[self.rows]
 
     @property
     def key(self) -> tuple:
@@ -42,6 +48,7 @@ class PatchClass:
         return tuple(map(tuple, self.diffs.tolist()))
 
     def __eq__(self, other) -> bool:
+        # by value, as the key tuple and center count a ClassCovering held
         if not isinstance(other, PatchClass):
             return NotImplemented
         return np.array_equal(self.diffs, other.diffs) and np.array_equal(self.centers, other.centers)
@@ -205,12 +212,12 @@ def _ladder(ps, rungs, shape, engine):
         centers = np.split(caddr[sel[order]], np.cumsum(sizes)[:-1])
         # a class's key is the differences its center sees, by lex rank; the
         # ranks' big-endian bytes compare as the keys do, a proper prefix first
-        cols = lex[lex < k]
+        cols = lex[lex < k].astype(np.min_scalar_type(k))
         seen = np.unpackbits(bits[rep], axis=1, count=k, bitorder="little")[:, cols]
         ranks = [np.flatnonzero(r) for r in seen]
         names = [r.astype(">u4").tobytes() for r in ranks]
         by_key = sorted(range(len(names)), key=names.__getitem__)
-        classes = [PatchClass(table[cols[ranks[i]]], centers[i]) for i in by_key]
+        classes = [PatchClass(table, cols[ranks[i]], centers[i]) for i in by_key]
 
         # near-threshold hits: every center of a class sees its key
         if shape == "ball":

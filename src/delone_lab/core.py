@@ -460,9 +460,13 @@ def packing_radius(ps) -> float:
     pts = ps.points
     if pts.shape[0] < 2:
         return math.inf
-    # double s from the shortest gap between lex neighbours, a real pair however
-    # the points cluster, until a pair lies within it; the nearest is among them
-    s = np.linalg.norm(np.diff(pts[np.lexsort(pts.T[::-1])], axis=0), axis=1).min()
+    # the nearest pair differs on some axis by at least that axis's smallest
+    # positive gap, so doubling s from the least such gap stops below twice
+    # its length: O(N) pairs however the points cluster or turn
+    gaps = np.diff(np.sort(pts, axis=0), axis=0)
+    s = gaps[gaps > 0].min(initial=math.inf)
+    if s == math.inf:
+        return 0.0  # every point coincides
     while not (ij := pairs_within(pts, s))[0].size:
         s *= 2
     return float(np.linalg.norm(pts[ij[0]] - pts[ij[1]], axis=1).min()) / 2.0

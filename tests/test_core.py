@@ -449,11 +449,31 @@ class TestDeloneConstants:
         assert r == 0.5
         assert peak < 5e6
 
+    def test_packing_radius_of_a_turned_lattice_pays_for_its_pairs(self):
+        # Z^2 turned by 0.3 rad: no two points share a coordinate, and points
+        # next to each other in lex order differ by long vectors; a start at
+        # the shortest such gap (13.6) held 1.6 * 10^6 pairs (76 MB)
+        c, s = math.cos(0.3), math.sin(0.3)
+        grid = np.stack(np.meshgrid(np.arange(-80.0, 81.0), np.arange(-80.0, 81.0)), axis=-1)
+        pts = grid.reshape(-1, 2) @ np.array([[c, s], [-s, c]])
+        pts = pts[np.all(np.abs(pts) <= 40, axis=1)]
+        ps = FloatPointSet(pts, tolerance=1e-9, region=Region.box([(-40, 40)] * 2))
+        tracemalloc.start()
+        try:
+            r = packing_radius(ps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r == pytest.approx(0.5)
+        assert peak < 5e6
+
     def test_packing_radius_of_coincident_points_is_zero(self):
         # the second address coordinate projects to 0: (3, 0) and (3, 1) coincide
         addr = np.array([[0, 0], [3, 0], [3, 1], [7, 0]])
         ps = ExactPointSet(1, 2, np.array([[1.0], [0.0]]), addr, Region.box([(-1, 8)]))
         assert packing_radius(ps) == 0.0
+        # no positive gap on any axis: there is no radius to double from
+        assert packing_radius(ExactPointSet(1, 2, ps.projection, addr[1:3], ps.region)) == 0.0
 
 
 class TestNaturalDistance:
