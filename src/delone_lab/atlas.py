@@ -35,7 +35,13 @@ WINDOW_MAX_DOUBLINGS = 4  # for at most this many steps
 class PatchClass:
     table: np.ndarray = field(repr=False)  # the run's (K, rank) int64 differences, one for all
     rows: np.ndarray  # narrow unsigned rows of the table in the key, in lex order
-    centers: np.ndarray  # (m, rank) integer addresses, lex sorted
+    center_table: np.ndarray = field(repr=False)  # the run's (M, rank) centers, lex sorted
+    center_rows: np.ndarray  # narrow unsigned rows of center_table in the class, ascending
+
+    @property
+    def centers(self) -> np.ndarray:
+        """The class's (m, rank) integer addresses, lex sorted."""
+        return self.center_table[self.center_rows]
 
     @property
     def diffs(self) -> np.ndarray:
@@ -69,7 +75,7 @@ class AtlasResult:
 
     @property
     def total_centers(self) -> int:
-        return sum(c.centers.shape[0] for c in self.classes)
+        return sum(c.center_rows.size for c in self.classes)
 
     def keys(self) -> list:
         return [c.key for c in self.classes]
@@ -106,15 +112,16 @@ def atlas_ladder(
     uses the axis-aligned closed cube of side T. Membership is decided on
     squared distances with a 1e-9 slack, and near-threshold points are
     counted in boundary_flag_count (they stay included). Classes come in key
-    order; a class holds its key as an array, and builds the tuple only when
-    it is read.
+    order. A class holds its key and its centers as narrow rows into its
+    run's one table of differences and one lex-sorted array of centers, and
+    gathers either, or builds the key tuple, only when it is read.
 
     A rung of a subset of Z^n (n <= 3) with the identity projection goes to
     the lattice engine when the box of its centers, grown by 2T + 1, holds
     at most 64 cells per point; every other rung goes to the kdtree engine.
     Each engine runs once over the rungs it gets: it builds one table of
     address differences at their largest T and refines the classes rung by
-    rung, reading only the shell each rung adds.
+    rung, reading only the shell each rung adds at that rung's centers.
     """
     if shape not in ("ball", "cube"):
         raise InvalidArgument(f"unknown patch shape {shape!r}")
@@ -171,53 +178,60 @@ def _ladder(ps, rungs, shape, engine):
 
     The engine returns a table of K address differences within the largest
     T, in reach order, with their reach values and squared coordinates, and
-    one bit matrix packed little-endian into bytes: row i, bit j set when
-    the i-th center (in lex order) sees difference j. A rung's differences
-    are the prefix [0, k) of the table, and its shell is [k_prev, k). A
-    class at a rung is the pair (class at the rung before, shell bits),
-    since a T-patch is the patch at the smaller T plus its shell.
+    a reader: read(rows, lo, hi) gives, for the centers at those rows (in
+    lex order), the byte columns [lo, hi) of their bits packed
+    little-endian, bit j set when the center sees difference j. A rung's
+    differences are the prefix [0, k) of the table, and its shell is
+    [k_prev, k). A class at a rung is the pair (class at the rung before,
+    shell bits), since a T-patch is the patch at the smaller T plus its
+    shell, so a rung reads only its shell at its own centers, and the key
+    bytes of one center per class.
     """
-    base = np.nonzero(rungs[0][2])[0]
-    cidx = base[lex_order(ps.addresses[base])]
+    cidx = np.flatnonzero(rungs[0][2])
+    cidx = cidx[lex_order(ps.addresses[cidx])].astype(np.int32)
     caddr = ps.addresses[cidx]
-    table, reach, per, bits, name = engine(ps, cidx, shape, _thresh2(rungs[-1][0], shape))
+    table, reach, per, read, name = engine(ps, cidx, shape, _thresh2(rungs[-1][0], shape))
     # every patch holds its own center; the other key invariants (distinct
     # entries of one width, in lex order) hold by construction of the table
-    zero = np.flatnonzero(~table.any(axis=1))
-    if zero.size == 0 or not np.all(bits[:, zero[0] >> 3] >> (zero[0] & 7) & 1):
-        raise InvalidArgument("patch key must contain the zero vector")
+    zero = np.flatnonzero(~table.any(axis=1))[:1]  # of reach 0: in the first shell
     lex = lex_order(table)
-    ids = np.zeros(cidx.size, dtype=np.int64)
+    ids = np.zeros(cidx.size, dtype=np.int32)
+    row_type = np.min_scalar_type(cidx.size - 1)
     k_prev = 0
     out = {}
     for T, certified, mask in rungs:
         t = _thresh2(T, shape)
         k = int(np.searchsorted(reach, t + BALL_TOL, side="right"))
-        sel = np.nonzero(mask[cidx])[0]  # lex sorted, as cidx is
+        # lex sorted, as cidx is; np.take reads int32 indices about twice as
+        # fast as [] does (numpy 2.4)
+        sel = np.flatnonzero(np.take(mask, cidx)).astype(np.int32)
         # the rows (class before, 8-byte words of the shell bits) group into
         # the classes; bits below k_prev repeat the class before, bits past k go
         lo, hi = k_prev >> 3, (k + 7) >> 3
         shell = np.zeros((sel.size, (hi - lo + 7) // 8 * 8), dtype=np.uint8)
-        shell[:, : hi - lo] = bits[sel, lo:hi]
+        shell[:, : hi - lo] = read(sel, lo, hi)
         if k & 7:
             shell[:, hi - lo - 1] &= (1 << (k & 7)) - 1
-        cls, rep = unique_rows([ids[sel], *shell.view(np.int64).T])
+        if not k_prev and not (zero.size and np.all(shell[:, zero[0] >> 3] >> (zero[0] & 7) & 1)):
+            raise InvalidArgument("patch key must contain the zero vector")
+        cls, rep = unique_rows([np.take(ids, sel).astype(np.int64), *shell.view(np.int64).T])
         rep = sel[rep]  # any center of a class stands for it
         ids[sel] = cls
         k_prev = k
 
-        # centers by class, then by address; narrow ints sort by radix
+        # center rows by class, then by address; narrow ints sort by radix
         order = np.argsort(cls.astype(np.min_scalar_type(cls.max())), kind="stable")
         sizes = np.bincount(cls)
-        centers = np.split(caddr[sel[order]], np.cumsum(sizes)[:-1])
+        members = np.split(sel[order].astype(row_type), np.cumsum(sizes)[:-1])
+        del cls, order  # the next rung's grouping needs their room
         # a class's key is the differences its center sees, by lex rank; the
         # ranks' big-endian bytes compare as the keys do, a proper prefix first
         cols = lex[lex < k].astype(np.min_scalar_type(k))
-        seen = np.unpackbits(bits[rep], axis=1, count=k, bitorder="little")[:, cols]
+        seen = np.unpackbits(read(rep, 0, hi), axis=1, count=k, bitorder="little")[:, cols]
         ranks = [np.flatnonzero(r) for r in seen]
         names = [r.astype(">u4").tobytes() for r in ranks]
         by_key = sorted(range(len(names)), key=names.__getitem__)
-        classes = [PatchClass(table, cols[ranks[i]], centers[i]) for i in by_key]
+        classes = [PatchClass(table, cols[ranks[i]], caddr, members[i]) for i in by_key]
 
         # near-threshold hits: every center of a class sees its key
         if shape == "ball":
@@ -234,8 +248,10 @@ def _engine_lattice(ps, cidx, shape, thresh2):
     occupancy array over the centers' box grown by the reach, all that a
     patch can see.
 
-    Each byte column of the matrix is read from eight shifted slices of the
-    occupancy array over the centers' box, then picked out at the centers.
+    The reader builds each byte column from eight shifted slices of the
+    occupancy array over the box of the centers asked for, then picks it
+    out at those centers. When they are few against their box, as the one
+    center per class of a key read is, it gathers their cells instead.
     """
     n = ps.dimension
     r = math.floor(math.sqrt(thresh2 + BALL_TOL))
@@ -247,25 +263,38 @@ def _engine_lattice(ps, cidx, shape, thresh2):
     offs = offs[order[:k]]
 
     # numpy reduces one column at a time faster than across a short axis
-    ccol = [col[cidx] for col in ps.addresses.T]
-    cmin = np.array([c.min() for c in ccol])
-    w = tuple(np.array([c.max() for c in ccol]) + 1 - cmin)  # the centers' box
-    lo = cmin - r
-    dims = np.add(w, 2 * r)
-    seen = np.all([(c >= a) & (c < a + d) for c, a, d in zip(ps.addresses.T, lo, dims)], axis=0)
+    ccol = [np.take(col, cidx) for col in ps.addresses.T]
+    low = np.array([c.min() for c in ccol]) - r
+    dims = np.array([c.max() for c in ccol]) + r + 1 - low
+    seen = np.all([(c >= a) & (c < a + d) for c, a, d in zip(ps.addresses.T, low, dims)], axis=0)
     occ = np.zeros(tuple(dims), dtype=np.uint8)
-    occ[tuple(col[seen] - a for col, a in zip(ps.addresses.T, lo))] = 1
-    at = np.ravel_multi_index(tuple(c - a for c, a in zip(ccol, cmin)), w)
+    occ[tuple(col[seen] - a for col, a in zip(ps.addresses.T, low))] = 1
+    # each center's cell in the occupancy array, one narrow row per axis
+    narrow = np.min_scalar_type(dims.max())
+    cell = np.stack([(c - a).astype(narrow) for c, a in zip(ccol, low)])
+    step = offs @ occ.strides  # each offset's flat step: a cell is one byte
 
-    bits = np.empty((cidx.size, -(-k // 8)), dtype=np.uint8)
-    for b in range(bits.shape[1]):
-        byte = np.zeros(w, dtype=np.uint8)
-        # column 8b + j lands on bit j; doubling is faster than a shift
-        for o in offs[8 * b : 8 * b + 8][::-1]:
-            byte += byte
-            byte |= occ[tuple(slice(r + s, r + s + m) for s, m in zip(o, w))]
-        bits[:, b] = byte.ravel()[at]
-    return offs, reach[:k], per[:k], bits, "lattice"
+    def read(rows, lo, hi):
+        at = np.take(cell, rows, axis=1)
+        start = at.min(axis=1)
+        w = tuple(int(d) for d in at.max(axis=1) + 1 - start)  # their box
+        # a gathered cell costs some 16 cells of a slice (numpy 2.4)
+        if 16 * rows.size < math.prod(w):
+            flat = np.ravel_multi_index(at, occ.shape)
+            hits = occ.ravel()[flat[:, None] + step[8 * lo : 8 * hi]]
+            return np.packbits(hits, axis=1, bitorder="little")
+        flat = np.ravel_multi_index(at - start[:, None], w)
+        out = np.empty((rows.size, hi - lo), dtype=np.uint8)
+        for b in range(lo, hi):
+            byte = np.zeros(w, dtype=np.uint8)
+            # column 8b + j lands on bit j; doubling is faster than a shift
+            for o in offs[8 * b : 8 * b + 8][::-1]:
+                byte += byte
+                byte |= occ[tuple(slice(s + d, s + d + m) for s, d, m in zip(start, o, w))]
+            out[:, b - lo] = byte.ravel()[flat]
+        return out
+
+    return offs, reach[:k], per[:k], read, "lattice"
 
 
 def _engine_kdtree(ps, cidx, shape, thresh2):
@@ -276,7 +305,8 @@ def _engine_kdtree(ps, cidx, shape, thresh2):
     smallest, and a pair's offset is its address difference times the
     projection, so neither cost nor precision depends on where the window
     sits. The search reaches 1e-12 past T; differences past T + BALL_TOL sit
-    at the end of the table, outside every rung's prefix.
+    at the end of the table, outside every rung's prefix. The reader picks
+    its bytes from one packed bit matrix of all centers and differences.
     """
     addr = ps.addresses
     pos = (addr - addr.min(axis=0)).astype(float) @ ps.projection
@@ -295,7 +325,8 @@ def _engine_kdtree(ps, cidx, shape, thresh2):
     col = np.argsort(order)[col]
     hit = np.zeros((cidx.size, table.shape[0]), dtype=bool)
     hit[row, col] = True
-    return table, reach, per, np.packbits(hit, axis=1, bitorder="little"), "kdtree"
+    bits = np.packbits(hit, axis=1, bitorder="little")
+    return table, reach, per, lambda rows, lo, hi: bits[rows, lo:hi], "kdtree"
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .ergodic import (
     volume_weight,
     white_point_count_weight,
 )
-from .errors import DeloneLabError, InvalidArgument, ResourceLimit
+from .errors import DeloneLabError, InvalidArgument, ResourceLimit, WindowTooSmall
 from .generators import build_source
 from .repetitivity import query_workers, repetitivity_ladder
 from .spectral import autocorrelation, detect_peaks, diffraction_estimate
@@ -404,8 +404,10 @@ def frequencies(set_name, params, seed, out, fmt, window, t_value, key):
     ps = source.materialize(region)
     full = compute_atlas(ps, t_value)
     if patch_key is None:
+        if not full.classes:
+            raise WindowTooSmall("no certified patch centers in the window")
         # classes come in key order: the last of the most common has the largest key
-        patch_key = max(reversed(full.classes), key=lambda c: c.centers.shape[0]).key
+        patch_key = max(reversed(full.classes), key=lambda c: c.center_rows.size).key
     config["key"] = [list(v) for v in patch_key]
     # count inside fractions of the certified part of the window, scaled
     # about its center, so every ladder rung is fully covered by classified

@@ -192,17 +192,14 @@ def patch_frequency(
     elif atlas.T != T or atlas.shape != "ball":
         raise InvalidArgument("atlas was computed for a different T or shape")
     cls = atlas.class_for(key)
+    pos = None if cls is None else cls.centers.astype(float) @ ps.projection
     out = []
     for reg in regions:
         if not atlas.certified_region.contains_region(reg):
             raise InsufficientWindow(
                 "frequency region must sit inside the certified atlas region"
             )
-        if cls is None or cls.centers.shape[0] == 0:
-            count = 0
-        else:
-            pos = cls.centers.astype(float) @ ps.projection
-            count = int(np.count_nonzero(reg.contains(pos)))
+        count = 0 if pos is None else int(np.count_nonzero(reg.contains(pos)))
         vol = reg.volume()
         out.append(
             FrequencyRow(region=reg, count=count, volume=vol, frequency=count / vol)

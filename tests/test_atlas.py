@@ -228,19 +228,22 @@ class TestLatticeEngine:
 
     @staticmethod
     def cells_read(ps, T, monkeypatch):
-        """(cells the lattice engine reads at T, offsets, centers)."""
+        """(cells the lattice engine and its reader read at T for every
+        byte column at every center, offsets, centers)."""
         cidx = np.flatnonzero(ps.region.erode(T).contains(ps.points))
         with monkeypatch.context() as mp:
             mp.setattr(atlas_mod, "np", CountingNumpy())
             CountedReads.reads = 0
-            k = len(_engine_lattice(ps, cidx, "ball", T * T)[0])
-            return CountedReads.reads, k, cidx.size
+            out = _engine_lattice(ps, cidx, "ball", T * T)
+            read_all(out, cidx.size)
+            return CountedReads.reads, len(out[0]), cidx.size
 
     @pytest.mark.parametrize("name, T", [("z2-holes", 3.0), ("deleted-lines", 3.0), ("z1", 8.0)])
     def test_cells_read_per_point(self, name, T, monkeypatch):
-        """The engine reads one occupancy cell per offset within the reach at
-        each site of the centers' box, and one byte per center per eight
-        offsets: at most k + ceil(k / 8) cells per site of the window's
+        """The engine's reader, asked for every byte column at every center,
+        reads one occupancy cell per offset within the reach at each site of
+        the centers' box, and one byte per center per eight offsets: at most
+        k + ceil(k / 8) cells per site of the window's
         address box, for k offsets. The count, not the time, is bounded, and
         it does not depend on where the window sits."""
         if name == "z2-holes":
@@ -548,6 +551,28 @@ class TestLadder:
         assert [at.total_centers for at in ladder] == [0, 2, 1]
         assert [at.n_lower for at in ladder] == [0, 1, 1]
 
+    def test_deleted_lines_ladder_in_bounded_memory(self):
+        """Deleted lines a1 = 4 on [-24, 24]^3 (116 326 points), T = 1..4, on
+        the lattice engine: each rung reads only its own shell at its own
+        centers, and classes hold narrow rows into one center array, so the
+        ladder's tracemalloc peak stays at most 14e6 bytes and its atlases
+        hold at most 4.5e6 after it. One bit matrix of every center and
+        per-class center copies peaked at 22.3e6 and held 8.3e6. Bytes are
+        bounded, not time."""
+        ps = gen_deleted_lines([4]).materialize(Region.box([(-24, 24)] * 3))
+        ps.points  # the point set keeps its positions once computed
+        tracemalloc.start()
+        try:
+            ladder = atlas_ladder(ps, [1.0, 2.0, 3.0, 4.0])
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [at.engine for at in ladder] == ["lattice"] * 4
+        assert [at.n_lower for at in ladder] == [7, 31, 79, 142]
+        assert [at.total_centers for at in ladder] == [102_554, 89_910, 78_346, 67_814]
+        assert peak <= 14e6
+        assert held <= 4.5e6
+
     def test_errors_follow_the_caller_order(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(-5, 5)]))
         with pytest.raises(WindowTooSmall, match="eroded by 20.0"):
@@ -574,6 +599,13 @@ def engine_rows(ps, T_values, shape, engine):
     return cidx, engine(ps, cidx, shape, thresh2)
 
 
+def read_all(engine_out, m):
+    """Every byte column an engine's reader gives at its m centers: the
+    packed bit matrix, one row per center."""
+    table, _, _, read, _ = engine_out
+    return read(np.arange(m), 0, -(-table.shape[0] // 8))
+
+
 def inside(sq, T, shape):
     if shape == "ball":
         return sq.sum(axis=1) <= T * T + 1e-9
@@ -589,8 +621,8 @@ REACH_SETS = {
 
 
 class TestReachOrder:
-    """Engines return a table in reach order and one bit row per center;
-    each rung of a ladder reads a prefix of the table."""
+    """Engines return a table in reach order and a reader of one bit row per
+    center; each rung of a ladder reads a prefix of the table."""
 
     @pytest.mark.parametrize("engine", [_engine_lattice, _engine_kdtree])
     @pytest.mark.parametrize("shape", ["ball", "cube"])
@@ -598,7 +630,9 @@ class TestReachOrder:
     def test_table_in_reach_order_and_rungs_read_prefixes(self, n, shape, engine):
         ps = REACH_SETS[n]()
         T_values = (1.0, 1.5, 2.0, 3.000001)
-        cidx, (table, reach, per, bits, _) = engine_rows(ps, T_values, shape, engine)
+        cidx, out = engine_rows(ps, T_values, shape, engine)
+        table, reach, per, _, _ = out
+        bits = read_all(out, cidx.size)
         sq = (table.astype(float) @ ps.projection) ** 2
         assert np.array_equal(per, sq)
         assert np.array_equal(reach, sq.sum(axis=1) if shape == "ball" else sq.max(axis=1))
@@ -624,15 +658,34 @@ class TestReachOrder:
         ps = REACH_SETS[2]()
 
         def drops_zero(ps, cidx, shape, thresh2):
-            table, reach, per, bits, name = engine(ps, cidx, shape, thresh2)
+            table, reach, per, read, name = engine(ps, cidx, shape, thresh2)
             z = int(np.flatnonzero(~table.any(axis=1))[0])
-            bits[5, z >> 3] &= ~np.uint8(1 << (z & 7))
-            return table, reach, per, bits, name
+
+            def read_without_zero(rows, lo, hi):
+                out = read(rows, lo, hi)
+                if lo <= z >> 3 < hi:
+                    out[rows == 5, (z >> 3) - lo] &= ~np.uint8(1 << (z & 7))
+                return out
+
+            return table, reach, per, read_without_zero, name
 
         rungs = per_T_rungs(ps, [1.0, 2.0])
         assert _ladder(ps, rungs, "ball", engine)[2.0].n_lower > 1
         with pytest.raises(InvalidArgument, match="zero vector"):
             _ladder(ps, rungs, "ball", drops_zero)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lattice_reader_gathers_few_rows_as_it_slices_many(self, n):
+        # a few rows spread over their box are gathered cell by cell, the
+        # rows of a dense block are sliced out of the occupancy array: the
+        # same bytes as the rows of the whole matrix, for any columns
+        ps = REACH_SETS[n]()
+        cidx, out = engine_rows(ps, (1.0, 3.000001), "ball", _engine_lattice)
+        bits = read_all(out, cidx.size)
+        read = out[3]
+        for rows in (np.array([0, cidx.size - 1]), np.arange(0, cidx.size, 7), np.arange(9)):
+            for lo, hi in ((0, bits.shape[1]), (1, 3), (2, 3)):
+                assert np.array_equal(read(rows, lo, hi), bits[rows, lo:hi])
 
     def test_zero_difference_need_not_lead_the_table(self):
         # (k, 0) and (k - 1, 1) coincide, so (-1, 1), (0, 0) and (1, -1) all
@@ -760,7 +813,7 @@ class TestEngineGrouping:
         want = kdtree_by_row_scalars(ps, cidx, shape, thresh2)
         got = _engine_kdtree(ps, cidx, shape, thresh2)
         assert got[4] == want[4]
-        for a, b in zip(got[:4], want[:4]):
+        for a, b in zip([*got[:3], read_all(got, cidx.size)], want[:4]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         # the route taken: the differences' box against the number of pairs
         cells = np.prod(np.ptp(want[0], axis=0) + 1)
@@ -775,11 +828,11 @@ class TestEngineGrouping:
         cidx = lex_centers(ps, 4.0, "ball")
         tracemalloc.start()
         try:
-            _, _, _, bits, _ = _engine_kdtree(ps, cidx, "ball", 16.0)
+            out = _engine_kdtree(ps, cidx, "ball", 16.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        pairs = int(np.unpackbits(bits).sum())
+        pairs = int(np.unpackbits(read_all(out, cidx.size)).sum())
         assert pairs == 490_359
         assert peak <= 72 * pairs
 

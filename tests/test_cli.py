@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import delone_lab.cli as cli_mod
 import delone_lab.repetitivity as repetitivity_mod
 import delone_lab.verify as verify_mod
-from delone_lab.atlas import PatchClass, compute_atlas
+from delone_lab.atlas import PatchClass, atlas_ladder, compute_atlas
 from delone_lab.cli import main
 from delone_lab.core import ExactPointSet, FloatPointSet, Region, make_patch_key
 from delone_lab.ergodic import WeightDistribution, density_profile
@@ -553,6 +553,37 @@ class TestAnalysisCommands:
             assert run_cli(argv) == 0
         with pytest.raises(AssertionError, match="a patch key was built"):
             run_cli(["frequencies", "--set", "fibonacci", "--window", "40"])
+
+    def test_counting_gathers_no_centers(self, capsys, monkeypatch):
+        def no_centers(cls):
+            raise AssertionError("class centers were gathered")
+
+        monkeypatch.setattr(PatchClass, "centers", property(no_centers))
+        z2 = json.dumps({"n": 2, "deletions": [[0, 0], [3, 1]]})
+        fibxfib = json.dumps({"factors": [{"set": "fibonacci"}, {"set": "fibonacci"}]})
+        for argv in (
+            ["atlas", "--set", "zn", "--params", z2, "--window", "12", "--T", "1,2.000001"],
+            ["atlas", "--set", "product", "--params", fibxfib, "--window", "10", "--T", "2,3.000001"],
+            ["atlas", "--set", "fibonacci", "--window", "60", "--shape", "cube"],
+        ):
+            assert run_cli(argv) == 0
+        results = verify_mod.suite_deleted_lines()
+        assert results and all(r.passed for r in results)
+        # the center count is the class sizes, and every certified point
+        ps = build_source("deleted_lines", {"a": [4]}).materialize(Region.centered_box(3, 12.0))
+        for at in atlas_ladder(ps, [1.0, 2.0, 3.0, 4.0]):
+            assert at.total_centers == sum(c.center_rows.size for c in at.classes)
+            assert at.total_centers == np.count_nonzero(at.certified_region.contains(ps.points))
+        with pytest.raises(AssertionError, match="class centers were gathered"):
+            run_cli(["repetitivity", "--set", "fibonacci", "--window", "60"])
+
+    def test_frequencies_without_certified_centers(self, capsys):
+        # [0.2, 4.3] eroded by T = 2.000001 holds no integer
+        window = json.dumps({"kind": "box", "intervals": [[0.2, 4.3]]})
+        assert run_cli(["frequencies", "--set", "zn", "--window", window]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad configuration: ")
+        assert "no certified patch centers in the window" in err
 
     def test_frequencies_with_key(self, capsys):
         code = run_cli(
