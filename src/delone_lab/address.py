@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .core import ExactPointSet, pairs_within
+from .core import ExactPointSet, _sum_of_squares, pairs_within
 from .ergodic import WeightDistribution
 from .errors import (
     DegenerateGeometry,
@@ -24,6 +24,7 @@ from .errors import (
     InvalidArgument,
     WindowTooSmall,
 )
+from .generators import _int_grid
 
 KERNEL_SEARCH_BOUND = 30  # largest coefficient searched for a zero-image combination
 MEYER_MIN_ANNULI, MEYER_MIN_COUNT = 4, 10  # the Meyer verdict's dyadic annuli and their points
@@ -67,20 +68,6 @@ def lattice_basis(rows: Sequence[Sequence[int]]) -> list:
             if q:
                 basis[j] = [a - q * c for a, c in zip(basis[j], basis[j2])]
     return [basis[j] for j in cols]
-
-
-def _sum_of_squares(columns) -> np.ndarray:
-    """Sum of c * c over float columns, added in order.
-
-    np.sum(a * a, axis=1) adds a row of fewer than 8 entries in this same
-    order (from 8 on, numpy sums pairwise), so for up to 7 columns the result
-    is bitwise the same, without numpy's slow reduction across a short axis.
-    """
-    squares = (c * c for c in columns)
-    total = next(squares)
-    for sq in squares:
-        total += sq
-    return total
 
 
 @dataclass
@@ -186,9 +173,7 @@ def build_address_map(ps: ExactPointSet) -> AddressMap:
         np.linalg.svd(ps.projection, compute_uv=False)[-1] > 2e-9 * scale
     )
     if s <= 3 and not injective:
-        axes = [np.arange(-KERNEL_SEARCH_BOUND, KERNEL_SEARCH_BOUND + 1)] * s
-        grids = np.meshgrid(*axes, indexing="ij")
-        combos = np.stack([g.ravel() for g in grids], axis=1)
+        combos = _int_grid([(-KERNEL_SEARCH_BOUND, KERNEL_SEARCH_BOUND)] * s)
         images = combos.astype(float) @ ps.projection
         norm_img = np.sqrt(_sum_of_squares(images.T))
         hits = np.nonzero(norm_img < 1e-9 * scale)[0]
@@ -322,14 +307,21 @@ def lipschitz_constant(
                         ends = np.searchsorted(x0, x0 + (cut + pad), side="right")
                 s = e
         return LipschitzReport(value=best, pairs_used=used, mode="all-pairs", pairs_scanned=scanned)
+    # numpy's bounded int64 draws come off one stream whatever the call
+    # sizes, so blocks give the values of the two whole draws: all of ii
+    # first, kept in the narrowest type, then jj one block at a time
     rng = np.random.default_rng(seed)
-    ii = rng.integers(0, P, size=LIPSCHITZ_SAMPLE_PAIRS)
-    jj = rng.integers(0, P, size=LIPSCHITZ_SAMPLE_PAIRS)
+    starts = range(0, LIPSCHITZ_SAMPLE_PAIRS, LIPSCHITZ_BLOCK_PAIRS)
+    ii = np.empty(LIPSCHITZ_SAMPLE_PAIRS, dtype=np.min_scalar_type(P - 1))
+    for s in starts:
+        block = ii[s : s + LIPSCHITZ_BLOCK_PAIRS]
+        block[:] = rng.integers(0, P, size=block.size)
     coords_t, pts_t = np.ascontiguousarray(coords.T), np.ascontiguousarray(pts.T)
     used = 0
     with np.errstate(divide="ignore"):
-        for s in range(0, ii.size, LIPSCHITZ_BLOCK_PAIRS):
-            i, j = ii[s : s + LIPSCHITZ_BLOCK_PAIRS], jj[s : s + LIPSCHITZ_BLOCK_PAIRS]
+        for s in starts:
+            i = ii[s : s + LIPSCHITZ_BLOCK_PAIRS]
+            j = rng.integers(0, P, size=i.size)
             keep = i != j
             i, j = i[keep], j[keep]
             used += i.size

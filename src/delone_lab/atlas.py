@@ -24,7 +24,7 @@ from .core import (
     unique_rows,
 )
 from .errors import InvalidArgument, WindowTooSmall
-from .generators import PointSetSource
+from .generators import PointSetSource, _int_grid
 
 WINDOW_R_FACTOR = 50.0  # patch_count_profile: the first window's radius is this times R
 WINDOW_GROWTH = 2.0  # and grows by this factor per step
@@ -35,8 +35,8 @@ WINDOW_MAX_DOUBLINGS = 4  # for at most this many steps
 class PatchClass:
     table: np.ndarray = field(repr=False)  # the run's (K, rank) int64 differences, one for all
     rows: np.ndarray  # narrow unsigned rows of the table in the key, in lex order
-    center_table: np.ndarray = field(repr=False)  # the run's (M, rank) centers, lex sorted
-    center_rows: np.ndarray  # narrow unsigned rows of center_table in the class, ascending
+    center_table: np.ndarray = field(repr=False)  # the point set's (N, rank) addresses, shared
+    center_rows: np.ndarray  # narrow unsigned rows of center_table in the class, by address
 
     @property
     def centers(self) -> np.ndarray:
@@ -113,7 +113,7 @@ def atlas_ladder(
     squared distances with a 1e-9 slack, and near-threshold points are
     counted in boundary_flag_count (they stay included). Classes come in key
     order. A class holds its key and its centers as narrow rows into its
-    run's one table of differences and one lex-sorted array of centers, and
+    run's one table of differences and into the point set's addresses, and
     gathers either, or builds the key tuple, only when it is read.
 
     A rung of a subset of Z^n (n <= 3) with the identity projection goes to
@@ -136,10 +136,13 @@ def atlas_ladder(
         if len(ps) == 0:
             raise WindowTooSmall("cannot build an atlas from an empty window")
 
-    lattice = ps.rank == n and n <= 3 and np.array_equal(ps.projection, np.eye(n))
+    # x @ I is x exactly, and contains reads integer rows as floats, so an
+    # identity projection needs no positions
+    identity = np.array_equal(ps.projection, np.eye(n))
+    lattice = identity and n <= 3
     done, runs = {}, {_engine_lattice: [], _engine_kdtree: []}
     for T in sorted(certified):
-        mask = certified[T].contains(ps.points)
+        mask = certified[T].contains(ps.addresses if identity else ps.points)
         if not mask.any():
             done[T] = AtlasResult(T, shape, certified[T], [], 0, "empty")
             continue
@@ -185,18 +188,20 @@ def _ladder(ps, rungs, shape, engine):
     [k_prev, k). A class at a rung is the pair (class at the rung before,
     shell bits), since a T-patch is the patch at the smaller T plus its
     shell, so a rung reads only its shell at its own centers, and the key
-    bytes of one center per class.
+    bytes of one center per class. The byte holding bit k_prev, when k_prev
+    is not a multiple of 8, comes from the rung before, which read it: no
+    rung reads a byte column again.
     """
-    cidx = np.flatnonzero(rungs[0][2])
-    cidx = cidx[lex_order(ps.addresses[cidx])].astype(np.int32)
-    caddr = ps.addresses[cidx]
+    cidx = np.flatnonzero(rungs[0][2]).astype(np.int32)
+    cidx = cidx[lex_order(ps.addresses, cidx)]
     table, reach, per, read, name = engine(ps, cidx, shape, _thresh2(rungs[-1][0], shape))
     # every patch holds its own center; the other key invariants (distinct
     # entries of one width, in lex order) hold by construction of the table
     zero = np.flatnonzero(~table.any(axis=1))[:1]  # of reach 0: in the first shell
     lex = lex_order(table)
     ids = np.zeros(cidx.size, dtype=np.int32)
-    row_type = np.min_scalar_type(cidx.size - 1)
+    last = np.zeros(cidx.size, dtype=np.uint8)  # the unmasked byte holding bit k_prev
+    row_type = np.min_scalar_type(len(ps) - 1)
     k_prev = 0
     out = {}
     for T, certified, mask in rungs:
@@ -209,21 +214,29 @@ def _ladder(ps, rungs, shape, engine):
         # the classes; bits below k_prev repeat the class before, bits past k go
         lo, hi = k_prev >> 3, (k + 7) >> 3
         shell = np.zeros((sel.size, (hi - lo + 7) // 8 * 8), dtype=np.uint8)
-        shell[:, : hi - lo] = read(sel, lo, hi)
+        kept = 1 if k_prev & 7 else 0
+        if kept:
+            shell[:, 0] = np.take(last, sel)
+        if hi > lo + kept:
+            shell[:, kept : hi - lo] = read(sel, lo + kept, hi)
         if k & 7:
+            last[sel] = shell[:, hi - lo - 1]
             shell[:, hi - lo - 1] &= (1 << (k & 7)) - 1
         if not k_prev and not (zero.size and np.all(shell[:, zero[0] >> 3] >> (zero[0] & 7) & 1)):
             raise InvalidArgument("patch key must contain the zero vector")
-        cls, rep = unique_rows([np.take(ids, sel).astype(np.int64), *shell.view(np.int64).T])
+        cls, rep = unique_rows([np.take(ids, sel), *shell.view(np.int64).T])
         rep = sel[rep]  # any center of a class stands for it
         ids[sel] = cls
         k_prev = k
+        del shell
 
         # center rows by class, then by address; narrow ints sort by radix
         order = np.argsort(cls.astype(np.min_scalar_type(cls.max())), kind="stable")
         sizes = np.bincount(cls)
-        members = np.split(sel[order].astype(row_type), np.cumsum(sizes)[:-1])
-        del cls, order  # the next rung's grouping needs their room
+        rows = np.take(cidx, np.take(sel, order)).astype(row_type)
+        members = np.split(rows, np.cumsum(sizes)[:-1])
+        del cls, order, rows  # the next rung's grouping needs their room
+
         # a class's key is the differences its center sees, by lex rank; the
         # ranks' big-endian bytes compare as the keys do, a proper prefix first
         cols = lex[lex < k].astype(np.min_scalar_type(k))
@@ -231,7 +244,7 @@ def _ladder(ps, rungs, shape, engine):
         ranks = [np.flatnonzero(r) for r in seen]
         names = [r.astype(">u4").tobytes() for r in ranks]
         by_key = sorted(range(len(names)), key=names.__getitem__)
-        classes = [PatchClass(table, cols[ranks[i]], caddr, members[i]) for i in by_key]
+        classes = [PatchClass(table, cols[ranks[i]], ps.addresses, members[i]) for i in by_key]
 
         # near-threshold hits: every center of a class sees its key
         if shape == "ball":
@@ -255,23 +268,24 @@ def _engine_lattice(ps, cidx, shape, thresh2):
     """
     n = ps.dimension
     r = math.floor(math.sqrt(thresh2 + BALL_TOL))
-    rng = np.arange(-r, r + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    offs = np.stack([g.ravel() for g in grids], axis=1)
+    offs = _int_grid([(-r, r)] * n)
     order, reach, per = _reach_order(offs, ps.projection, shape)
     k = int(np.searchsorted(reach, thresh2 + BALL_TOL, side="right"))
     offs = offs[order[:k]]
 
-    # numpy reduces one column at a time faster than across a short axis
-    ccol = [np.take(col, cidx) for col in ps.addresses.T]
-    low = np.array([c.min() for c in ccol]) - r
-    dims = np.array([c.max() for c in ccol]) + r + 1 - low
+    # the centers' box, one gathered column at a time: numpy reduces a
+    # column faster than across a short axis
+    gathered = (np.take(col, cidx) for col in ps.addresses.T)
+    box = np.array([(c.min(), c.max()) for c in gathered])
+    low = box[:, 0] - r
+    dims = box[:, 1] + r + 1 - low
     seen = np.all([(c >= a) & (c < a + d) for c, a, d in zip(ps.addresses.T, low, dims)], axis=0)
     occ = np.zeros(tuple(dims), dtype=np.uint8)
     occ[tuple(col[seen] - a for col, a in zip(ps.addresses.T, low))] = 1
     # each center's cell in the occupancy array, one narrow row per axis
-    narrow = np.min_scalar_type(dims.max())
-    cell = np.stack([(c - a).astype(narrow) for c, a in zip(ccol, low)])
+    cell = np.empty((n, cidx.size), dtype=np.min_scalar_type(dims.max()))
+    for row, col, a in zip(cell, ps.addresses.T, low):
+        row[:] = np.take(col, cidx) - a
     step = offs @ occ.strides  # each offset's flat step: a cell is one byte
 
     def read(rows, lo, hi):

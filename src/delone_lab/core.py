@@ -26,7 +26,7 @@ REGION_SLACK = 1e-9
 # delone_constants brackets the covering radius to this share of the packing
 # radius r (at least 1e-6).
 COVERING_RESOLUTION_SHARE = 0.25
-# lex_code gives integer rows one int64 each while their box holds at most
+# box_code gives integer rows one int64 each while their box holds at most
 # this many cells.
 LEX_CODE_CELLS = 1 << 62
 
@@ -43,6 +43,20 @@ def unit_ball_volume(n: int) -> float:
     for m in range(n % 2 + 2, n + 1, 2):
         vol *= 2.0 * math.pi / m
     return vol
+
+
+def _sum_of_squares(columns) -> np.ndarray:
+    """Sum of c * c over float columns, added in order.
+
+    np.sum(a * a, axis=1) adds a row of fewer than 8 entries in this same
+    order (from 8 on, numpy sums pairwise), so for up to 7 columns the result
+    is bitwise the same, without numpy's slow reduction across a short axis.
+    """
+    squares = (c * c for c in columns)
+    total = next(squares)
+    for sq in squares:
+        total += sq
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +112,22 @@ class Region:
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of points inside the closed region, boxes widened by
-        REGION_SLACK and balls by BALL_TOL on the squared distance."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        REGION_SLACK and balls by BALL_TOL on the squared distance.
+
+        Integer rows are read as their float copy would be, one column at a
+        time, so the copy is never made. Column by column also spares the
+        slow reduction across a short axis."""
+        pts = np.atleast_2d(np.asarray(points))
+        if pts.dtype.kind not in "iu":
+            pts = pts.astype(float, copy=False)
         if pts.shape[1] != self.dimension:
             raise InvalidArgument("dimension mismatch in Region.contains")
         if self.kind == "box":
-            # column by column: a reduction across a short axis is slow
             inside = np.ones(pts.shape[0], dtype=bool)
             for col, (a, b) in zip(pts.T, self.intervals):
                 inside &= (col >= a - REGION_SLACK) & (col <= b + REGION_SLACK)
             return inside
-        d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=1)
+        d2 = _sum_of_squares(col - c for col, c in zip(pts.T, self.center))
         return d2 <= self.radius**2 + BALL_TOL
 
     def erode(self, margin: float) -> "Region":
@@ -223,59 +242,80 @@ def validate_patch_key(key: tuple) -> None:
 # Point sets
 
 
-def lex_code(cols: Sequence[np.ndarray]):
-    """One int64 per row of int64 columns, equal exactly when the rows are
-    and ascending in lex order, and the number of cells the codes lie in.
+def box_code(cols: Sequence[np.ndarray], take: Optional[np.ndarray] = None):
+    """One int64 per row of integer columns, the row's C-order index in the
+    box of the rows, and the number of cells of the box; None when the box
+    holds more than LEX_CODE_CELLS cells. The codes are equal exactly when
+    the rows are, and ascending in lex order.
 
-    A code is the row's C-order index in the box of the rows. When the box
-    holds more than LEX_CODE_CELLS cells, it is the row's rank among the
-    distinct rows instead, found by np.lexsort and a comparison of
-    neighbours. Columns are reduced one at a time: numpy 2.4 reduces slowly
-    across a short axis.
+    Columns are reduced one at a time: numpy 2.4 reduces slowly across a
+    short axis. With take, the rows are those at the indices take, and each
+    column is gathered only while it is read, so that no copy of the rows is
+    ever whole.
     """
-    low = [int(col.min()) for col in cols]
-    sizes = [int(col.max()) - a + 1 for col, a in zip(cols, low)]
-    if math.prod(sizes) <= LEX_CODE_CELLS:
-        code = cols[0] - low[0]
-        for col, a, size in zip(cols[1:], low[1:], sizes[1:]):
-            code *= size
-            code += col - a
-        return code, math.prod(sizes)
-    order = np.lexsort(cols[::-1])
-    new = np.zeros(order.size, dtype=bool)
-    for col in cols:
-        col = col[order]
-        new[1:] |= col[1:] != col[:-1]
-    code = np.empty(order.size, dtype=np.int64)
-    code[order] = np.cumsum(new)
-    return code, int(code[order[-1]]) + 1
+    at = (lambda col: col) if take is None else (lambda col: np.take(col, take))
+    bounds = [(int(c.min()), int(c.max())) for c in map(at, cols)]
+    sizes = [b - a + 1 for a, b in bounds]
+    if math.prod(sizes) > LEX_CODE_CELLS:
+        return None
+    code = np.subtract(at(cols[0]), bounds[0][0], dtype=np.int64)
+    for col, (a, _), size in zip(cols[1:], bounds[1:], sizes[1:]):
+        code *= size
+        code += at(col) - a
+    return code, math.prod(sizes)
 
 
-def lex_order(rows: np.ndarray) -> np.ndarray:
+def lex_code(cols: Sequence[np.ndarray], take: Optional[np.ndarray] = None):
+    """box_code, or when the box is too large the row's rank among the
+    distinct rows instead (unique_rows)."""
+    coded = box_code(cols, take)
+    if coded is not None:
+        return coded
+    ids, first = unique_rows([col if take is None else np.take(col, take) for col in cols])
+    return ids, first.size
+
+
+def lex_order(rows: np.ndarray, take: Optional[np.ndarray] = None) -> np.ndarray:
     """Stable permutation that sorts integer rows lexicographically, as
     np.lexsort(rows.T[::-1]) does: one argsort of their lex codes, some 30
-    times faster than np.lexsort on 10^5 rows (numpy 2.4)."""
-    return np.argsort(lex_code(rows.T)[0], kind="stable")
+    times faster than np.lexsort on 10^5 rows (numpy 2.4). With take, the
+    permutation of rows[take], read one column at a time (lex_code)."""
+    return np.argsort(lex_code(rows.T, take)[0], kind="stable")
 
 
 def unique_rows(cols: Sequence[np.ndarray]):
-    """Each row's index among the distinct rows of int64 columns in lex
+    """Each row's index among the distinct rows of integer columns in lex
     order, and one row index per distinct row: np.unique(rows, axis=0,
     return_index=True, return_inverse=True) without its row sort.
 
-    The indices come from one dense count of the lex codes when these lie in
-    no more cells than there are rows, else from one np.unique of the codes.
+    The indices come from one dense count of the box codes when these lie
+    in no more cells than there are rows. Otherwise the rows are sorted, by
+    one argsort of their box codes or, when the box is too large for them,
+    by one np.lexsort of the columns; equal rows then fall together, and
+    each index counts the runs before its row's.
     """
-    code, cells = lex_code(cols)
-    if cells <= code.size:
+    coded = box_code(cols)
+    if coded is not None and coded[1] <= coded[0].size:
+        code, cells = coded
         seen = np.zeros(cells, dtype=bool)
         seen[code] = True
         ids = np.take(np.cumsum(seen) - 1, code, out=code)
-    else:
-        ids = np.unique(code, return_inverse=True)[1]
-    first = np.empty(int(ids.max()) + 1, dtype=np.int64)
-    first[ids] = np.arange(ids.size)
-    return ids, first
+        first = np.empty(int(ids.max()) + 1, dtype=np.int64)
+        first[ids] = np.arange(ids.size)
+        return ids, first
+    parts = cols if coded is None else coded[:1]
+    order = np.lexsort(parts[::-1]) if coded is None else np.argsort(coded[0])
+    new = np.zeros(order.size, dtype=bool)
+    new[0] = True
+    for part in parts:
+        part = part[order]
+        new[1:] |= part[1:] != part[:-1]
+    del coded, parts, part
+    runs = np.cumsum(new)
+    runs -= 1
+    ids = np.empty_like(runs)
+    ids[order] = runs
+    return ids, order[new]
 
 
 class ExactPointSet:
@@ -313,7 +353,8 @@ class ExactPointSet:
         if addresses.shape[0] > 0:
             # sort and compare neighbours: on 40 000 distinct int64 keys a
             # bare np.unique took about 20 times as long (numpy 2.4)
-            keys = np.sort(lex_code(addresses.T)[0])
+            keys = lex_code(addresses.T)[0]
+            keys.sort()
             if np.any(keys[1:] == keys[:-1]):
                 raise InvalidArgument("addresses must be distinct")
         self.dimension = int(dimension)

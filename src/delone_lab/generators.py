@@ -59,21 +59,32 @@ class PointSetSource:
                 f"got a region of dimension {region.dimension}"
             )
         addr = self._candidates(region)
-        inside = region.contains(addr.astype(float) @ self.projection)
-        # np.compress: boolean indexing of 2-D rows is some 7 times slower
-        return ExactPointSet(
-            self.dimension, self.rank, self.projection, np.compress(inside, addr, axis=0), region
-        )
+        # x @ I is x exactly, and contains reads integer rows as floats
+        identity = np.array_equal(self.projection, np.eye(self.dimension))
+        inside = region.contains(addr if identity else addr.astype(float) @ self.projection)
+        if not inside.all():
+            # np.compress: boolean indexing of 2-D rows is some 7 times slower
+            addr = np.compress(inside, addr, axis=0)
+        return ExactPointSet(self.dimension, self.rank, self.projection, addr, region)
 
     def descriptor(self) -> dict:
         return {"set": self.name, "params": self.params}
 
 
+def _int_axes(intervals: Iterable[Sequence[float]]) -> list:
+    """Per axis, the integers in one closed interval of a product."""
+    return [np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.int64) for a, b in intervals]
+
+
 def _int_grid(intervals: Iterable[Sequence[float]]) -> np.ndarray:
     """All integer vectors in a product of closed intervals, lex order."""
-    axes = [np.arange(math.ceil(a), math.floor(b) + 1, dtype=np.int64) for a, b in intervals]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    axes = _int_axes(intervals)
+    out = np.empty((math.prod(ax.size for ax in axes), len(axes)), dtype=np.int64)
+    # each column filled in place through a view of the grid's shape
+    grid = out.reshape(*(ax.size for ax in axes), len(axes))
+    for k, ax in enumerate(axes):
+        grid[..., k] = ax.reshape([-1 if j == k else 1 for j in range(len(axes))])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +247,15 @@ def gen_product(factors: Sequence[PointSetSource]) -> PointSetSource:
 # Z^3 with nested families of deleted and restored lines
 
 
-def _deleted_lines_levels(coords: np.ndarray, a: Sequence[int]) -> np.ndarray:
-    """Deepest level j whose line family contains each point (0 if none).
+def _deleted_lines_levels(x, y, z, a: Sequence[int]) -> np.ndarray:
+    """Deepest level j whose line family contains each point (0 if none), of
+    integer coordinates x, y, z that broadcast together: the columns of
+    points, or the axes of a grid.
 
     Level j removes (j odd) or restores (j even) three line families, one per
     axis, with transverse residues +-a_j mod 4 a_j arranged cyclically.
     """
-    x, y, z = coords[:, 0], coords[:, 1], coords[:, 2]
-    lvl = np.zeros(coords.shape[0], dtype=np.int64)
+    lvl = np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape), np.min_scalar_type(len(a)))
     for j, aj in enumerate(a, start=1):
         m = 4 * aj
         on_x = ((y - aj) % m == 0) & ((z + aj) % m == 0)
@@ -264,13 +276,24 @@ def gen_deleted_lines(a: Sequence[int]) -> PointSetSource:
                 f"a must grow by factors of the form 4b+1 with b >= 1, got {cur}/{prev}"
             )
 
-    def present_mask(coords: np.ndarray) -> np.ndarray:
-        lvl = _deleted_lines_levels(coords, a)
-        return lvl % 2 == 0
+    def levels(pts) -> np.ndarray:
+        return _deleted_lines_levels(*np.asarray(pts, np.int64).T, a)
 
     def candidates(region: Region) -> np.ndarray:
-        pts = _int_grid(region.extent())
-        return pts[present_mask(pts)]
+        # the level mask over the grid's axes, and the kept rows one x-plane
+        # at a time, in lex order
+        axes = _int_axes(region.extent())
+        keep = _deleted_lines_levels(*np.ix_(*axes), a) % 2 == 0
+        out = np.empty((int(np.count_nonzero(keep)), 3), dtype=np.int64)
+        s = 0
+        for x, plane in zip(axes[0], keep):
+            yi, zi = np.nonzero(plane)
+            e = s + yi.size
+            out[s:e, 0] = x
+            out[s:e, 1] = axes[1][yi]
+            out[s:e, 2] = axes[2][zi]
+            s = e
+        return out
 
     return PointSetSource(
         name="deleted_lines",
@@ -280,8 +303,8 @@ def gen_deleted_lines(a: Sequence[int]) -> PointSetSource:
         declared_r=0.5,
         declared_R=math.sqrt(5.0) / 2.0,
         extras={
-            "levels": lambda pts: _deleted_lines_levels(np.asarray(pts, np.int64), a),
-            "present": lambda pts: present_mask(np.asarray(pts, np.int64)),
+            "levels": levels,
+            "present": lambda pts: levels(pts) % 2 == 0,
         },
     )
 

@@ -554,13 +554,13 @@ class TestLadder:
     def test_deleted_lines_ladder_in_bounded_memory(self):
         """Deleted lines a1 = 4 on [-24, 24]^3 (116 326 points), T = 1..4, on
         the lattice engine: each rung reads only its own shell at its own
-        centers, and classes hold narrow rows into one center array, so the
-        ladder's tracemalloc peak stays at most 14e6 bytes and its atlases
-        hold at most 4.5e6 after it. One bit matrix of every center and
-        per-class center copies peaked at 22.3e6 and held 8.3e6. Bytes are
-        bounded, not time."""
+        centers and groups its rows with one sort, and classes hold narrow
+        rows into the point set's addresses, so the ladder's tracemalloc
+        peak stays at most 8e6 bytes and its atlases hold at most 2e6 after
+        it. A lex-sorted copy of the centers, unique_rows' int64
+        temporaries and the float positions of the window's masks peaked at
+        10.9e6 and held 4.0e6. Bytes are bounded, not time."""
         ps = gen_deleted_lines([4]).materialize(Region.box([(-24, 24)] * 3))
-        ps.points  # the point set keeps its positions once computed
         tracemalloc.start()
         try:
             ladder = atlas_ladder(ps, [1.0, 2.0, 3.0, 4.0])
@@ -570,8 +570,38 @@ class TestLadder:
         assert [at.engine for at in ladder] == ["lattice"] * 4
         assert [at.n_lower for at in ladder] == [7, 31, 79, 142]
         assert [at.total_centers for at in ladder] == [102_554, 89_910, 78_346, 67_814]
-        assert peak <= 14e6
-        assert held <= 4.5e6
+        assert ps._points is None  # an identity projection needs no positions
+        assert peak <= 8e6
+        assert held <= 2e6
+
+    @pytest.mark.parametrize(
+        "a1, T_values, columns",
+        [(4, [1.0, 2.0, 3.0, 4.0], 33), (2, [1.0, 2.0], 5), (2, [2.0, 2.0000001, 2.5], 11)],
+    )
+    def test_no_rung_reads_a_byte_column_again(self, a1, T_values, columns, monkeypatch):
+        """The shells' byte columns read at the rungs' centers, summed: the
+        offsets within the largest T fill `columns` bytes (257 offsets within
+        4, 33 within 2, 81 within 2.5), and a byte that holds the last bit of
+        one rung and the first of the next is read once."""
+        ps = gen_deleted_lines([a1]).materialize(Region.box([(-12, 12)] * 3))
+        read = []
+
+        def counting(ps, cidx, shape, thresh2):
+            table, reach, per, reader, name = _engine_lattice(ps, cidx, shape, thresh2)
+
+            def counted(rows, lo, hi):
+                read.append((rows.size, hi - lo))
+                return reader(rows, lo, hi)
+
+            return table, reach, per, counted, name
+
+        monkeypatch.setattr(atlas_mod, "_engine_lattice", counting)
+        ladder = atlas_ladder(ps, T_values)
+        monkeypatch.undo()
+        centers = {at.total_centers for at in ladder}
+        assert sum(cols for rows, cols in read if rows in centers) == columns
+        for T, at in zip(T_values, ladder):
+            assert as_dict(at) == as_dict(compute_atlas(ps, T))
 
     def test_errors_follow_the_caller_order(self):
         ps = gen_integer_lattice(1).materialize(Region.box([(-5, 5)]))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
@@ -117,6 +117,36 @@ class TestRegion:
         assert np.all(lo < hi)
         inside = pts[region.contains(pts)]
         assert len(inside) and np.all((lo <= inside) & (inside <= hi))
+
+    # integer and fractional edges, some within a few REGION_SLACK of an integer
+    EDGES = st.integers(-6, 6) | st.sampled_from([0.5, -2.5, 1 / 3, 1e-9, -1e-9, 3 + 1e-9, 3 - 1e-9, 2 + 2e-9])
+    WIDTHS = st.integers(1, 12) | st.sampled_from([0.5, 1e-9, 2 - 1e-9, 4 + 2e-9])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        offset=st.sampled_from([0, 300_000, 2**53 + 1, -(2**60)]),
+        ball=st.booleans(),
+        data=st.data(),
+    )
+    def test_integer_rows_read_as_their_float_copy(self, n, offset, ball, data):
+        """contains on integer rows equals contains on their float copy,
+        bit for bit, past 2^53 too, where the copy rounds (2^53 + 3 to
+        2^53 + 4, say). The rows are every integer vector of [-8, 8]^n
+        about the offset."""
+        rows = np.array(list(itertools.product(range(-8, 9), repeat=n)), dtype=np.int64) + offset
+        if ball:
+            radius = data.draw(st.sampled_from([0.0, 1.0, 2.0, 2.5, math.sqrt(5.0)]) | st.floats(0.0, 6.0))
+            region = Region.ball([offset + data.draw(self.EDGES) for _ in range(n)], radius)
+        else:
+            edges = [data.draw(st.tuples(self.EDGES, self.WIDTHS)) for _ in range(n)]
+            ivs = [(offset + a, offset + a + w) for a, w in edges]
+            assume(all(float(a) < float(b) for a, b in ivs))  # far out, a float may join the ends
+            region = Region.box(ivs)
+        want = region.contains(rows.astype(float))
+        assert np.array_equal(region.contains(rows), want)
+        if offset == 0:
+            assert np.array_equal(region.contains(rows.astype(np.int32)), want)
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(InvalidArgument):

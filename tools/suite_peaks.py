@@ -1,17 +1,27 @@
-"""Find the verify suite that sets the memory peak of `verify all`.
+"""Find what sets the memory peak of a benchmark workload.
 
     python3 tools/suite_peaks.py --seed 0
+    python3 tools/suite_peaks.py --workload lattices-nd --seed 0
 
-Runs `verify all --seed N` in this fresh process, one suite after another as
-the command does, and prints one row per suite: the process's peak RSS
-(`ru_maxrss`) after the suite has run, the tracemalloc peak of the suite
-alone, and its wall time. A suite whose RSS row jumps above the row before
-sets the peak. The first row is the RSS after the imports, before any
-suite. scipy.spatial is among them, as in the benchmark's verify child
-(`perfbench/child.py`, through its speed kernel), so that no suite's row
-holds the import, and tracemalloc, started per suite, keeps no record of
-it. The library is imported from this checkout's src/. The exit code is
-that of the command.
+Without --workload it runs `verify all --seed N` in this fresh process, one
+suite after another as the command does, and prints one row per suite: the
+process's peak RSS (`ru_maxrss`) after the suite has run, the tracemalloc
+peak of the suite alone, and its wall time. A suite whose RSS row jumps
+above the row before sets the peak. The first row is the RSS after the
+imports, before any suite.
+
+With --workload chains-1d or lattices-nd it runs each operation of that
+workload (`perfbench/workloads.py`, read only) alone in a fresh process and
+prints one row per operation: that process's `ru_maxrss`, the operation's
+wall time and its exit code. The first row is a fresh process that only
+imports. The operation with the largest row sets the in-process workload's
+peak, which holds every operation's in one process.
+
+scipy.spatial is imported before any measurement, as in the benchmark
+(`perfbench/child.py` and `run.py`, through the speed kernel), so that no
+row holds the import, and tracemalloc, started per suite, keeps no record
+of it. The library is imported from this checkout's src/. Without
+--workload the exit code is that of the command.
 """
 
 from __future__ import annotations
@@ -22,15 +32,18 @@ import functools
 import io
 import os
 import resource
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import scipy.spatial  # noqa: E402,F401
 import delone_lab.verify as verify  # noqa: E402
+import workloads  # noqa: E402
 from delone_lab.cli import main as cli_main  # noqa: E402
 
 
@@ -38,10 +51,15 @@ def rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args(argv)
+def run_cli(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli_main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def verify_suites(seed: int) -> int:
     rows = [("(imports)", rss_mb(), 0.0, 0.0)]
 
     def measured(name, suite):
@@ -61,15 +79,48 @@ def main(argv=None) -> int:
 
     for name, suite in list(verify.SUITES.items()):
         verify.SUITES[name] = measured(name, suite)
-    with contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = cli_main(["verify", "all", "--seed", str(args.seed)])
-        except SystemExit as exc:
-            code = exc.code
+    code = run_cli(["verify", "all", "--seed", str(seed)])
     print("%-14s %12s %12s %8s" % ("suite", "rss_after_mb", "traced_mb", "wall_s"))
     for name, rss, traced, wall in rows:
         print("%-14s %12.1f %12.2f %8.3f" % (name, rss, traced, wall))
     return code
+
+
+def run_op(workload: str, seed: int, name: str) -> None:
+    """One operation in this process, or none for an empty name; prints its
+    row."""
+    code, wall = 0, 0.0
+    if name:
+        op = next(op for op in workloads.WORKLOADS[workload](seed) if op.name == name)
+        with tempfile.TemporaryDirectory() as tmp:
+            t = time.perf_counter()
+            code = run_cli(op.argv(seed) + ["--out", os.path.join(tmp, "artifact")])
+            wall = time.perf_counter() - t
+    print("%-24s %10.1f %8.3f %5s" % (name or "(imports)", rss_mb(), wall, code))
+
+
+def workload_ops(workload: str, seed: int) -> None:
+    print("%-24s %10s %8s %5s" % ("operation", "rss_mb", "wall_s", "exit"), flush=True)
+    for name in [""] + [op.name for op in workloads.WORKLOADS[workload](seed)]:
+        cmd = [sys.executable, os.path.abspath(__file__), "--workload", workload,
+               "--seed", str(seed), "--op", name]
+        if subprocess.run(cmd).returncode:
+            print("%-24s the process failed" % name)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--workload", choices=["chains-1d", "lattices-nd"])
+    ap.add_argument("--op", help=argparse.SUPPRESS)  # one operation, in a child
+    args = ap.parse_args(argv)
+    if args.workload is None:
+        return verify_suites(args.seed)
+    if args.op is None:
+        workload_ops(args.workload, args.seed)
+    else:
+        run_op(args.workload, args.seed, args.op)
+    return 0
 
 
 if __name__ == "__main__":
