@@ -101,9 +101,10 @@ class ContinuedFraction:
             return float(self.value())
         k = 2
         while True:
-            lo, hi = self.value_bounds(k)
-            if float(lo) == float(hi):
-                return float(lo)
+            (p1, q1), (p2, q2) = self.convergent(k), self.convergent(k + 1)
+            # int / int rounds correctly, as float(Fraction) does
+            if p1 / q1 == p2 / q2:
+                return p1 / q1
             k += 1
 
     # -- exact floors and Beatty symbols ------------------------------------

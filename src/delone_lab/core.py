@@ -485,7 +485,10 @@ def project(ps: ExactPointSet, address: Sequence[int]) -> np.ndarray:
 def pairs_within(a: np.ndarray, rad: float, p: float = 2.0, b: Optional[np.ndarray] = None):
     """Index arrays (i, j) of every pair with |a[i] - b[j]|_p <= rad, in no
     promised order; without b, the pairs of rows of a with i < j. This is the
-    package's one radius search: every neighbour query goes through it."""
+    package's one radius search: every neighbour query goes through it. One
+    coordinate takes a sorted sweep, more take scipy's cKDTree."""
+    if a.shape[1] == 1:
+        return _sweep_pairs(a[:, 0], rad, None if b is None else b[:, 0])
     from scipy.spatial import cKDTree
 
     if b is None:
@@ -494,6 +497,36 @@ def pairs_within(a: np.ndarray, rad: float, p: float = 2.0, b: Optional[np.ndarr
     # the record columns are views: copying them would add 16 bytes a pair
     pairs = cKDTree(a).sparse_distance_matrix(cKDTree(b), rad, p=p, output_type="ndarray")
     return pairs["i"], pairs["j"]
+
+
+def _sweep_pairs(x: np.ndarray, rad: float, y: Optional[np.ndarray]):
+    """`pairs_within` on one coordinate, where every p-norm is |x - y|.
+
+    y is sorted once; each x takes the run of sorted y within x -+ rad by
+    `searchsorted`, and the runs are expanded into candidate pairs that the
+    float test |x - y| <= rad then filters. The bounds are widened by 2^-50
+    of |x| + rad, more than x -+ rad and the test can round. Without y, x is
+    swept against itself, each point only forward of its sorted place, so
+    every pair comes once and is then ordered i < j.
+    """
+    order = np.argsort(x if y is None else y, kind="stable")
+    ys = (x if y is None else y)[order]
+    if y is None:
+        x = ys
+    wide = rad + (np.abs(x) + rad) * 2.0**-50
+    hi = np.searchsorted(ys, x + wide, "right")
+    lo = np.arange(1, x.size + 1) if y is None else np.searchsorted(ys, x - wide, "left")
+    cnt = np.maximum(hi - lo, 0)
+    i = np.repeat(np.arange(x.size), cnt)
+    t = np.arange(i.size) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+    d = x[i]
+    d -= ys[t]
+    keep = np.abs(d, out=d) <= rad
+    i, j = i[keep], order[t[keep]]
+    if y is None:
+        i = order[i]
+        return np.minimum(i, j), np.maximum(i, j)
+    return i, j
 
 
 def packing_radius(ps) -> float:

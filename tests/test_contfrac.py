@@ -254,6 +254,30 @@ class TestConvergents:
                 f = Fraction(num, den)
                 assert ContinuedFraction.from_fraction(f).value() == f
 
+    @pytest.mark.parametrize(
+        "make, approx",
+        [
+            (ContinuedFraction.golden, (math.sqrt(5) - 1) / 2),
+            (silver, math.sqrt(2) - 1),
+            (lambda: ContinuedFraction([1], extend=lambda k: 2), math.sqrt(0.5)),
+            (lambda: ContinuedFraction([1], extend=lambda k: 2 - k % 2), math.sqrt(3) - 1),
+            # e - 2 = [0; 1, 2, 1, 1, 4, 1, 1, 6, ...]
+            (lambda: ContinuedFraction([1], extend=lambda k: 2 * (k + 1) // 3 if k % 3 == 2 else 1), math.e - 2),
+            (lambda: ContinuedFraction.from_fraction(Fraction(7, 16)), 7 / 16),
+        ],
+    )
+    def test_value_float_is_the_float_of_the_fraction_bounds(self, make, approx):
+        cf, ref = make(), make()
+        if ref.is_rational:
+            want = float(ref.value())
+        else:
+            k = 2
+            while float((bounds := ref.value_bounds(k))[0]) != float(bounds[1]):
+                k += 1
+            want = float(bounds[0])
+        assert cf.value_float() == want
+        assert abs(want - approx) <= 2e-16
+
     def test_quotient_validation(self):
         with pytest.raises(InvalidArgument):
             ContinuedFraction([1, 0, 2])

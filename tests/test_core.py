@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 import delone_lab.core as core_mod
+from delone_lab.atlas import compute_atlas
 from delone_lab.core import (
     ExactPointSet,
     FloatPointSet,
@@ -33,7 +35,13 @@ from delone_lab.core import (
     validate_patch_key,
 )
 from delone_lab.errors import InsufficientData, InvalidArgument, WindowTooSmall
-from delone_lab.generators import GOLDEN_TAU, gen_deleted_lines, gen_fibonacci, gen_integer_lattice
+from delone_lab.generators import (
+    GOLDEN_TAU,
+    gen_cut_project_1d,
+    gen_deleted_lines,
+    gen_fibonacci,
+    gen_integer_lattice,
+)
 
 
 BOX_JSON = {"kind": "box", "intervals": [[-1, 2]]}
@@ -622,6 +630,63 @@ class TestPairsWithin:
             i, j = pairs_within(a, 1.0, b=b)
             assert i.dtype == j.dtype == np.int64
             assert i.size == j.size == count
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        origin=st.sampled_from([0.0, 3e5, 2.0**30, 2.0**52 - 2]),
+        rad=st.sampled_from([0.0, 0.1, 0.25, 1.0, 1.5, 7 / 3]),
+        cross=st.booleans(),
+        data=st.data(),
+    )
+    def test_one_coordinate_equals_brute_force(self, origin, rad, cross, data):
+        # unsorted rows with repeats, and partners at rad give or take two
+        # ulps: across 0, |x - y| rounds; near 2^52, x -+ rad does
+        def rows():
+            coords = st.floats(-4, 4) | st.sampled_from([-1.0, 0.0, 0.5])
+            x = origin + np.array(data.draw(st.lists(coords, max_size=20)))
+            pick = st.tuples(st.integers(0, 19), st.sampled_from([-rad, rad]), st.integers(-2, 2))
+            picks = data.draw(st.lists(pick, max_size=10 if x.size else 0))
+            partners = []
+            for k, r, u in picks:
+                y = x[k % x.size] + r
+                for _ in range(abs(u)):
+                    y = np.nextafter(y, math.copysign(math.inf, u))
+                partners.append(y)
+            x = np.concatenate([x, partners])
+            return x[data.draw(st.permutations(range(x.size)))].reshape(-1, 1)
+
+        a = rows()
+        b = rows() if cross else a
+        near = np.abs(a - b.T) <= rad
+        if not cross:
+            near &= np.triu(np.ones_like(near), k=1)
+        p = data.draw(st.sampled_from([1.0, 2.0, math.inf]))
+        i, j = pairs_within(a, rad, p=p, b=b if cross else None)
+        assert i.dtype == j.dtype == np.int64
+        got = list(zip(i.tolist(), j.tolist()))
+        assert len(got) == len(set(got))
+        assert set(got) == set(zip(*np.nonzero(near)))
+
+    def test_one_coordinate_bounds_reach_past_their_rounding(self):
+        # x - y rounds to rad, but x -+ rad rounds past y
+        x, y = np.array([[4.534978894806515e-15]]), np.array([[-0.12499999999999548]])
+        assert abs(x - y)[0, 0] == 0.125 and y[0, 0] < x[0, 0] - 0.125 and x[0, 0] > y[0, 0] + 0.125
+        for a, b in ((x, y), (y, x)):
+            assert pairs_within(a, 0.125, b=b)[0].size == 1
+            assert pairs_within(np.concatenate([a, b]), 0.125)[0].size == 1
+
+    def test_one_coordinate_builds_no_tree(self, monkeypatch):
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a one-coordinate pair search built a cKDTree")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+        x = np.array([[2.5], [0.0], [1.0], [0.0]])
+        assert sorted(zip(*map(list, pairs_within(x, 1.0)))) == [(1, 2), (1, 3), (2, 3)]
+        assert sorted(zip(*map(list, pairs_within(x, 1.0, b=x[:2])))) == [(0, 0), (1, 1), (2, 1), (3, 1)]
+        for source in (gen_fibonacci(), gen_cut_project_1d("golden")):
+            ps = source.materialize(Region.box([(-300, 300)]))
+            assert compute_atlas(ps, 4.0).engine == "kdtree"
+            assert packing_radius(ps) > 0
 
     def test_only_pairs_within_builds_a_tree(self):
         # the covering radius keeps its own nearest queries and the Lipschitz

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delone_lab.core import ExactPointSet, Region, unit_ball_volume
+from delone_lab.core import ExactPointSet, Region, lex_order, unit_ball_volume
 from delone_lab.errors import InvalidArgument, WindowTooSmall
 from delone_lab import spectral
 from delone_lab.generators import (
@@ -202,6 +202,19 @@ def hand_built(counts):
     )
 
 
+def cosine_sum(ac, K):
+    """The direct sum, one cosine per (k, atom), term for term as
+    diffraction_estimate takes it on a grid that is not uniform."""
+    table = np.array(list(ac.counts), dtype=np.int64).reshape(-1, ac.projection.shape[0])
+    cnt = np.array(list(ac.counts.values()), dtype=np.int64)
+    order = lex_order(table)
+    table, cnt = table[order], cnt[order]
+    upper = (cnt.size + 1) // 2
+    zero = cnt[upper - 1] if cnt.size % 2 else 0
+    phase = 2.0 * math.pi * (K @ (table[upper:] @ ac.projection).T)
+    return (zero + 2.0 * (np.cos(phase) @ cnt[upper:])) / ac.normalization
+
+
 class TestDiffractionAgainstExponentialSum:
     """Independent route: |sum_j exp(2 pi i k . x_j)|^2 / (kappa_n T^n) over
     the points of the ball, against the cosine sum over the atoms."""
@@ -235,6 +248,59 @@ class TestDiffractionAgainstExponentialSum:
         scale = addr.shape[0] ** 2 / norm  # the intensity at k = 0, K[0]
         assert got[0] == pytest.approx(scale, rel=1e-12)
         assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["fibonacci", "cut_project", "fibxfib"]),
+        st.integers(4, 2001),
+        st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+        st.floats(0.01, 50.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_uniform_grid_equals_squared_modulus(self, kind, m, k0, kmax, t):
+        # uniform grids, which take the factored sum where it saves cosines;
+        # in 2-D a k-line across the plane
+        n = 2 if kind == "fibxfib" else 1
+        half = 7.0 if n == 2 else 20.0
+        T = 1.5 + t * (half - 2.5)
+        ps = spectral_source(kind, 0).materialize(Region.box([(-half, half)] * n))
+        ac = autocorrelation(ps, T)
+        K = np.linspace(k0, kmax, m)[:, None] if n == 1 else np.linspace([k0, kmax / 2], [kmax, -k0], m)
+        got = diffraction_estimate(ac, K).intensity
+
+        addr = ps.addresses[np.sum(ps.points**2, axis=1) < T * T]
+        x = (addr - addr[0]) @ ps.projection
+        norm = unit_ball_volume(n) * T**n
+        want = np.abs(np.exp(2j * math.pi * (K @ x.T)).sum(axis=1)) ** 2 / norm
+        assert np.max(np.abs(got - want)) <= 1e-9 * addr.shape[0] ** 2 / norm
+
+    @pytest.mark.parametrize("grid", ["shuffled", "meshgrid", "three rows"])
+    def test_other_grids_take_the_direct_sum(self, grid):
+        if grid == "meshgrid":
+            ps = spectral_source("fibxfib", 0).materialize(Region.box([(-7, 7)] * 2))
+            ac = autocorrelation(ps, 6.0)
+            K = np.stack(np.meshgrid(np.linspace(0, 1.5, 30), np.linspace(0, -1, 30)), -1).reshape(-1, 2)
+        elif grid == "shuffled":
+            ac = autocorrelation(gen_fibonacci().materialize(Region.box([(-40, 40)])), 30.0)
+            K = np.linspace(0.0, 2.0, 801)[np.random.default_rng(0).permutation(801), None]
+        else:  # the grid of verify's autocorrelation-frozen check
+            ac = autocorrelation(gen_integer_lattice(1).materialize(Region.box([(-15, 15)])), 10.0)
+            K = np.array([[0.0], [0.5], [1.0]])
+        assert np.array_equal(diffraction_estimate(ac, K).intensity, cosine_sum(ac, K))
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_uniform_grid_takes_cosines_of_coarse_and_fine_rows(self, shuffle, monkeypatch):
+        ac = autocorrelation(gen_fibonacci().materialize(Region.box([(-40, 40)])), 30.0)
+        K = np.linspace(0.0, 2.0, 801)[:, None]
+        if shuffle:
+            K = K[np.random.default_rng(0).permutation(801)]
+        seen = []
+        cos = np.cos
+        monkeypatch.setattr(np, "cos", lambda x: seen.append(x.size) or cos(x))
+        diffraction_estimate(ac, K)
+        atoms = len(ac.counts) // 2
+        # 801 rows are 28 coarse rows of 29 fine ones
+        assert sum(seen) == (801 if shuffle else 28 + 29) * atoms
 
     def test_empty_ball_gives_zero_intensity(self):
         ps = gen_fibonacci().materialize(Region.box([(0.1, 0.4)]))

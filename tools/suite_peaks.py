@@ -2,6 +2,7 @@
 
     python3 tools/suite_peaks.py --seed 0
     python3 tools/suite_peaks.py --workload lattices-nd --seed 0
+    python3 tools/suite_peaks.py --workload chains-1d --in-process
 
 Without --workload it runs `verify all --seed N` in this fresh process, one
 suite after another as the command does, and prints one row per suite: the
@@ -14,8 +15,11 @@ With --workload chains-1d or lattices-nd it runs each operation of that
 workload (`perfbench/workloads.py`, read only) alone in a fresh process and
 prints one row per operation: that process's `ru_maxrss`, the operation's
 wall time and its exit code. The first row is a fresh process that only
-imports. The operation with the largest row sets the in-process workload's
-peak, which holds every operation's in one process.
+imports. With --in-process as well, the operations run in this one process
+instead, in list order, for two passes, and each row is the process's
+`ru_maxrss` after that operation: the high-water mark the benchmark's
+in-process workload reads, which climbs past every fresh-process row as
+the heap that earlier operations left behind is reused or grown.
 
 scipy.spatial is imported before any measurement, as in the benchmark
 (`perfbench/child.py` and `run.py`, through the speed kernel), so that no
@@ -86,9 +90,9 @@ def verify_suites(seed: int) -> int:
     return code
 
 
-def run_op(workload: str, seed: int, name: str) -> None:
+def run_op(workload: str, seed: int, name: str, label: str = "") -> None:
     """One operation in this process, or none for an empty name; prints its
-    row."""
+    row, its name followed by the label."""
     code, wall = 0, 0.0
     if name:
         op = next(op for op in workloads.WORKLOADS[workload](seed) if op.name == name)
@@ -96,28 +100,38 @@ def run_op(workload: str, seed: int, name: str) -> None:
             t = time.perf_counter()
             code = run_cli(op.argv(seed) + ["--out", os.path.join(tmp, "artifact")])
             wall = time.perf_counter() - t
-    print("%-24s %10.1f %8.3f %5s" % (name or "(imports)", rss_mb(), wall, code))
+    print("%-32s %10.1f %8.3f %5s" % ((name or "(imports)") + label, rss_mb(), wall, code), flush=True)
 
 
-def workload_ops(workload: str, seed: int) -> None:
-    print("%-24s %10s %8s %5s" % ("operation", "rss_mb", "wall_s", "exit"), flush=True)
+def workload_ops(workload: str, seed: int, in_process: bool) -> None:
+    print("%-32s %10s %8s %5s" % ("operation", "rss_mb", "wall_s", "exit"), flush=True)
+    if in_process:
+        run_op(workload, seed, "")
+        for p in (1, 2):
+            for op in workloads.WORKLOADS[workload](seed):
+                run_op(workload, seed, op.name, " (pass %d)" % p)
+        return
     for name in [""] + [op.name for op in workloads.WORKLOADS[workload](seed)]:
         cmd = [sys.executable, os.path.abspath(__file__), "--workload", workload,
                "--seed", str(seed), "--op", name]
         if subprocess.run(cmd).returncode:
-            print("%-24s the process failed" % name)
+            print("%-32s the process failed" % name)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--workload", choices=["chains-1d", "lattices-nd"])
+    ap.add_argument("--in-process", action="store_true",
+                    help="run the workload's operations in this process, for two passes")
     ap.add_argument("--op", help=argparse.SUPPRESS)  # one operation, in a child
     args = ap.parse_args(argv)
     if args.workload is None:
+        if args.in_process:
+            ap.error("--in-process needs --workload")
         return verify_suites(args.seed)
     if args.op is None:
-        workload_ops(args.workload, args.seed)
+        workload_ops(args.workload, args.seed, args.in_process)
     else:
         run_op(args.workload, args.seed, args.op)
     return 0
