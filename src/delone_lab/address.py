@@ -29,8 +29,8 @@ from .generators import _int_grid
 KERNEL_SEARCH_BOUND = 30  # largest coefficient searched for a zero-image combination
 MEYER_MIN_ANNULI, MEYER_MIN_COUNT = 4, 10  # the Meyer verdict's dyadic annuli and their points
 LIPSCHITZ_EXACT_LIMIT = 10_000  # lipschitz_constant: all pairs up to this many points
-LIPSCHITZ_SAMPLE_PAIRS = 1_000_000  # and beyond it this many seeded index pairs
-LIPSCHITZ_BLOCK_PAIRS = 1 << 16  # pairs (or cdist entries) held at once in either mode
+LIPSCHITZ_SAMPLE_PAIRS = 1_000_000  # and beyond it all pairs of a seeded subset, at most this many
+LIPSCHITZ_BLOCK_PAIRS = 1 << 16  # cdist entries held at once
 
 # ---------------------------------------------------------------------------
 # Exact integer lattice basis (row-style Hermite form)
@@ -234,26 +234,23 @@ def lipschitz_constant(
 ) -> LipschitzReport:
     """Largest observed ratio |phi(x)-phi(y)| / |x-y|.
 
-    All pairs up to LIPSCHITZ_EXACT_LIMIT points, otherwise a seeded pair
-    sample; both modes give lower bounds on the true constant, and
-    pairs_used counts the pairs the maximum covers. The sample draws
-    LIPSCHITZ_SAMPLE_PAIRS index pairs and drops those with equal ends; each
-    squared distance is summed one coordinate column at a time, bitwise
-    equal to a row sum. Both modes scan LIPSCHITZ_BLOCK_PAIRS pairs at a
-    time; the ratios are elementwise and the maximum is exact, so the block
-    size changes no value.
+    All pairs up to LIPSCHITZ_EXACT_LIMIT points, beyond it all pairs of a
+    seeded subset of m points, the most whose m (m - 1) / 2 pairs fit in
+    LIPSCHITZ_SAMPLE_PAIRS. Both give lower bounds on the true constant, and
+    pairs_used counts the pairs the maximum covers. The scan holds at most
+    LIPSCHITZ_BLOCK_PAIRS cdist entries at a time; the maximum is exact, so
+    the block size changes no value.
 
     Not every covered pair is scanned. With a linear map L whose residuals
     are at most rho, the computed ratio of a pair at distance d is at most
     B(d) = (|L| + 2 rho / d)(1 + margin), the margin covering the ratio's
-    own rounding (_ratio_bound). Once the running maximum exceeds B(d), no
-    pair at distance d or more can raise it: the all-pairs scan, sorted by
-    the first coordinate, meets only the columns whose first coordinate lies
-    within that cutoff, and the sample takes address-map differences only
-    for the pairs nearer than it. So the value is bitwise that of a scan of
-    every covered pair, and pairs_scanned counts the pairs whose ratio was
-    computed. On a lattice rho is about 0 and no ratio exceeds |L|, so the
-    cutoff stays infinite and every pair is scanned.
+    own rounding (_ratio_bound), fit on every point. Once the running
+    maximum exceeds B(d), no pair at distance d or more can raise it, and
+    the scan, sorted by the first coordinate, meets only the columns whose
+    first coordinate lies within that cutoff. So the value is bitwise that
+    of a scan of every covered pair, and pairs_scanned counts the pairs
+    whose ratio was computed. On a lattice rho is about 0 and no ratio
+    exceeds |L|, so the cutoff stays infinite and every pair is scanned.
     """
     if amap is None:
         amap = build_address_map(ps)
@@ -263,80 +260,53 @@ def lipschitz_constant(
     pts = ps.points
     P = len(ps)
     _, head, tail, slack = _ratio_bound(coords, pts - amap.origin_address.astype(float) @ ps.projection)
+    mode = "all-pairs"
+    if P > LIPSCHITZ_EXACT_LIMIT:
+        # m (m - 1) <= 2 N exactly when 2 m - 1 <= isqrt(8 N + 1)
+        P = min(P, (math.isqrt(8 * LIPSCHITZ_SAMPLE_PAIRS + 1) + 1) // 2)
+        pick = np.random.default_rng(seed).choice(len(ps), P, replace=False)
+        pts, coords, mode = pts[pick], coords[pick], "sampled"
 
     def cutoff(best):
         # B(d) < best for every d beyond this; the slack covers its own
         # rounding and that of the distances it is compared with
         return tail / (best - head) * (1.0 + slack) if best > head else math.inf
 
-    best, cut, scanned = 0.0, math.inf, 0
-    if P <= LIPSCHITZ_EXACT_LIMIT:
-        used = P * (P - 1) // 2
-        # the ratio is symmetric in the pair, so each row block meets only the
-        # columns after its rows; at least 16 blocks keep the diagonal blocks'
-        # wasted half small. Sorted by the first coordinate, a pair is at
-        # least its first-coordinate gap apart, so once the cutoff is finite
-        # row i needs only the columns before ends[i]. Blocks then take up to
-        # `band` rows, fewer if their columns would pass LIPSCHITZ_BLOCK_PAIRS:
-        # the triangle a block masks, or scans past the cutoff, stays within
-        # 1/32 of a block
-        order = np.argsort(pts[:, 0], kind="stable")
-        pts, coords = pts[order], coords[order]
-        x0 = pts[:, 0]
-        pad = 4.0 * math.ulp(float(np.max(np.abs(x0))))  # the rounding of x0 + cut
-        chunk = max(1, min(LIPSCHITZ_BLOCK_PAIRS // P, -(-P // 16)))
-        band = max(1, math.isqrt(LIPSCHITZ_BLOCK_PAIRS // 16))
-        ends = np.full(P, P)
-        from scipy.spatial.distance import cdist
+    # the ratio is symmetric in the pair, so each row block meets only the
+    # columns after its rows; at least 16 blocks keep the diagonal blocks'
+    # wasted half small. Sorted by the first coordinate, a pair is at least
+    # its first-coordinate gap apart, so once the cutoff is finite row i
+    # needs only the columns before ends[i]. Blocks then take up to `band`
+    # rows, fewer if their columns would pass LIPSCHITZ_BLOCK_PAIRS: the
+    # triangle a block masks, or scans past the cutoff, stays within 1/32 of
+    # a block
+    order = np.argsort(pts[:, 0], kind="stable")
+    pts, coords = pts[order], coords[order]
+    x0 = pts[:, 0]
+    pad = 4.0 * math.ulp(float(np.max(np.abs(x0))))  # the rounding of x0 + cut
+    chunk = max(1, min(LIPSCHITZ_BLOCK_PAIRS // P, -(-P // 16)))
+    band = max(1, math.isqrt(LIPSCHITZ_BLOCK_PAIRS // 16))
+    ends = np.full(P, P)
+    from scipy.spatial.distance import cdist
 
-        s = 0
-        with np.errstate(divide="ignore"):
-            while s < P:
-                e = min(s + (chunk if cut == math.inf else band), P)
-                while e - s > 1 and (e - s) * (ends[e - 1] - s) > LIPSCHITZ_BLOCK_PAIRS:
-                    e = s + (e - s) // 2
-                h = int(ends[e - 1])
-                nx = cdist(pts[s:e], pts[s:h])
-                nphi = cdist(coords[s:e], coords[s:h])
-                nx[np.arange(s, e)[:, None] >= np.arange(s, h)[None, :]] = np.inf
-                scanned += (e - s) * (h - s) - (e - s) * (e - s + 1) // 2
-                top = float(np.max(nphi / nx))
-                if top > best:
-                    best, cut = top, cutoff(top)
-                    if cut < math.inf:
-                        ends = np.searchsorted(x0, x0 + (cut + pad), side="right")
-                s = e
-        return LipschitzReport(value=best, pairs_used=used, mode="all-pairs", pairs_scanned=scanned)
-    # numpy's bounded int64 draws come off one stream whatever the call
-    # sizes, so blocks give the values of the two whole draws: all of ii
-    # first, kept in the narrowest type, then jj one block at a time
-    rng = np.random.default_rng(seed)
-    starts = range(0, LIPSCHITZ_SAMPLE_PAIRS, LIPSCHITZ_BLOCK_PAIRS)
-    ii = np.empty(LIPSCHITZ_SAMPLE_PAIRS, dtype=np.min_scalar_type(P - 1))
-    for s in starts:
-        block = ii[s : s + LIPSCHITZ_BLOCK_PAIRS]
-        block[:] = rng.integers(0, P, size=block.size)
-    coords_t, pts_t = np.ascontiguousarray(coords.T), np.ascontiguousarray(pts.T)
-    used = 0
+    best, cut, scanned, s = 0.0, math.inf, 0, 0
     with np.errstate(divide="ignore"):
-        for s in starts:
-            i = ii[s : s + LIPSCHITZ_BLOCK_PAIRS]
-            j = rng.integers(0, P, size=i.size)
-            keep = i != j
-            i, j = i[keep], j[keep]
-            used += i.size
-            nx = np.sqrt(_sum_of_squares(c[i] - c[j] for c in pts_t))
-            if cut < math.inf:
-                near = nx < cut
-                i, j, nx = i[near], j[near], nx[near]
-            scanned += i.size
-            if i.size:
-                ratios = np.sqrt(_sum_of_squares(c[i] - c[j] for c in coords_t))
-                ratios /= nx
-                top = float(np.max(ratios))
-                if top > best:
-                    best, cut = top, cutoff(top)
-    return LipschitzReport(value=best, pairs_used=used, mode="sampled", pairs_scanned=scanned)
+        while s < P:
+            e = min(s + (chunk if cut == math.inf else band), P)
+            while e - s > 1 and (e - s) * (ends[e - 1] - s) > LIPSCHITZ_BLOCK_PAIRS:
+                e = s + (e - s) // 2
+            h = int(ends[e - 1])
+            nx = cdist(pts[s:e], pts[s:h])
+            nphi = cdist(coords[s:e], coords[s:h])
+            nx[np.arange(s, e)[:, None] >= np.arange(s, h)[None, :]] = np.inf
+            scanned += (e - s) * (h - s) - (e - s) * (e - s + 1) // 2
+            top = float(np.max(nphi / nx))
+            if top > best:
+                best, cut = top, cutoff(top)
+                if cut < math.inf:
+                    ends = np.searchsorted(x0, x0 + (cut + pad), side="right")
+            s = e
+    return LipschitzReport(value=best, pairs_used=P * (P - 1) // 2, mode=mode, pairs_scanned=scanned)
 
 
 # ---------------------------------------------------------------------------

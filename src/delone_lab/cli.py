@@ -624,6 +624,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimit as exc:
         click.echo("budget exhausted: %s" % exc, err=True)
         raise SystemExit(EXIT_BUDGET)
+    except MemoryError as exc:
+        click.echo("budget exhausted: %s" % (str(exc) or "out of memory"), err=True)
+        raise SystemExit(EXIT_BUDGET)
     except DeloneLabError as exc:
         click.echo("bad configuration: %s" % exc, err=True)
         raise SystemExit(EXIT_BAD_CONFIG)

@@ -122,6 +122,9 @@ def density_profile(
     for U in Us:
         if not U > weight.u0:  # NaN fails too
             raise InvalidArgument(f"U = {U} is not above the weight's u0 = {weight.u0}")
+        counts = np.floor(span / U)
+        if not np.all(counts < 2.0**63) or math.prod(map(int, counts)) >= 2**63:
+            raise InvalidArgument(f"U = {U} tiles the window into more boxes than int64 can index")
     U_max = Us[-1]
     tiling_at_max = int(np.prod(np.floor(span / U_max)))
     if np.any(span < 2.0 * U_max) or tiling_at_max < 30:
@@ -142,7 +145,10 @@ def density_profile(
         starts = lo + draws[:, 1] * (span - sides)
         a = np.concatenate([corners, starts])
         b = np.concatenate([corners + U, starts + sides])
-        dens = weight.evaluate(np.stack([a, b], axis=2)) / np.prod(b - a, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dens = weight.evaluate(np.stack([a, b], axis=2)) / np.prod(b - a, axis=1)
+        if not np.all(np.isfinite(dens)):
+            raise InvalidArgument(f"U = {U} gives boxes too small for finite densities")
         f_plus = float(dens.max())
         f_minus = float(dens.min())
         rows.append(

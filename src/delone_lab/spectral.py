@@ -156,16 +156,20 @@ def diffraction_estimate(ac: Autocorrelation, k_grid) -> SpectrumEstimate:
     m = K.shape[0]
     B = math.isqrt(max(m - 1, 0)) + 1
     Q = -(-m // B)
-    if Q + B < m and np.array_equal(K, np.linspace(K[0], K[-1], m)):
-        # row qB + r of a uniform grid is row qB plus r steps, and cos(a + b)
-        # = cos a cos b - sin a sin b: cosines and sines of Q + B rows, about
-        # 2 sqrt(m), in place of m, and a product for the sum
-        a = 2.0 * math.pi * (K[::B] @ pos.T)
-        b = 2.0 * math.pi * ((K[:B] - K[0]) @ pos.T)
-        total = ((np.cos(a) * cnt) @ np.cos(b).T - (np.sin(a) * cnt) @ np.sin(b).T).reshape(-1)[:m]
-    else:
-        total = np.cos(2.0 * math.pi * (K @ pos.T)) @ cnt
-    intensity = (zero + 2.0 * total) / ac.normalization
+    with np.errstate(over="ignore", invalid="ignore"):
+        if Q + B < m and np.array_equal(K, np.linspace(K[0], K[-1], m)):
+            # row qB + r of a uniform grid is row qB plus r steps, and cos(a + b)
+            # = cos a cos b - sin a sin b: cosines and sines of Q + B rows, about
+            # 2 sqrt(m), in place of m, and a product for the sum
+            a = 2.0 * math.pi * (K[::B] @ pos.T)
+            b = 2.0 * math.pi * ((K[:B] - K[0]) @ pos.T)
+            total = ((np.cos(a) * cnt) @ np.cos(b).T - (np.sin(a) * cnt) @ np.sin(b).T).reshape(-1)[:m]
+        else:
+            total = np.cos(2.0 * math.pi * (K @ pos.T)) @ cnt
+        intensity = (zero + 2.0 * total) / ac.normalization
+    # a phase 2 pi k . v past the float range has no cosine, and leaves NaN
+    if not np.all(np.isfinite(intensity)):
+        raise InvalidArgument("k grid too large: its phases 2 pi k . v or intensities are not finite")
     return SpectrumEstimate(k_grid=K, intensity=intensity)
 
 

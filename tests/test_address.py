@@ -217,30 +217,20 @@ class TestAddressMap:
 
 def full_scan(ps, amap, seed=0):
     """(value, pairs, mode) of the Lipschitz scan that looks at every covered
-    pair: all pairs by cdist row blocks up to LIPSCHITZ_EXACT_LIMIT points,
-    otherwise every pair of the seeded sample."""
+    pair, by brute force: all pairs up to LIPSCHITZ_EXACT_LIMIT points,
+    otherwise all pairs of the seeded subset."""
     from scipy.spatial.distance import cdist
 
     coords = amap.phi(ps.addresses).astype(float)
-    pts, P, block = ps.points, len(ps), address_mod.LIPSCHITZ_BLOCK_PAIRS
-    best = 0.0
+    pts, P, mode = ps.points, len(ps), "all-pairs"
+    if P > address_mod.LIPSCHITZ_EXACT_LIMIT:
+        m = max(m for m in range(P + 1) if m * (m - 1) // 2 <= address_mod.LIPSCHITZ_SAMPLE_PAIRS)
+        pick = np.random.default_rng(seed).choice(P, m, replace=False)
+        pts, coords, P, mode = pts[pick], coords[pick], m, "sampled"
+    upper = np.triu_indices(P, 1)
     with np.errstate(divide="ignore"):
-        if P <= address_mod.LIPSCHITZ_EXACT_LIMIT:
-            chunk = max(1, min(block // P, -(-P // 16)))
-            for s in range(0, P, chunk):
-                e = min(s + chunk, P)
-                nx = cdist(pts[s:e], pts[s:])
-                nx[np.arange(s, e)[:, None] >= np.arange(s, P)[None, :]] = np.inf
-                best = max(best, float(np.max(cdist(coords[s:e], coords[s:]) / nx)))
-            return best, P * (P - 1) // 2, "all-pairs"
-        rng = np.random.default_rng(seed)
-        ii = rng.integers(0, P, size=address_mod.LIPSCHITZ_SAMPLE_PAIRS)
-        jj = rng.integers(0, P, size=address_mod.LIPSCHITZ_SAMPLE_PAIRS)
-        keep = ii != jj
-        i, j = ii[keep], jj[keep]
-        ratios = np.sqrt(_sum_of_squares(c[i] - c[j] for c in coords.T))
-        ratios /= np.sqrt(_sum_of_squares(c[i] - c[j] for c in pts.T))
-        return float(np.max(ratios)), i.size, "sampled"
+        best = float(np.max(cdist(coords, coords)[upper] / cdist(pts, pts)[upper]))
+    return best, P * (P - 1) // 2, mode
 
 
 FIB_X_FIB = {"factors": [{"set": "fibonacci"}] * 2}
@@ -293,14 +283,14 @@ class TestLipschitz:
     @pytest.mark.parametrize(
         "src, window, sample_pairs, value, pairs",
         [
-            (gen_fibonacci(), [(-10_000, 10_000)], 1_000_000, "1.0", 999917),
-            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 1_000_000, "1.0", 999938),
+            (gen_fibonacci(), [(-10_000, 10_000)], 1_000_000, "1.0", 998_991),
+            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 1_000_000, "1.0", 998_991),
             (
                 build_source("product", {"factors": [{"set": "fibonacci"}] * 2}),
                 [(-60, 60)] * 2,
                 1_000,
-                "0.6601807543759121",
-                999,
+                "1.0",
+                990,
             ),
         ],
         ids=["fibonacci", "z2-holes", "fib-x-fib-1000"],
@@ -331,18 +321,21 @@ class TestLipschitz:
     @pytest.mark.parametrize(
         "src, window, seed, value, pairs, scanned",
         [
-            (gen_fibonacci(), [(-10_000, 10_000)], 0, "1.0", 999_917, 65_990),
-            (gen_fibonacci(), [(-10_000, 10_000)], 1, "1.0", 999_925, 65_997),
-            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 0, "1.0", 999_938, 999_938),
-            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 1, "1.0", 999_928, 999_928),
+            (gen_fibonacci(), [(-10_000, 10_000)], 0, "1.0", 998_991, 106_959),
+            (gen_fibonacci(), [(-10_000, 10_000)], 1, "1.0", 998_991, 106_959),
+            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 0, "1.0", 998_991, 998_991),
+            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 1, "1.0", 998_991, 998_991),
         ],
         ids=["fibonacci-0", "fibonacci-1", "z2-holes-0", "z2-holes-1"],
     )
     def test_sampled_scan_in_blocks(self, src, window, seed, value, pairs, scanned):
-        """The default sample, drawn block by block: the value and pair
-        counts of the two whole 10^6-entry draws, at a tracemalloc peak of
-        at most 8e6 bytes. The whole int64 draws peaked at 21.0e6."""
+        """The default sample, all pairs of 1 414 seeded points: its value
+        and pair counts, at a tracemalloc peak of at most 2.5e6 bytes. Two
+        seeded 10^6-index pair draws, scanned in blocks, peaked at 5.8e6 and
+        6.6e6 here."""
         import tracemalloc
+
+        from scipy.spatial.distance import cdist  # noqa: F401  (its import is no part of the scan)
 
         ps = src.materialize(Region.box(window))
         amap = build_address_map(ps)
@@ -355,23 +348,25 @@ class TestLipschitz:
             tracemalloc.stop()
         assert rep.mode == "sampled"
         assert (repr(rep.value), rep.pairs_used, rep.pairs_scanned) == (value, pairs, scanned)
-        assert peak <= 8e6
+        assert peak <= 2.5e6
 
     @pytest.mark.parametrize(
         "window, mode, fixed_bytes",
         [
-            # the sampled scan keeps its first index draw whole, as uint16
-            ([(-10_000, 10_000)], "sampled", 2 * address_mod.LIPSCHITZ_SAMPLE_PAIRS),
+            # the sampled scan copies its subset's rows of 1 position and 2
+            # coordinates twice (drawn, then sorted) and holds their ends; the
+            # draw permutes all 14 472 indices
+            ([(-10_000, 10_000)], "sampled", 8 * (1_414 * (2 * 3 + 1) + 14_472)),
             ([(-2_000, 2_000)], "all-pairs", 0),
         ],
         ids=["sampled", "all-pairs"],
     )
     def test_scan_peak_is_bounded(self, window, mode, fixed_bytes):
         """tracemalloc peak of one scan: the fixed arrays plus 96 bytes per
-        pair (or cdist entry) of one LIPSCHITZ_BLOCK_PAIRS block, 8.3 MB
-        sampled and 6.3 MB all-pairs. Scanning the whole sample at once
-        peaked at 47.9 MB here (fibonacci ±10⁴), and 4 M-entry cdist blocks
-        at 12.6 MB (fibonacci ±2000, 2 895 points)."""
+        cdist entry of one LIPSCHITZ_BLOCK_PAIRS block, 6.5 MB sampled and
+        6.3 MB all-pairs. Scanning a whole 10^6-pair sample at once peaked at
+        47.9 MB here (fibonacci ±10⁴), and 4 M-entry cdist blocks at 12.6 MB
+        (fibonacci ±2000, 2 895 points)."""
         import tracemalloc
 
         from scipy.spatial.distance import cdist  # noqa: F401  (its import is no part of the scan)
@@ -481,18 +476,16 @@ class TestLipschitz:
         )
         assert Fraction(head) ** 2 >= dist2(LT.ravel().tolist(), [0] * LT.size) * R * R
         assert Fraction(tail) ** 2 >= 4 * rho2 * R * R
-        # the computed ratios of one point's pairs, in both scans' arithmetic,
+        # the computed ratios of one point's pairs, in the scan's arithmetic,
         # against their exact values
         from scipy.spatial.distance import cdist
 
         pts = ps.points
-        sampled = np.sqrt(_sum_of_squares(c[1:] - c[0] for c in coords.T))
-        sampled /= np.sqrt(_sum_of_squares(c[1:] - c[0] for c in pts.T))
-        all_pairs = (cdist(coords[:1], coords[1:]) / cdist(pts[:1], pts[1:]))[0]
-        for k, r1, r2 in zip(range(1, len(ps)), sampled.tolist(), all_pairs.tolist()):
+        ratios = (cdist(coords[:1], coords[1:]) / cdist(pts[:1], pts[1:]))[0]
+        for k, r in zip(range(1, len(ps)), ratios.tolist()):
             num = dist2(coords[k].tolist(), coords[0].tolist())
             den = dist2(pts[k].tolist(), pts[0].tolist())
-            assert max(Fraction(r1), Fraction(r2)) ** 2 * den <= num * R * R
+            assert Fraction(r) ** 2 * den <= num * R * R
 
     @pytest.mark.parametrize(
         "src, window",

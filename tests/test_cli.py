@@ -418,11 +418,11 @@ ADDRESS_SHA256 = {
     ),
     "fib-10000": (
         "fibonacci", FIB_PARAMS, [[-10020, 9980]],
-        "cf0498e274a43eb4cf2866d13b9ab9a71e09e0bfc514421f06551ae230225fb8",
+        "14331efd60eaac07d0ca2722273aee0b3eaf642d5db3fbba4ecd748fbee9ccdd",
     ),
     "z2-holes-60": (
         "zn", '{"deletions": [[5, 0], [8, 1]], "n": 2}', [[-55, 65], [-60, 60]],
-        "cd936035f537e8774e3d33340ec0f78f25ffb033d4a3a34b247519d7edd7f3ff",
+        "b148eb1a4a50c01a944bf3d9963b9456b95491d7f770bf49b414dc2369677402",
     ),
     "fibxfib-20": (
         "product", FIBXFIB_PARAMS,
@@ -808,7 +808,96 @@ class TestVerifyCommand:
         assert all(r[2] == "1" for r in rows)
 
 
+# (argv, exit code, start of the one-line message, a cli_mod function that
+# raises MemoryError in its place or None): bad input, never a traceback
+MALFORMED_INVOCATIONS = [
+    pytest.param(
+        ["wdist", "--set", "zn", "--U", "1e-300", "--window", "10"],
+        1, "bad configuration: U = 1e-300 tiles the window", None, id="wdist-tiny-U",
+    ),
+    pytest.param(
+        ["wdist", "--set", "zn", "--params", '{"n": 2}', "--U", "1e-9,1", "--window", "10"],
+        1, "bad configuration: U = 1e-09 tiles the window", None, id="wdist-tiling-past-int64",
+    ),
+    pytest.param(
+        ["wdist", "--set", "zn", "--U", "1e-17", "--window", "10"],
+        1, "bad configuration: U = 1e-17 gives boxes too small", None, id="wdist-zero-volume-boxes",
+    ),
+    pytest.param(
+        ["diffraction", "--set", "zn", "--window", "10", "--T", "5", "--kmax", "1e308", "--kcount", "5"],
+        1, "bad configuration: k grid too large", None, id="diffraction-kmax-direct",
+    ),
+    pytest.param(
+        ["diffraction", "--set", "zn", "--window", "10", "--T", "5", "--kmax", "1e308", "--kcount", "500"],
+        1, "bad configuration: k grid too large", None, id="diffraction-kmax-factored",
+    ),
+    pytest.param(
+        ["diffraction", "--set", "zn", "--window", "10", "--T", "5"],
+        2, "budget exhausted: ", "diffraction_estimate", id="out-of-memory",
+    ),
+    pytest.param(
+        ["atlas", "--set", "fibonacci", "--window", '{"kind": "box", "intervals": [["a", 3]]}'],
+        1, "bad configuration: malformed region", None, id="window-string",
+    ),
+    pytest.param(
+        ["generate", "--set", "zn", "--params", '{"n": "two"}', "--window", "5"],
+        1, "bad configuration: bad parameters for 'zn'", None, id="n-string",
+    ),
+    pytest.param(
+        ["generate", "--set", "zn", "--params", '{"n": 1, "deletions": 5}', "--window", "5"],
+        1, "bad configuration: bad parameters for 'zn'", None, id="deletions-int",
+    ),
+    pytest.param(
+        ["generate", "--set", "product", "--params", '{"factors": ["fibonacci", "fibonacci"]}', "--window", "5"],
+        1, "bad configuration: bad parameters for 'product'", None, id="factors-strings",
+    ),
+    pytest.param(
+        ["atlas", "--set", "fibonacci", "--window", "nan"],
+        1, "bad configuration: box bounds must be finite", None, id="window-nan",
+    ),
+    pytest.param(
+        ["atlas", "--set", "fibonacci", "--window", "inf"],
+        1, "bad configuration: box bounds must be finite", None, id="window-inf",
+    ),
+    pytest.param(
+        ["atlas", "--set", "fibonacci", "--window", '{"kind": "ball", "center": [0], "radius": -5}'],
+        1, "bad configuration: ball radius must be >= 0", None, id="ball-radius-negative",
+    ),
+    pytest.param(
+        ["frequencies", "--set", "fibonacci", "--window", "200", "--key", "5"],
+        1, "bad configuration: a patch key is a list of integer vectors", None, id="key-int",
+    ),
+    pytest.param(
+        ["frequencies", "--set", "fibonacci", "--window", "200", "--key", "[[1e400]]"],
+        1, "bad configuration: a patch key is a list of integer vectors", None, id="key-overflow",
+    ),
+    pytest.param(["verify", "nope"], 1, "bad configuration: unknown suite 'nope'", None, id="verify-nope"),
+    pytest.param(
+        ["import-float", "no-such-file.json"], 3, "file I/O error: ", None, id="import-float-missing",
+    ),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, code, message, oom", MALFORMED_INVOCATIONS)
+    def test_malformed_invocation(self, argv, code, message, oom, tmp_path, capsys, monkeypatch):
+        """One exit code of 1 to 4 and one line on stderr; any artifact
+        written holds no NaN."""
+        if oom is not None:
+
+            def exhausted(*args, **kwargs):
+                raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+            monkeypatch.setattr(cli_mod, oom, exhausted)
+        monkeypatch.chdir(tmp_path)
+        art = tmp_path / "artifact.csv"
+        assert run_cli([*argv, "--out", str(art)]) == code
+        out, err = capsys.readouterr()
+        assert err.startswith(message) and err.count("\n") == 1
+        assert "Traceback" not in out + err
+        assert not art.exists() or "nan" not in art.read_text().lower()
+
     def test_bad_params_json_is_1(self, capsys):
         assert run_cli(["generate", "--set", "zn", "--params", "{bad"]) == 1
         err = capsys.readouterr().err
