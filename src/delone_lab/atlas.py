@@ -17,10 +17,10 @@ import numpy as np
 from .core import (
     BALL_TOL,
     ExactPointSet,
+    PairIndex,
     Region,
     lex_order,
     make_patch_key,
-    pairs_within,
     unique_rows,
 )
 from .errors import InvalidArgument, WindowTooSmall
@@ -29,6 +29,9 @@ from .generators import PointSetSource, _int_grid
 WINDOW_R_FACTOR = 50.0  # patch_count_profile: the first window's radius is this times R
 WINDOW_GROWTH = 2.0  # and grows by this factor per step
 WINDOW_MAX_DOUBLINGS = 4  # for at most this many steps
+# _engine_kdtree searches and sets the bits of its centers in blocks of
+# about this many (center, neighbour) pairs
+ENGINE_BLOCK_PAIRS = 1 << 14
 
 
 @dataclass
@@ -179,11 +182,14 @@ def _ladder(ps, rungs, shape, engine):
     """Atlases of one engine run; rungs are (T, certified region, center
     mask) in increasing T, each mask inside the one before.
 
-    The engine returns a table of K address differences within the largest
-    T, in reach order, with their reach values and squared coordinates, and
-    a reader: read(rows, lo, hi) gives, for the centers at those rows (in
-    lex order), the byte columns [lo, hi) of their bits packed
-    little-endian, bit j set when the center sees difference j. A rung's
+    The engine takes the squared largest T, or for the kdtree engine each
+    center's reach, the squared T of the largest rung that holds it. It
+    returns a table of K address differences within the largest T, in reach
+    order, with their reach values and squared coordinates, and a reader:
+    read(rows, lo, hi) gives, for the centers at those rows (in lex order),
+    the byte columns [lo, hi) of their bits packed little-endian, bit j set
+    when the center sees difference j within its reach; a rung reads no bit
+    past its own. A rung's
     differences are the prefix [0, k) of the table, and its shell is
     [k_prev, k). A class at a rung is the pair (class at the rung before,
     shell bits), since a T-patch is the patch at the smaller T plus its
@@ -194,7 +200,14 @@ def _ladder(ps, rungs, shape, engine):
     """
     cidx = np.flatnonzero(rungs[0][2]).astype(np.int32)
     cidx = cidx[lex_order(ps.addresses, cidx)]
-    table, reach, per, read, name = engine(ps, cidx, shape, _thresh2(rungs[-1][0], shape))
+    thresh2 = _thresh2(rungs[-1][0], shape)
+    if engine is _engine_kdtree and len(rungs) > 1:
+        # a center's pairs past its last rung are never read; the lattice
+        # engine's table is every offset within the largest T in any case
+        thresh2 = np.full(cidx.size, _thresh2(rungs[0][0], shape))
+        for T, _, mask in rungs[1:]:
+            thresh2[np.take(mask, cidx)] = _thresh2(T, shape)
+    table, reach, per, read, name = engine(ps, cidx, shape, thresh2)
     # every patch holds its own center; the other key invariants (distinct
     # entries of one width, in lex order) hold by construction of the table
     zero = np.flatnonzero(~table.any(axis=1))[:1]  # of reach 0: in the first shell
@@ -312,34 +325,66 @@ def _engine_lattice(ps, cidx, shape, thresh2):
 
 
 def _engine_kdtree(ps, cidx, shape, thresh2):
-    """Any projection: `pairs_within` finds every point within T of each
-    center, and the distinct differences are the table's columns.
+    """Any projection: one PairIndex of the points finds every point within
+    reach of each center, in blocks of about ENGINE_BLOCK_PAIRS pairs, and
+    the distinct differences are the table's columns. thresh2 is one squared
+    reach, or one per center.
 
     The search runs on positions taken from the addresses less the window's
     smallest, and a pair's offset is its address difference times the
     projection, so neither cost nor precision depends on where the window
     sits. The search reaches 1e-12 past T; differences past T + BALL_TOL sit
-    at the end of the table, outside every rung's prefix. The reader picks
-    its bytes from one packed bit matrix of all centers and differences.
+    at the end of the table, outside every rung's prefix.
+
+    A block groups its differences with unique_rows, and those met for the
+    first time join the table in the order they are met, looked up by their
+    bytes. Its bits go into one packed bit matrix of all centers, widened as
+    the table grows. After the last block the table is sorted and the bit
+    columns are permuted to its order, a row block at a time. The reader
+    picks its bytes from that matrix.
     """
     addr = ps.addresses
     pos = (addr - addr.min(axis=0)).astype(float) @ ps.projection
-    rad = math.sqrt(thresh2 + BALL_TOL) * (1 + 1e-12)
-    # (center row, neighbour) pairs, each center with itself included
-    row, nbr = pairs_within(pos[cidx], rad, p=np.inf if shape == "cube" else 2.0, b=pos)
-    # column by column: a 2-D gather of the differences is several times slower
-    cols = [c[nbr] - c[cidx][row] for c in addr.T]
+    index = PairIndex(pos, p=np.inf if shape == "cube" else 2.0)
+    column = {}  # a difference's row bytes to its table column, in the order met
+    row_bytes = np.dtype((np.void, 8 * ps.rank))
+    found = []  # the table's rows, block by block, in column order
+    bits = np.zeros((cidx.size, 8), dtype=np.uint8)
+    rad = np.sqrt(thresh2 + BALL_TOL) * (1 + 1e-12)  # one, or one per center
+    # (center row, neighbour) pairs of a block, each center with itself included
+    for rows, row, nbr in index.blocks(pos[cidx], rad, ENGINE_BLOCK_PAIRS):
+        at = np.take(cidx, rows)
+        # column by column: a 2-D gather of the differences is several times slower
+        cols = [np.take(c, nbr) - np.take(np.take(c, at), row) for c in addr.T]
+        ids, first = unique_rows(cols)
+        distinct = np.stack([c[first] for c in cols], axis=1)
+        del cols
+        k = len(column)
+        met = distinct.view(row_bytes).ravel().tolist()
+        col = np.array([column.setdefault(r, len(column)) for r in met], dtype=np.int64)
+        found.append(distinct[col >= k])
+        width = (len(column) + 7) >> 3
+        if width > bits.shape[1]:
+            wider = np.zeros((cidx.size, max(width, 2 * bits.shape[1])), dtype=np.uint8)
+            wider[:, : bits.shape[1]] = bits
+            bits = wider
+        hit = np.zeros((rows.size, 8 * width), dtype=bool)
+        hit.ravel()[row * (8 * width) + np.take(col, ids)] = True  # faster than hit[row, col]
+        bits[rows, :width] = np.packbits(hit, axis=1, bitorder="little")
+        del ids, hit
 
-    # the distinct differences in lex order, then stably in reach order, and
-    # each pair's column among them
-    col, first = unique_rows(cols)
-    table = np.stack([c[first] for c in cols], axis=1)
-    order, reach, per = _reach_order(table, ps.projection, shape)
-    table = table[order]
-    col = np.argsort(order)[col]
-    hit = np.zeros((cidx.size, table.shape[0]), dtype=bool)
-    hit[row, col] = True
-    bits = np.packbits(hit, axis=1, bitorder="little")
+    # the distinct differences in lex order, then stably in reach order
+    table = np.concatenate(found)
+    lex = lex_order(table)
+    order, reach, per = _reach_order(table[lex], ps.projection, shape)
+    perm = lex[order]
+    table = table[perm]
+    bits = bits[:, :width]
+    step = max(1, 8 * ENGINE_BLOCK_PAIRS // perm.size)  # rows of one bit per byte
+    for r in range(0, cidx.size, step):
+        seen = np.unpackbits(bits[r : r + step], axis=1, count=perm.size, bitorder="little")
+        seen = np.take(seen, perm, axis=1)  # several times faster than seen[:, perm]
+        bits[r : r + step] = np.packbits(seen, axis=1, bitorder="little")
     return table, reach, per, lambda rows, lo, hi: bits[rows, lo:hi], "kdtree"
 
 

@@ -484,49 +484,107 @@ def project(ps: ExactPointSet, address: Sequence[int]) -> np.ndarray:
 
 def pairs_within(a: np.ndarray, rad: float, p: float = 2.0, b: Optional[np.ndarray] = None):
     """Index arrays (i, j) of every pair with |a[i] - b[j]|_p <= rad, in no
-    promised order; without b, the pairs of rows of a with i < j. This is the
-    package's one radius search: every neighbour query goes through it. One
-    coordinate takes a sorted sweep, more take scipy's cKDTree."""
-    if a.shape[1] == 1:
-        return _sweep_pairs(a[:, 0], rad, None if b is None else b[:, 0])
-    from scipy.spatial import cKDTree
-
+    promised order; without b, the pairs of rows of a with i < j. One query
+    of a PairIndex: every neighbour query of the package goes through it."""
     if b is None:
-        ij = cKDTree(a).query_pairs(rad, p=p, output_type="ndarray")
-        return ij[:, 0], ij[:, 1]
-    # the record columns are views: copying them would add 16 bytes a pair
-    pairs = cKDTree(a).sparse_distance_matrix(cKDTree(b), rad, p=p, output_type="ndarray")
-    return pairs["i"], pairs["j"]
-
-
-def _sweep_pairs(x: np.ndarray, rad: float, y: Optional[np.ndarray]):
-    """`pairs_within` on one coordinate, where every p-norm is |x - y|.
-
-    y is sorted once; each x takes the run of sorted y within x -+ rad by
-    `searchsorted`, and the runs are expanded into candidate pairs that the
-    float test |x - y| <= rad then filters. The bounds are widened by 2^-50
-    of |x| + rad, more than x -+ rad and the test can round. Without y, x is
-    swept against itself, each point only forward of its sorted place, so
-    every pair comes once and is then ordered i < j.
-    """
-    order = np.argsort(x if y is None else y, kind="stable")
-    ys = (x if y is None else y)[order]
-    if y is None:
-        x = ys
-    wide = rad + (np.abs(x) + rad) * 2.0**-50
-    hi = np.searchsorted(ys, x + wide, "right")
-    lo = np.arange(1, x.size + 1) if y is None else np.searchsorted(ys, x - wide, "left")
-    cnt = np.maximum(hi - lo, 0)
-    i = np.repeat(np.arange(x.size), cnt)
-    t = np.arange(i.size) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-    d = x[i]
-    d -= ys[t]
-    keep = np.abs(d, out=d) <= rad
-    i, j = i[keep], order[t[keep]]
-    if y is None:
-        i = order[i]
-        return np.minimum(i, j), np.maximum(i, j)
+        return PairIndex(a, p).self_pairs(rad)
+    _, i, j = next(PairIndex(b, p).blocks(a, rad))
     return i, j
+
+
+class PairIndex:
+    """The package's one radius search: rows b, indexed once, then queried
+    for the pairs within a radius of rows a, block by block of a.
+
+    One coordinate, where every p-norm is |x - y|, takes a sorted sweep: b
+    is sorted once, each x takes the run of sorted b within x -+ rad by
+    `searchsorted`, and a block expands its runs into candidate pairs that
+    the float test |x - y| <= rad then filters. The bounds are widened by
+    2^-50 of |x| + rad, more than x -+ rad and the test can round. More
+    coordinates take one scipy cKDTree of b and a small one per block.
+    """
+
+    def __init__(self, b: np.ndarray, p: float = 2.0):
+        self.p = p
+        if b.shape[1] == 1:
+            self.order = np.argsort(b[:, 0], kind="stable")
+            self.ys = b[self.order, 0]
+        else:
+            from scipy.spatial import cKDTree
+
+            self.tree = cKDTree(b)
+
+    def blocks(self, a: np.ndarray, rad, budget: float = math.inf):
+        """Yield (rows, i, j) for blocks of rows of a: rows an index array
+        into a, and i, j index arrays of every pair with
+        |a[rows[i]] - b[j]|_p <= rad, in no promised order. rad is one
+        radius, which yields at least one block, or one radius per row of a.
+
+        A block holds about budget pairs. In one coordinate its rows are
+        consecutive, with at most budget candidates plus those of one row.
+        In more, the rows of each radius are taken in turn, each block as
+        many as fill the budget at the pairs per row of the block before, at
+        most twice as many; the first block as many as fill it if b filled
+        its bounding box evenly.
+        """
+        m = a.shape[0]
+        if a.shape[1] == 1:
+            x = a[:, 0]
+            wide = rad + (np.abs(x) + rad) * 2.0**-50
+            lo = np.searchsorted(self.ys, x - wide, "left")
+            hi = np.searchsorted(self.ys, x + wide, "right")
+            cum = np.cumsum(hi - lo)  # hi >= lo: wide >= 0
+            total = int(cum[-1]) if m else 0
+            cuts = []
+            if budget < total:
+                cuts = np.searchsorted(cum, np.arange(budget, total, budget), "right")
+            edges = [0, *sorted(set(cuts) - {0}), m]
+            for s, e in zip(edges[:-1], edges[1:]):
+                i, t = self._runs(x[s:e], lo[s:e], hi[s:e], rad if np.ndim(rad) == 0 else rad[s:e])
+                yield np.arange(s, e), i, self.order[t]
+            return
+        from scipy.spatial import cKDTree
+
+        tree = self.tree
+        extent = np.maximum(tree.maxes - tree.mins, 1e-300)
+        radii = np.broadcast_to(rad, (m,))
+        for r in np.unique(radii) if np.ndim(rad) else [rad]:
+            which = np.flatnonzero(radii == r)
+            share = np.prod(np.minimum(1.0, 2 * r / extent))
+            s, step = 0, int(min(which.size, max(1, budget / max(tree.n * share, 1.0))))
+            while True:
+                rows = which[s : s + step]
+                # the record columns are views: copying them would add 16 bytes a pair
+                near = cKDTree(a[rows]).sparse_distance_matrix
+                pairs = near(tree, r, p=self.p, output_type="ndarray")
+                yield rows, pairs["i"], pairs["j"]
+                s += rows.size
+                if s >= which.size:
+                    break
+                step = int(max(1, min(2 * step, step * budget // max(pairs.size, 1))))
+
+    def self_pairs(self, rad: float):
+        """The pairs (i, j) of rows of b within rad with i < j, each once."""
+        if not hasattr(self, "ys"):
+            ij = self.tree.query_pairs(rad, p=self.p, output_type="ndarray")
+            return ij[:, 0], ij[:, 1]
+        # each point swept only forward of its sorted place
+        x = self.ys
+        hi = np.searchsorted(x, x + rad + (np.abs(x) + rad) * 2.0**-50, "right")
+        i, t = self._runs(x, np.arange(1, x.size + 1), hi, rad)
+        i, j = self.order[i], self.order[t]
+        return np.minimum(i, j), np.maximum(i, j)
+
+    def _runs(self, x, lo, hi, rad):
+        """The pairs (i, t) of x[i] and sorted b[t] within rad, one radius
+        or rad[i], for t in the runs [lo, hi) of each i."""
+        cnt = np.maximum(hi - lo, 0)
+        i = np.repeat(np.arange(x.size), cnt)
+        t = np.arange(i.size) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        d = x[i]
+        d -= self.ys[t]
+        keep = np.abs(d, out=d) <= (rad if np.ndim(rad) == 0 else np.take(rad, i))
+        return i[keep], t[keep]
 
 
 def packing_radius(ps) -> float:
@@ -536,12 +594,13 @@ def packing_radius(ps) -> float:
         return math.inf
     # the nearest pair differs on some axis by at least that axis's smallest
     # positive gap, so doubling s from the least such gap stops below twice
-    # its length: O(N) pairs however the points cluster or turn
+    # its length: O(N) pairs however the points cluster or turn, from one index
     gaps = np.diff(np.sort(pts, axis=0), axis=0)
     s = gaps[gaps > 0].min(initial=math.inf)
     if s == math.inf:
         return 0.0  # every point coincides
-    while not (ij := pairs_within(pts, s))[0].size:
+    index = PairIndex(pts)
+    while not (ij := index.self_pairs(s))[0].size:
         s *= 2
     return float(np.linalg.norm(pts[ij[0]] - pts[ij[1]], axis=1).min()) / 2.0
 

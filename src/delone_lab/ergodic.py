@@ -29,6 +29,9 @@ from .generators import PointSetSource
 
 PROFILE_TILING_CAP = 512  # density profiles: at most this many tiling boxes per U
 PROFILE_RANDOM_BOXES = 200  # and this many seeded random boxes per U
+# density profiles reject a U whose boxes' sides, as the window's coordinates
+# round them, differ from the intended sides by more than this share
+BOX_SIDE_RTOL = 1e-6
 
 
 @dataclass
@@ -145,6 +148,12 @@ def density_profile(
         starts = lo + draws[:, 1] * (span - sides)
         a = np.concatenate([corners, starts])
         b = np.concatenate([corners + U, starts + sides])
+        want = np.concatenate([np.full(corners.shape, U), sides])
+        if not np.all(np.abs((b - a) - want) <= BOX_SIDE_RTOL * want):
+            raise InvalidArgument(
+                f"U = {U} gives boxes too small for the window's coordinates: a side "
+                f"rounds by more than {BOX_SIDE_RTOL:g} of itself"
+            )
         with np.errstate(divide="ignore", invalid="ignore"):
             dens = weight.evaluate(np.stack([a, b], axis=2)) / np.prod(b - a, axis=1)
         if not np.all(np.isfinite(dens)):

@@ -22,6 +22,9 @@ from .errors import InvalidArgument, WindowTooSmall
 # pair differences per autocorrelation chunk, which bounds its memory
 DIFF_CHUNK_ROWS = 1 << 22
 PEAK_THRESHOLD_RATIO = 0.5  # detect_peaks keeps maxima at least this share of the largest
+# diffraction_estimate rejects a grid with a phase 2 pi |k . v| past this:
+# such a phase rounds by more than 2^-20 rad, and its cosine is noise
+PHASE_MAX = 2.0**33
 
 
 @dataclass
@@ -153,6 +156,15 @@ def diffraction_estimate(ac: Autocorrelation, k_grid) -> SpectrumEstimate:
     upper = (cnt.size + 1) // 2
     zero = cnt[upper - 1] if cnt.size % 2 else 0
     pos, cnt = table[upper:] @ ac.projection, cnt[upper:]
+    # |k . v| is at most the sum over axes of the largest |k| times the largest |v|
+    with np.errstate(over="ignore"):
+        bound = np.abs(K).max(axis=0, initial=0.0) @ np.abs(pos).max(axis=0, initial=0.0)
+    phase = 2.0 * math.pi * float(bound)
+    if not phase <= PHASE_MAX:
+        raise InvalidArgument(
+            f"k grid too large: phases 2 pi |k . v| reach {phase:.3g}, past the {PHASE_MAX:.3g} "
+            "that floats resolve"
+        )
     m = K.shape[0]
     B = math.isqrt(max(m - 1, 0)) + 1
     Q = -(-m // B)

@@ -813,10 +813,11 @@ GROUPING_T = {"fibonacci": 12.0, "cut_project": 12.0, "fibxfib": 5.0, "fib3": 3.
 
 
 class TestEngineGrouping:
-    """_engine_kdtree groups the differences by their lex codes: a dense
-    count, one np.unique, or ranks when the box is too large for one int64.
-    Each route gives the table, reach, squared coordinates and bits of the
-    row-scalar grouping it replaced."""
+    """_engine_kdtree groups each block's differences with unique_rows: a
+    dense count or one sort of their lex codes, or a lexsort of the columns
+    when their box is too large for one int64. Each route gives the table,
+    reach, squared coordinates and bits of the row-scalar grouping it
+    replaced."""
 
     @pytest.mark.parametrize("route", ["dense", "unique", "ranks"])
     @pytest.mark.parametrize("shape", ["ball", "cube"])
@@ -850,21 +851,25 @@ class TestEngineGrouping:
         pairs = np.unpackbits(want[3]).sum()
         assert (cells <= pairs) == (route != "unique")
 
-    def test_engine_peak_is_bounded(self):
+    def test_engine_peak_is_bounded(self, monkeypatch):
         """tracemalloc peak of the engine on fib^3 [-16, 16]^3 at T = 4
-        (4 913 centers, 490 359 pairs): at most 72 bytes a pair. The
-        row-scalar grouping peaked at 105 bytes a pair (51.3 MB) here."""
+        (4 913 centers, 490 359 pairs) in blocks of ENGINE_BLOCK_PAIRS pairs:
+        at most 150 bytes a point of the window and 80 bytes a pair of one
+        block, its output included: 3.1 MB at the default budget. All pairs
+        at once peaked at 72 bytes a pair (35.3 MB) here."""
         ps = gen_product([gen_fibonacci()] * 3).materialize(Region.box([(-16, 16)] * 3))
         cidx = lex_centers(ps, 4.0, "ball")
-        tracemalloc.start()
-        try:
-            out = _engine_kdtree(ps, cidx, "ball", 16.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        pairs = int(np.unpackbits(read_all(out, cidx.size)).sum())
-        assert pairs == 490_359
-        assert peak <= 72 * pairs
+        _engine_kdtree(ps, cidx, "ball", 16.0)  # scipy imported before tracing
+        for budget in (1 << 12, atlas_mod.ENGINE_BLOCK_PAIRS, 1 << 16):
+            monkeypatch.setattr(atlas_mod, "ENGINE_BLOCK_PAIRS", budget)
+            tracemalloc.start()
+            try:
+                out = _engine_kdtree(ps, cidx, "ball", 16.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert int(np.unpackbits(read_all(out, cidx.size)).sum()) == 490_359
+            assert peak <= 150 * len(ps) + 80 * budget
 
 
 @functools.lru_cache(maxsize=None)
@@ -896,6 +901,50 @@ class TestPrefixLadder:
             assert at.keys() == one.keys()
             assert as_dict(at) == as_dict(one) == prefix_brute(name, c, T, shape)
             assert at.boundary_flag_count == one.boundary_flag_count
+
+
+class TestEngineBlocks:
+    """_engine_kdtree searches its centers in blocks of about
+    ENGINE_BLOCK_PAIRS pairs, each center to the reach of the largest rung
+    that holds it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(PREFIX_SETS)),
+        st.sampled_from([0, 10**9]),
+        st.sampled_from(["ball", "cube"]),
+        st.sampled_from([1, 7, 64]),
+        st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=3, unique=True),
+    )
+    def test_any_block_budget_gives_the_same_atlases(self, name, c, shape, budget, T_values):
+        ps = prefix_set(name, c)
+        rungs = per_T_rungs(ps, sorted(T_values), shape)
+        want = _ladder(ps, rungs, shape, _engine_kdtree)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(atlas_mod, "ENGINE_BLOCK_PAIRS", budget)
+            got = _ladder(ps, rungs, shape, _engine_kdtree)
+        assert got == want
+        for T in T_values:
+            assert got[T].engine == "kdtree" and got[T].keys() == want[T].keys()
+            assert as_dict(got[T]) == prefix_brute(name, c, T, shape)
+
+    def test_fib3_ladder_in_bounded_memory(self):
+        """fib^3 on [-16, 16]^3 (12 167 points) at T = 4, 6: the ladder's
+        tracemalloc peak stays below 20e6 bytes, and each rung is its one-T
+        atlas. With every pair of T = 6 at each center of T = 4 held at
+        once, and a dense bool matrix of centers by differences, it peaked
+        at 104.8e6. Bytes are bounded, not time."""
+        ps = gen_product([gen_fibonacci()] * 3).materialize(Region.box([(-16, 16)] * 3))
+        compute_atlas(ps, 1.0)  # scipy imported before tracing
+        tracemalloc.start()
+        try:
+            ladder = atlas_ladder(ps, [4.0, 6.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert ladder == [compute_atlas(ps, 4.0), compute_atlas(ps, 6.0)]
+        assert [at.engine for at in ladder] == ["kdtree"] * 2
 
 
 class TestProfile:

@@ -824,6 +824,16 @@ MALFORMED_INVOCATIONS = [
         1, "bad configuration: U = 1e-17 gives boxes too small", None, id="wdist-zero-volume-boxes",
     ),
     pytest.param(
+        ["wdist", "--set", "zn", "--window", '{"kind": "box", "intervals": [[1000000, 1000100]]}',
+         "--U", "3e-10,1"],
+        1, "bad configuration: U = 3e-10 gives boxes too small", None, id="wdist-unresolved-sides",
+    ),
+    pytest.param(
+        ["diffraction", "--set", "zn", "--window", "10", "--T", "5", "--kmax", "1e20",
+         "--kcount", "5"],
+        1, "bad configuration: k grid too large", None, id="diffraction-phase-past-resolution",
+    ),
+    pytest.param(
         ["diffraction", "--set", "zn", "--window", "10", "--T", "5", "--kmax", "1e308", "--kcount", "5"],
         1, "bad configuration: k grid too large", None, id="diffraction-kmax-direct",
     ),

@@ -20,6 +20,7 @@ from delone_lab.atlas import compute_atlas
 from delone_lab.core import (
     ExactPointSet,
     FloatPointSet,
+    PairIndex,
     Region,
     delone_constants,
     lex_code,
@@ -624,6 +625,38 @@ class TestPairsWithin:
         assert len(got) == len(set(got))  # each pair once
         assert set(got) == set(zip(*np.nonzero(near)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        p=st.sampled_from([2.0, math.inf]),
+        budget=st.sampled_from([1, 5, 40, math.inf]),
+        per_row=st.booleans(),
+        data=st.data(),
+    )
+    def test_blocks_take_each_row_once_and_find_every_pair(self, n, p, budget, per_row, data):
+        # quarter-grid points and radii, one per row of a or one for all
+        ka, kb = data.draw(grid_rows(n)), data.draw(grid_rows(n))
+        quarters = st.sampled_from([0, 1, 2, 5])
+        if per_row:
+            r4 = np.array(data.draw(st.lists(quarters, min_size=len(ka), max_size=len(ka))), dtype=int)
+        else:
+            r4 = data.draw(quarters)
+        d = np.abs(ka[:, None, :] - kb[None, :, :])
+        lim = np.broadcast_to(r4, (len(ka),))[:, None]
+        near = (d.max(axis=2) <= lim) if p == math.inf else ((d * d).sum(axis=2) <= lim * lim)
+        blocks = list(PairIndex(kb / 4.0, p).blocks(ka / 4.0, r4 / 4.0, budget))
+        rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [r for r, _, _ in blocks])
+        assert sorted(rows.tolist()) == list(range(len(ka)))
+        got = [(int(r[i]), int(j)) for r, ii, jj in blocks for i, j in zip(ii, jj)]
+        assert len(got) == len(set(got))
+        assert set(got) == set(zip(*np.nonzero(near)))
+        if not per_row and budget == math.inf:
+            assert len(blocks) == 1
+        if n == 1:
+            # on the quarter grid the sweep's candidates are its pairs
+            most = near.sum(axis=1).max(initial=0)
+            assert all(len(r) == 1 or ii.size <= budget + most for r, ii, _ in blocks)
+
     def test_empty_and_single_row(self):
         one, empty = np.zeros((1, 2)), np.zeros((0, 2))
         for a, b, count in [(empty, None, 0), (one, None, 0), (empty, one, 0), (one, empty, 0), (one, one, 1)]:
@@ -690,9 +723,9 @@ class TestPairsWithin:
 
     def test_only_pairs_within_builds_a_tree(self):
         # the covering radius keeps its own nearest queries and the Lipschitz
-        # scan its cdist; any other neighbour query goes through pairs_within
+        # scan its cdist; any other neighbour query goes through PairIndex
         assert scipy_spatial_imports() == {
-            ("core", "pairs_within", "scipy.spatial.cKDTree"),
+            ("core", "PairIndex", "scipy.spatial.cKDTree"),
             ("repetitivity", "covering_radii", "scipy.spatial.cKDTree"),
             ("address", "lipschitz_constant", "scipy.spatial.distance.cdist"),
         }

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delone_lab import ergodic
 from delone_lab.atlas import compute_atlas
 from delone_lab.core import ExactPointSet, Region
 from delone_lab.errors import InsufficientWindow, InvalidArgument
@@ -198,6 +199,17 @@ class TestDensityProfile:
         prof = density_profile(point_count_weight(ps), ps.region, [4.000001, 8.000001, 16.000001])
         got = [(r.U, r.f_plus, r.f_minus, r.f_zero_median, r.delta, r.n_boxes) for r in prof.rows]
         assert got == rows
+
+    def test_sides_the_coordinates_cannot_resolve_are_rejected(self, monkeypatch):
+        # floats near 10^6 are 2^-33 (1.2e-10) apart: a side of 1 rounds by
+        # far less than BOX_SIDE_RTOL of itself, one of 3e-10 by a sixth
+        ps = gen_integer_lattice(1).materialize(Region.box([(10**6, 10**6 + 100)]))
+        weight = point_count_weight(ps)
+        assert density_profile(weight, ps.region, [1.0]).rows[0].f_plus == 2.0
+        with pytest.raises(InvalidArgument, match="U = 3e-10 gives boxes too small"):
+            density_profile(weight, ps.region, [3e-10, 1.0])
+        monkeypatch.setattr(ergodic, "BOX_SIDE_RTOL", 0.2)
+        assert density_profile(weight, ps.region, [3e-10, 1.0]).rows[0].U == 3e-10
 
     def test_window_validation(self):
         with pytest.raises(InsufficientWindow):

@@ -163,6 +163,17 @@ class TestDiffraction:
         with pytest.raises(InvalidArgument, match="k grid must be finite"):
             diffraction_estimate(self.ac, [0.0, bad, 1.0])
 
+    def test_phases_past_float_resolution_rejected(self, monkeypatch):
+        # the atoms reach |v| = 18: k = 7e7 keeps every phase 2 pi k v below
+        # PHASE_MAX = 2^33 (8.6e9), k = 8e7 does not
+        assert diffraction_estimate(self.ac, [7e7]).intensity[0] == pytest.approx(18.05, abs=1e-3)
+        with pytest.raises(InvalidArgument, match="k grid too large"):
+            diffraction_estimate(self.ac, [0.0, 8e7])
+        monkeypatch.setattr(spectral, "PHASE_MAX", 1.0)
+        with pytest.raises(InvalidArgument, match="k grid too large"):
+            diffraction_estimate(self.ac, [0.0, 0.5])
+        assert diffraction_estimate(self.ac, np.zeros((0, 1))).intensity.size == 0
+
     def test_value_at_off_grid(self):
         spec = diffraction_estimate(self.ac, [0.0, 1.0])
         with pytest.raises(InvalidArgument):
