@@ -168,58 +168,118 @@ def _csv_field(value) -> str:
     return text
 
 
-def _column_format(column, field=_csv_field):
-    """A %-format for one column's field and the values it fills, each
-    rendered by field. A string is a literal on every row. An integer or
-    float64 array formats each distinct value once, with str() (a float's
-    str() is its repr; a NaN or an infinity goes through field), and fills
-    the rows through the inverse index; floats are told apart by their bits,
-    so 0.0 and -0.0 keep their own text. Any other column is formatted field
-    by field, an array through its tolist() values."""
-    if isinstance(column, str):
-        return field(column).replace("%", "%%"), None
-    if isinstance(column, np.ndarray) and (column.dtype.kind in "iu" or column.dtype == np.float64):
-        is_float = column.dtype.kind == "f"
-        uniq, inverse = np.unique(column.view(np.int64) if is_float else column, return_inverse=True)
-        uniq = uniq.view(column.dtype)
-        text = np.array(list(map(str, uniq.tolist())), dtype=object)
-        if is_float and not np.all(np.isfinite(uniq)):
-            wild = ~np.isfinite(uniq)
-            text[wild] = [field(v) for v in uniq[wild].tolist()]
-        return "%s", text[inverse].tolist()
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    return "%s", [field(v) for v in column]
+# Rows go out ROW_BLOCK at a time; a block holds ROW_BLOCK times a row's
+# widest bytes.
+ROW_BLOCK = 8192
+PAD = 0xFF  # pads every text to its column's width; UTF-8 never writes it
 
 
-def _fill(formats, values, row: str, sep: str) -> str:
-    """Rows made by filling the %-template row, built from the column
-    formats, with each row's column values, joined by sep."""
-    values = [v for v in values if v is not None]
-    n, width = len(values[0]), len(values)
-    if any(len(v) != n for v in values):
-        raise ValueError("columns of different lengths")
-    flat = [None] * (n * width)
-    for j, v in enumerate(values):
-        flat[j::width] = v
-    return sep.join([row] * n) % tuple(flat)
+def _text_table(texts) -> np.ndarray:
+    """The texts' UTF-8 bytes as the rows of a uint8 matrix padded with PAD,
+    at least one byte wide."""
+    data = "".join(texts).encode()
+    sizes = np.fromiter(map(len, texts), np.intp, len(texts))
+    if len(data) != sizes.sum():  # not all ASCII: count bytes, not characters
+        sizes = np.fromiter((len(t.encode()) for t in texts), np.intp, len(texts))
+    table = np.full((len(texts), max(1, sizes.max(initial=0))), PAD, np.uint8)
+    table[np.arange(table.shape[1]) < sizes[:, None]] = np.frombuffer(data, np.uint8)
+    return table
 
 
-def _csv_text(table: dict) -> str:
-    """The header and rows of a table of columns, byte for byte what
-    `csv.writer(lineterminator="\\n")` writes for them row by row. Every table
-    ends with its tag column, so no row is a lone empty field."""
-    formats, values = zip(*map(_column_format, table.values()))
-    header = ",".join(map(_csv_field, table)) + "\n"
-    return header + _fill(formats, values, ",".join(formats) + "\n", "")
+def _digit_table(values: np.ndarray) -> np.ndarray:
+    """The decimal texts of an integer array as the rows of a uint8 matrix,
+    right-aligned behind PAD, the sign in the first column: str() of each
+    value, by numpy arithmetic."""
+    negative = values < 0
+    rest = values.astype(np.uint64)
+    np.negative(rest, out=rest, where=negative)  # |value|, -2**63 included
+    width = len(str(int(rest.max(initial=0))))
+    table = np.full((len(values), width + 1), PAD, np.uint8)
+    table[negative, 0] = ord("-")
+    for col in range(width, 0, -1):
+        digit = (rest % 10).astype(np.uint8) + ord("0")
+        table[:, col] = digit if col == width else np.where(rest > 0, digit, PAD)
+        rest //= 10
+    return table
+
+
+def _column_table(column, field):
+    """A column's texts as a padded uint8 matrix, and each row's index into
+    it in the narrowest unsigned dtype that holds it. An integer array gets
+    the digits of its distinct values by numpy; a float64 array formats each
+    distinct value once with str() (a float's str() is its repr; a NaN or
+    an infinity goes through field), told apart by their bits, so 0.0 and
+    -0.0 keep their own text. Any other column is formatted field by field,
+    an array through its tolist() values."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        uniq, index = np.unique(column, return_inverse=True)
+        table = _digit_table(uniq)
+    elif isinstance(column, np.ndarray) and column.dtype == np.float64:
+        uniq, index = np.unique(column.view(np.int64), return_inverse=True)
+        uniq = uniq.view(np.float64)
+        texts = list(map(str, uniq.tolist()))
+        for j in np.flatnonzero(~np.isfinite(uniq)).tolist():
+            texts[j] = field(uniq[j].item())
+        table = _text_table(texts)
+    else:
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        table, index = _text_table([field(v) for v in values]), np.arange(len(values))
+    return table, index.astype(np.min_scalar_type(max(len(table) - 1, 0)))
 
 
 class _Rows:
     """A list of rows held as columns: 1-D arrays, sequences, or one string
-    that fills every row. _json_text writes it column by column."""
+    that fills every row. _json_chunks writes it through a _Table."""
 
     def __init__(self, columns):
         self.columns = list(columns)
+
+
+class _Table:
+    """Rows filled from per-column byte tables, ROW_BLOCK rows at a time.
+
+    A row is lead, the columns' fields with sep between them, then tail;
+    join goes between rows. Each field is rendered by field, and a string
+    column is that literal on every row. Every column is tabled here, so
+    columns of different lengths are refused before a byte is written.
+    Iterating yields the rows' UTF-8 bytes block by block: a block is a
+    matrix of rows with the literals in place, each column's texts are
+    taken into it as one void value a row, and the PAD bytes dropped."""
+
+    def __init__(self, columns, field, lead: str, sep: str, tail: str, join: str = ""):
+        self.skip = len(join.encode())
+        row = bytearray((join + lead).encode())  # one row's literals, PAD where a column goes
+        self.columns = []  # (offset in the row, texts as void values, row index)
+        for j, column in enumerate(columns):
+            row += (sep if j else "").encode()
+            if isinstance(column, str):
+                row += field(column).encode()
+                continue
+            texts, index = _column_table(column, field)
+            self.columns.append((len(row), texts.view("V%d" % texts.shape[1]).ravel(), index))
+            row += bytes([PAD]) * texts.shape[1]
+        row += tail.encode()
+        lengths = {len(index) for _, _, index in self.columns}
+        if len(lengths) != 1:
+            raise ValueError("columns of different lengths")
+        self.n = lengths.pop()
+        self.row = np.frombuffer(bytes(row), np.uint8)
+        self.dtype = np.dtype({
+            "names": ["c%d" % j for j in range(len(self.columns))],
+            "formats": [texts.dtype for _, texts, _ in self.columns],
+            "offsets": [offset for offset, _, _ in self.columns],
+            "itemsize": len(row),
+        })
+
+    def __iter__(self):
+        block = np.tile(self.row, (min(ROW_BLOCK, self.n), 1))
+        records = block.view(self.dtype)[:, 0]
+        for start in range(0, self.n, ROW_BLOCK):
+            rows = records[: self.n - start]
+            for name, (_, texts, index) in zip(self.dtype.names, self.columns):
+                rows[name] = texts.take(index[start : start + len(rows)])
+            data = block[: len(rows)].tobytes().translate(None, bytes([PAD]))
+            yield data[self.skip :] if start == 0 else data
 
 
 def _json_field(indent: str):
@@ -227,21 +287,27 @@ def _json_field(indent: str):
     return lambda v: json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
-def _json_text(value, indent: str = "") -> str:
-    """json.dumps(value, sort_keys=True, indent=2) byte for byte, where a
-    _Rows stands for its list of rows and every dict has string keys. The
-    rows are written as _csv_text writes its rows: each column's values are
-    formatted once and filled into one %-template."""
+def _json_chunks(value, indent: str = ""):
+    """json.dumps(value, sort_keys=True, indent=2) in chunks, byte for
+    byte, where a _Rows stands for its list of rows and every dict has
+    string keys. A chunk is UTF-8 bytes, or a _Table of a _Rows' rows."""
     inner = indent + "  "
     if isinstance(value, _Rows):
-        formats, values = zip(*(_column_format(c, _json_field(inner + "  ")) for c in value.columns))
-        row = "\n%s[\n%s  %s\n%s]" % (inner, inner, (",\n  " + inner).join(formats), inner)
-        text = _fill(formats, values, row, ",")
-        return "[" + text + "\n" + indent + "]" if text else "[]"
-    if isinstance(value, dict) and value:
-        items = ("\n" + inner + json.dumps(k) + ": " + _json_text(value[k], inner) for k in sorted(value))
-        return "{" + ",".join(items) + "\n" + indent + "}"
-    return _json_field(indent)(value)
+        lead = "\n%s[\n%s  " % (inner, inner)
+        rows = _Table(value.columns, _json_field(inner + "  "), lead, ",\n  " + inner, "\n%s]" % inner, ",")
+        if not rows.n:
+            yield b"[]"
+            return
+        yield b"["
+        yield rows
+        yield ("\n" + indent + "]").encode()
+    elif isinstance(value, dict) and value:
+        for j, key in enumerate(sorted(value)):
+            yield ((",\n" if j else "{\n") + inner + json.dumps(key) + ": ").encode()
+            yield from _json_chunks(value[key], inner)
+        yield ("\n" + indent + "}").encode()
+    else:
+        yield _json_field(indent)(value).encode()
 
 
 def _emit(
@@ -252,19 +318,23 @@ def _emit(
     extra_json: Optional[dict] = None,
 ):
     """Write an artifact from a table of named columns. A column is a 1-D
-    array, a sequence, or one string that fills every row (a tag)."""
+    array, a sequence, or one string that fills every row (a tag). Every
+    column is tabled before --out is opened; the rows then go out a block
+    at a time, as UTF-8 bytes to the file or as text to stdout."""
     if fmt == "csv":
-        text = "# " + json.dumps(config, sort_keys=True) + "\n" + _csv_text(table)
+        head = "# " + json.dumps(config, sort_keys=True) + "\n" + ",".join(map(_csv_field, table)) + "\n"
+        chunks = [head.encode(), _Table(table.values(), _csv_field, "", ",", "\n")]
     else:
         payload = {"config": config, "columns": list(table), "rows": _Rows(table.values())}
         if extra_json:
             payload.update(extra_json)
-        text = _json_text(payload) + "\n"
+        chunks = [*_json_chunks(payload), b"\n"]
+    blocks = (data for chunk in chunks for data in ([chunk] if isinstance(chunk, bytes) else chunk))
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        with open(out, "wb") as fh:
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(data.decode() for data in blocks)
 
 
 def _source(command: str, set_name: str, params: Optional[str], window: str, seed: int, extra: Sequence[str] = (), **fields):

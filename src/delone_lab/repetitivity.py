@@ -454,6 +454,24 @@ def crystal_gap_probe(
 # Symbolic recurrence on explicit words
 
 
+def factor_keys(word: Sequence, length: int) -> np.ndarray:
+    """Each length-l factor of the word, by start, packed exactly into a row
+    of int64 words: two factors are equal exactly when their rows are."""
+    w = list(word)
+    # each symbol as its first-occurrence index; a factor is a window row
+    codes = {c: i for i, c in enumerate(dict.fromkeys(w))}
+    ids = np.fromiter(map(codes.__getitem__, w), dtype=np.int64, count=len(w))
+    rows = np.lib.stride_tricks.sliding_window_view(ids, length)
+    # pack each factor exactly into int64 words of up to 62 bits
+    bits = max(1, (len(codes) - 1).bit_length())
+    per = 62 // bits
+    weights = np.int64(1) << (np.arange(per, dtype=np.int64) * bits)
+    return np.stack(
+        [rows[:, j : j + per] @ weights[: length - j] for j in range(0, length, per)],
+        axis=1,
+    )
+
+
 def symbolic_recurrence_oracle(word: Sequence, length: int):
     """Largest gap between consecutive starts of any length-l factor.
 
@@ -463,21 +481,9 @@ def symbolic_recurrence_oracle(word: Sequence, length: int):
     """
     if length < 1:
         raise InvalidArgument("factor length must be >= 1")
-    w = list(word)
-    if len(w) < length:
+    if len(word) < length:
         raise InvalidArgument("word shorter than the factor length")
-    # each symbol as its first-occurrence index; a factor is a window row
-    codes = {c: i for i, c in enumerate(dict.fromkeys(w))}
-    ids = np.fromiter(map(codes.__getitem__, w), dtype=np.int64, count=len(w))
-    rows = np.lib.stride_tricks.sliding_window_view(ids, length)
-    # pack each factor exactly into int64 words of up to 62 bits, then sort
-    bits = max(1, (len(codes) - 1).bit_length())
-    per = 62 // bits
-    weights = np.int64(1) << (np.arange(per, dtype=np.int64) * bits)
-    keys = np.stack(
-        [rows[:, j : j + per] @ weights[: length - j] for j in range(0, length, per)],
-        axis=1,
-    )
+    keys = factor_keys(word, length)
     order = np.lexsort(keys.T[::-1])
     ranked = keys[order]
     new_run = np.any(ranked[1:] != ranked[:-1], axis=1)

@@ -42,6 +42,7 @@ from .generators import (
 )
 from .repetitivity import (
     crystal_gap_probe,
+    factor_keys,
     repetitivity_function,
     repetitivity_ladder,
     symbolic_recurrence_oracle,
@@ -262,10 +263,20 @@ def word_complexity(cf: ContinuedFraction, k: int) -> tuple:
     """
     reach = recurrence_formula(cf, k) + k
     prefix = max(64, 2 * reach)
-    word = cf.beatty_word(1, 2 * prefix)
-    first = {tuple(word[i : i + k]) for i in range(prefix - k + 1)}
-    both = {tuple(word[i : i + k]) for i in range(2 * prefix - k + 1)}
-    return len(both), len(first) == len(both)
+    first, both = factor_counts(cf.beatty_word(1, 2 * prefix), k, prefix - k + 1)
+    return both, first == both
+
+
+def factor_counts(word: Sequence, k: int, starts: int) -> tuple:
+    """The numbers of distinct length-k factors of the word that start
+    before `starts`, and in all of it, counted on packed factor keys."""
+    keys = factor_keys(word, k)
+
+    def distinct(rows):
+        ranked = rows[np.lexsort(rows.T[::-1])]
+        return len(rows) and 1 + int(np.count_nonzero(np.any(ranked[1:] != ranked[:-1], axis=1)))
+
+    return distinct(keys[:starts]), distinct(keys)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,13 +284,16 @@ def csv_quotes_a_bare_carriage_return():
 # test_a_bare_carriage_return_is_not_quoted pins the format everywhere.
 CR = [] if csv_quotes_a_bare_carriage_return() else ["\r"]
 TEXT = st.text(alphabet=[",", '"', "\n", " ", "%", "a", "é", "0"] + CR, max_size=6)
+# a NUL and a 4-byte UTF-8 symbol besides: no byte of a text is a pad byte
+WIDE_TEXT = st.text(alphabet=[",", '"', "\n", " ", "%", "a", "é", "0", "\x00", "𝔸"] + CR, max_size=6)
+INT64_EDGES = [9, 10, 99, 100, -1, 0, 2**63 - 1, -(2**63 - 1), -(2**63)]
 
 
 @st.composite
-def column_tables(draw):
+def column_tables(draw, text=TEXT):
     """A table of named columns of every kind `_emit` takes, and its rows
-    as lists of Python values. The "pooled" arrays draw from a few values,
-    so that most rows repeat one."""
+    as lists of Python values, its texts drawn from text. The "pooled"
+    arrays draw from a few values, so that most rows repeat one."""
     n = draw(st.integers(0, 16))
 
     def values(elements):
@@ -305,13 +310,13 @@ def column_tables(draw):
         "big-int": lambda: values(BIG_INTS),
         "big-int-array": lambda: np.array(values(BIG_INTS), dtype=object),
         "bool-array": lambda: np.array(values(st.booleans()), dtype=bool),
-        "text": lambda: values(TEXT),
-        "mixed": lambda: values(st.none() | FLOATS | st.integers() | TEXT | st.booleans()),
-        "tag": lambda: draw(TEXT),
+        "text": lambda: values(text),
+        "mixed": lambda: values(st.none() | FLOATS | st.integers() | text | st.booleans()),
+        "tag": lambda: draw(text),
     }
     chosen = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=5))
     chosen.append(draw(st.sampled_from(sorted(set(kinds) - {"tag"}))))  # one column sets the length
-    names = draw(st.lists(TEXT, min_size=len(chosen), max_size=len(chosen), unique=True))
+    names = draw(st.lists(text, min_size=len(chosen), max_size=len(chosen), unique=True))
     table = {name: kinds[kind]() for name, kind in zip(names, chosen)}
     return table, table_rows(table)
 
@@ -330,6 +335,16 @@ def emitted(table, fmt):
     with contextlib.redirect_stdout(io.StringIO()) as sink:
         cli_mod._emit(config, table, fmt, None)
     return sink.getvalue()
+
+
+def csv_writer_text(table, rows):
+    """The CSV artifact of a table, written by `csv.writer` row by row."""
+    buf = io.StringIO()
+    buf.write('# {"command": "test"}\n')
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(table))
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 class TestColumnWriter:
@@ -354,12 +369,60 @@ class TestColumnWriter:
         table = {"s": ["a\rb", "c\nd", "e,f"], "tag": "t\r"}
         assert emitted(table, "csv") == '# {"command": "test"}\ns,tag\na\rb,t\r\n"c\nd",t\r\n"e,f",t\r\n'
 
-    def test_columns_of_other_lengths_are_refused(self):
+    @settings(max_examples=150, deadline=None)
+    @given(column_tables(WIDE_TEXT), st.sampled_from([1, 2, 3]))
+    @example(({"n": np.array(INT64_EDGES, dtype=np.int64), "z": np.full(9, -0.0), "tag": "exact"}, None), 2)
+    @example(({"n": np.array(INT64_EDGES[::-1], dtype=np.int64), "tag": "𝔸\x00"}, None), 1)
+    def test_blocks_of_rows_equal_csv_writer_and_json_of_rows(self, tmp_path_factory, table_and_rows, row_block):
+        """The writer with blocks of 1 to 3 rows, on texts with a NUL and a
+        4-byte symbol, against `csv.writer` and `json.dumps` of the same
+        rows; an --out file holds the stdout text as UTF-8."""
+        table, rows = table_and_rows
+        rows = table_rows(table) if rows is None else rows
+        payload = {"config": {"command": "test"}, "columns": list(table), "rows": rows}
+        expected = {
+            "csv": csv_writer_text(table, rows),
+            "json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        }
+        art = tmp_path_factory.mktemp("blocks")
+        with mock.patch.object(cli_mod, "ROW_BLOCK", row_block):
+            for fmt, text in expected.items():
+                assert emitted(table, fmt) == text
+                cli_mod._emit({"command": "test"}, table, fmt, str(art / fmt))
+                assert (art / fmt).read_bytes() == text.encode("utf-8")
+
+    def test_columns_of_other_lengths_are_refused(self, tmp_path):
         for table in ({"a": [1, 2], "b": [1], "tag": "t"}, {"a": np.arange(3.0), "tag": "t", "b": [0, 1]}):
             with pytest.raises((ValueError, TypeError)):
                 emitted(table, "csv")
             with pytest.raises(ValueError):
                 emitted(table, "json")
+            # refused before --out is opened: no file is left behind
+            for fmt in ("csv", "json"):
+                art = tmp_path / ("refused." + fmt)
+                with pytest.raises(ValueError):
+                    cli_mod._emit({"command": "test"}, table, fmt, str(art))
+                assert not art.exists()
+
+    def test_generate_table_streams_in_bounded_memory(self, tmp_path):
+        """The `generate` table of deleted lines a = [2, 10] on [-16, 16]^3
+        (34 452 rows, a 0.98 MiB file) goes to --out block by block under a
+        3.2 MiB traced peak. Holding the whole text, a string a field and a
+        list of the fields at once would take over 6 MiB."""
+        ps = build_source("deleted_lines", {"a": [2, 10]}).materialize(Region.centered_box(3, 16))
+        table = {"x%d" % i: ps.points[:, i] for i in range(ps.dimension)}
+        table.update(("a%d" % j, ps.addresses[:, j]) for j in range(ps.rank))
+        table["tag"] = "exact"
+        art = tmp_path / "lines.csv"
+        tracemalloc.start()
+        try:
+            cli_mod._emit({"command": "test"}, table, "csv", str(art))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ps.addresses) == 34452
+        assert peak <= 3.2 * 2**20, peak
+        assert art.read_bytes() == csv_writer_text(table, table_rows(table)).encode()
 
 
 # one small run of every command; import-float reads a `generate` JSON artifact
