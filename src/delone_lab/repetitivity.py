@@ -4,7 +4,8 @@ M(T) is the largest covering radius over the center sets of the T-patch
 classes. On a finite window it is reported as a bracket: exact in dimension
 one, a certified branch-and-bound bracket otherwise, and always limited to an
 evaluation region eroded far enough that unseen centers outside the window
-cannot hide closer recurrences than the patch radius itself.
+cannot hide closer recurrences than the patch radius itself. Explicit words
+rank their factors, every length in one pass, with factor_ranks.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .atlas import AtlasResult, PatchClass, atlas_ladder, compute_atlas
-from .core import ExactPointSet, Region, packing_radius
+from .core import ExactPointSet, Region, packing_radius, unique_rows
 from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
 
@@ -454,22 +455,38 @@ def crystal_gap_probe(
 # Symbolic recurrence on explicit words
 
 
-def factor_keys(word: Sequence, length: int) -> np.ndarray:
-    """Each length-l factor of the word, by start, packed exactly into a row
-    of int64 words: two factors are equal exactly when their rows are."""
+def factor_ranks(word: Sequence, lengths: Iterable[int]) -> Iterator[tuple]:
+    """Yield (l, ranks) for the lengths asked for, ascending: ranks[s] is a
+    dense id of the l-factor at start s, equal exactly when the factors are.
+    Symbols rank by first occurrence; length 2p ranks the pairs (r_p[s],
+    r_p[s + p]), any other l the pairs (r_p[s], r_p[s + l - p]), p the largest
+    power of two <= l, by one unique_rows each. InvalidArgument, on
+    iteration, for an unhashable symbol or a length outside 1..len(word)."""
     w = list(word)
-    # each symbol as its first-occurrence index; a factor is a window row
-    codes = {c: i for i, c in enumerate(dict.fromkeys(w))}
-    ids = np.fromiter(map(codes.__getitem__, w), dtype=np.int64, count=len(w))
-    rows = np.lib.stride_tricks.sliding_window_view(ids, length)
-    # pack each factor exactly into int64 words of up to 62 bits
-    bits = max(1, (len(codes) - 1).bit_length())
-    per = 62 // bits
-    weights = np.int64(1) << (np.arange(per, dtype=np.int64) * bits)
-    return np.stack(
-        [rows[:, j : j + per] @ weights[: length - j] for j in range(0, length, per)],
-        axis=1,
-    )
+    wanted = sorted(set(lengths))
+    if not wanted or wanted[0] < 1 or wanted[-1] > len(w):
+        raise InvalidArgument("factor lengths must lie in 1..%d, not %s" % (len(w), wanted))
+    try:
+        codes = {c: i for i, c in enumerate(dict.fromkeys(w))}
+    except TypeError as exc:
+        raise InvalidArgument("word symbols must be hashable: %s" % exc) from exc
+    ranks = np.fromiter(map(codes.__getitem__, w), dtype=np.int64, count=len(w))
+    p = 1
+    for length in wanted:
+        while 2 * p <= length:
+            ranks = unique_rows([ranks[:-p], ranks[p:]])[0]
+            p *= 2
+        shift = length - p
+        yield length, (unique_rows([ranks[:-shift], ranks[shift:]])[0] if shift else ranks)
+
+
+def max_start_gap(ranks: np.ndarray):
+    """Largest gap between consecutive starts of equal ranks, or math.inf
+    when a rank occurs once and so gives no gap to measure."""
+    if np.any(np.bincount(ranks) == 1):
+        return math.inf
+    order = np.argsort(ranks, kind="stable")  # starts ascend within each rank
+    return int(np.diff(order)[ranks[order[1:]] == ranks[order[:-1]]].max())
 
 
 def symbolic_recurrence_oracle(word: Sequence, length: int):
@@ -479,16 +496,5 @@ def symbolic_recurrence_oracle(word: Sequence, length: int):
     seen only once gives no gap to measure, so the result is math.inf as an
     honest unbounded-within-window sentinel.
     """
-    if length < 1:
-        raise InvalidArgument("factor length must be >= 1")
-    if len(word) < length:
-        raise InvalidArgument("word shorter than the factor length")
-    keys = factor_keys(word, length)
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    new_run = np.any(ranked[1:] != ranked[:-1], axis=1)
-    # starts ascend within each run of equal factors
-    run_sizes = np.diff(np.flatnonzero(np.concatenate(([True], new_run, [True]))))
-    if np.any(run_sizes == 1):
-        return math.inf
-    return int(np.diff(order)[~new_run].max())
+    ((_, ranks),) = factor_ranks(word, [length])
+    return max_start_gap(ranks)

@@ -42,10 +42,10 @@ from .generators import (
 )
 from .repetitivity import (
     crystal_gap_probe,
-    factor_keys,
+    factor_ranks,
+    max_start_gap,
     repetitivity_function,
     repetitivity_ladder,
-    symbolic_recurrence_oracle,
 )
 from .spectral import autocorrelation, detect_peaks, diffraction_estimate
 
@@ -234,13 +234,13 @@ def recurrence_cases() -> list:
 
 
 def recurrence_vs_oracle(cf: ContinuedFraction, lengths: Sequence[int]) -> List[str]:
-    """Exact mismatches between the convergent-sum formula and a word scan."""
-    max_len = max(lengths)
-    word = cf.beatty_word(1, 50 * max_len)
+    """Exact mismatches between the convergent-sum formula and a word scan:
+    one rank pass over the word, each gap read on the starts of word[:50 l]."""
+    word = cf.beatty_word(1, 50 * max(lengths))
     bad = []
-    for ell in lengths:
+    for ell, ranks in factor_ranks(word, lengths):
         formula = recurrence_formula(cf, ell)
-        scanned = symbolic_recurrence_oracle(word[: 50 * ell], ell)
+        scanned = max_start_gap(ranks[: 49 * ell + 1])
         if formula != scanned:
             bad.append("l=%d formula=%s scan=%s" % (ell, formula, scanned))
     return bad
@@ -255,28 +255,20 @@ def sturmian_alphas() -> list:
     ]
 
 
-def word_complexity(cf: ContinuedFraction, k: int) -> tuple:
-    """(count, stabilized) for length-k factors of the symbol sequence.
+def word_complexities(cf: ContinuedFraction, ks: Sequence[int]) -> dict:
+    """{k: (count, stabilized)} for length-k factors of the symbol sequence.
 
-    The prefix is sized from the recurrence bound so every factor occurs;
-    stabilization is confirmed by doubling the prefix.
+    Each k's prefix is sized from the recurrence bound so every factor
+    occurs; stabilization is confirmed by doubling the prefix. One word and
+    one rank pass serve every k.
     """
-    reach = recurrence_formula(cf, k) + k
-    prefix = max(64, 2 * reach)
-    first, both = factor_counts(cf.beatty_word(1, 2 * prefix), k, prefix - k + 1)
-    return both, first == both
-
-
-def factor_counts(word: Sequence, k: int, starts: int) -> tuple:
-    """The numbers of distinct length-k factors of the word that start
-    before `starts`, and in all of it, counted on packed factor keys."""
-    keys = factor_keys(word, k)
-
-    def distinct(rows):
-        ranked = rows[np.lexsort(rows.T[::-1])]
-        return len(rows) and 1 + int(np.count_nonzero(np.any(ranked[1:] != ranked[:-1], axis=1)))
-
-    return distinct(keys[:starts]), distinct(keys)
+    prefix = {k: max(64, 2 * (recurrence_formula(cf, k) + k)) for k in ks}
+    word = cf.beatty_word(1, 2 * max(prefix.values()))
+    out = {}
+    for k, ranks in factor_ranks(word, ks):
+        first, both = (len(np.unique(ranks[: n * prefix[k] - k + 1])) for n in (1, 2))
+        out[k] = (both, first == both)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +647,7 @@ def suite_words(seed: int = 0) -> List[CheckResult]:
     def complexity():
         bad = []
         for label, cf in sturmian_alphas():
-            for k in range(1, 31):
-                count, stab = word_complexity(cf, k)
+            for k, (count, stab) in word_complexities(cf, range(1, 31)).items():
                 if not stab or count != k + 1:
                     bad.append("%s k=%d count=%d stabilized=%s" % (label, k, count, stab))
         return not bad, "3 irrationals, k=1..30: %d deviations from k+1" % len(bad)

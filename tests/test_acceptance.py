@@ -45,7 +45,7 @@ from delone_lab.verify import (
     recurrence_vs_oracle,
     repetitivity_sweep,
     sturmian_alphas,
-    word_complexity,
+    word_complexities,
 )
 
 
@@ -81,8 +81,9 @@ def test_02_sturmian_complexity_is_k_plus_1():
     for name, cf in alphas:
         if not is_badly_approximable(cf, 60, bound=5).bounded:
             bad.append("%s quotients not bounded" % name)
+        complexities = word_complexities(cf, range(1, 31))
         for k in range(1, 31):
-            count, stabilized = word_complexity(cf, k)
+            count, stabilized = complexities[k]
             if count != k + 1 or not stabilized:
                 bad.append("%s k=%d count=%d stabilized=%s" % (name, k, count, stabilized))
     elapsed = time.monotonic() - t0

@@ -498,6 +498,11 @@ ADDRESS_SHA256 = {
     ),
 }
 
+# SHA-256 of the stdout of `verify all --seed 0`: every check's figures, in
+# suite order. Its least-squares projection residuals rest on LAPACK, as the
+# address digests do.
+VERIFY_ALL_SHA256 = "95a035b6476481d64e91af4c18e947767f41f2426001d946408e5bcf767bfff2"
+
 
 class TestAnalysisCommands:
     def test_atlas_rows_and_default_T(self, capsys):
@@ -830,6 +835,11 @@ class TestVerifyCommand:
         assert run_cli(["verify", suite, "--seed", "0"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert mask_residual(out) == mask_residual(FROZEN_VERIFY_STDOUT[suite])
+
+    def test_all_stdout_frozen(self, capsys):
+        assert run_cli(["verify", "all", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_ALL_SHA256
 
     def test_words_suite_passes(self, capsys):
         assert run_cli(["verify", "words"]) == 0

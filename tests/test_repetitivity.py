@@ -17,6 +17,7 @@ from delone_lab.repetitivity import (
     covering_radii,
     covering_radius,
     crystal_gap_probe,
+    factor_ranks,
     growth_classification,
     repetitivity_function,
     symbolic_recurrence_oracle,
@@ -560,8 +561,10 @@ class TestSymbolicRecurrence:
 
     @pytest.mark.parametrize(
         "alphabet, length",
-        # one key word holds 62 binary symbols (1 bit each) or 20 5-ary ones (3 bits)
-        [(2, 62), (2, 63), (2, 90), (5, 20), (5, 21), (5, 40)],
+        # ranks double at powers of two: lengths either side of 16, 32 and 64,
+        # and lengths between them, which pair two shorter ranks
+        [(2, 31), (2, 32), (2, 33), (2, 62), (2, 63), (2, 64), (2, 65), (2, 90)]
+        + [(5, 15), (5, 16), (5, 17), (5, 20), (5, 21), (5, 40)],
     )
     def test_both_sides_of_a_key_word(self, alphabet, length):
         # random ends around two blocks in a random order: many distinct
@@ -573,7 +576,8 @@ class TestSymbolicRecurrence:
         word = [SYMBOLS[c] for c in base * 3]
         assert symbolic_recurrence_oracle(word, length) == factor_gaps_by_dict(word, length)
         # a first or last factor that occurs once and differs from a repeated
-        # one only in its first or last symbol, which a truncated key would miss
+        # one only in its first or last symbol, which a rank pair that covered
+        # too few symbols would miss
         for edged in (
             [SYMBOLS[(base[-1] + 1) % alphabet]] + word,
             word + [SYMBOLS[(base[0] + 1) % alphabet]],
@@ -618,3 +622,43 @@ class TestSymbolicRecurrence:
             symbolic_recurrence_oracle("abc", 0)
         with pytest.raises(InvalidArgument):
             symbolic_recurrence_oracle("ab", 3)
+
+    @pytest.mark.parametrize(
+        "word, lengths",
+        [
+            ([[0], [1]], [1]),  # unhashable symbols
+            ([{0: 1}, "a"], [2]),
+            ("abc", []),
+            ("abc", [0, 1]),
+            ("abc", [-1]),
+            ("abc", [2, 4]),
+            ("", [1]),
+        ],
+    )
+    def test_factor_ranks_refuses_bad_input(self, word, lengths):
+        with pytest.raises(InvalidArgument):
+            list(factor_ranks(word, lengths))
+        if len(lengths) == 1:
+            with pytest.raises(InvalidArgument):
+                symbolic_recurrence_oracle(word, lengths[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_factor_ranks_equal_exactly_when_tuples_are(self, data):
+        # few symbols and a repeated base, so long factors recur too
+        symbols = SYMBOLS[: data.draw(st.integers(1, 5))]
+        base = data.draw(st.lists(st.sampled_from(symbols), min_size=1, max_size=30))
+        tail = data.draw(st.lists(st.sampled_from(symbols), max_size=8))
+        word = base * data.draw(st.integers(1, 4)) + tail
+        lengths = data.draw(
+            st.lists(st.integers(1, len(word)), min_size=1, max_size=12, unique=True)
+        )
+        got = list(factor_ranks(word, lengths))
+        assert [ell for ell, _ in got] == sorted(lengths)
+        for ell, ranks in got:
+            factors = [tuple(word[s : s + ell]) for s in range(len(word) - ell + 1)]
+            assert len(ranks) == len(factors)
+            ids = {}
+            for f, r in zip(factors, ranks.tolist()):
+                assert ids.setdefault(f, r) == r  # equal tuples, equal ids
+            assert sorted(ids.values()) == list(range(len(ids)))  # dense, one id a tuple
