@@ -228,11 +228,20 @@ def _column_table(column, field):
 
 
 class _Rows:
-    """A list of rows held as columns: 1-D arrays, sequences, or one string
-    that fills every row. _json_chunks writes it through a _Table."""
+    """A list of rows held as columns: 1-D arrays, sequences, _Shared
+    columns, or one string that fills every row. _json_chunks writes it
+    through a _Table."""
 
     def __init__(self, columns):
         self.columns = list(columns)
+
+
+class _Shared:
+    """An integer column that two tables write. Its texts do not depend on
+    the field, so the first table to meet it tables it for both."""
+
+    def __init__(self, column):
+        self.column, self.tabled = column, None
 
 
 class _Table:
@@ -255,7 +264,9 @@ class _Table:
             if isinstance(column, str):
                 row += field(column).encode()
                 continue
-            texts, index = _column_table(column, field)
+            if isinstance(column, _Shared) and column.tabled is None:
+                column.tabled = _column_table(column.column, field)
+            texts, index = column.tabled if isinstance(column, _Shared) else _column_table(column, field)
             self.columns.append((len(row), texts.view("V%d" % texts.shape[1]).ravel(), index))
             row += bytes([PAD]) * texts.shape[1]
         row += tail.encode()
@@ -318,9 +329,9 @@ def _emit(
     extra_json: Optional[dict] = None,
 ):
     """Write an artifact from a table of named columns. A column is a 1-D
-    array, a sequence, or one string that fills every row (a tag). Every
-    column is tabled before --out is opened; the rows then go out a block
-    at a time, as UTF-8 bytes to the file or as text to stdout."""
+    array, a sequence, a _Shared column, or one string that fills every row
+    (a tag). Every column is tabled before --out is opened; the rows then go
+    out a block at a time, as UTF-8 bytes to the file or as text to stdout."""
     if fmt == "csv":
         head = "# " + json.dumps(config, sort_keys=True) + "\n" + ",".join(map(_csv_field, table)) + "\n"
         chunks = [head.encode(), _Table(table.values(), _csv_field, "", ",", "\n")]
@@ -394,14 +405,15 @@ def generate(set_name, params, seed, out, fmt, window, extra):
     ps = source.materialize(region)
     config["count"] = len(ps.addresses)
     table = {"x%d" % i: ps.points[:, i] for i in range(ps.dimension)}
-    table.update(("a%d" % j, ps.addresses[:, j]) for j in range(ps.rank))
+    addresses = [_Shared(column) for column in ps.addresses.T]  # JSON writes them twice
+    table.update(("a%d" % j, column) for j, column in enumerate(addresses))
     table["tag"] = "exact"
     # JSON artifacts double as reloadable point-set files: ExactPointSet.to_json's
     # fields, with the addresses written by column
     extra = None
     if fmt == "json":
         fields = dict(dimension=ps.dimension, rank=ps.rank, projection=ps.projection.tolist())
-        extra = {"point_set": dict(fields, addresses=_Rows(ps.addresses.T), region=ps.region.to_json())}
+        extra = {"point_set": dict(fields, addresses=_Rows(addresses), region=ps.region.to_json())}
     _emit(config, table, fmt, out, extra_json=extra)
 
 

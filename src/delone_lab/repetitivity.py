@@ -1,11 +1,11 @@
 """Repetitivity: how far must one travel to find every visible patch again.
 
 M(T) is the largest covering radius over the center sets of the T-patch
-classes. On a finite window it is reported as a bracket: exact in dimension
-one, a certified branch-and-bound bracket otherwise, and always limited to an
-evaluation region eroded far enough that unseen centers outside the window
-cannot hide closer recurrences than the patch radius itself. Explicit words
-rank their factors, every length in one pass, with factor_ranks.
+classes. On a finite window it is a bracket: exact in dimension one, else a
+certified branch and bound over one cKDTree that lifts each class to its own
+height, always on an evaluation region eroded so far that unseen centers
+outside the window cannot hide closer recurrences than the patch radius.
+Explicit words rank their factors, every length in one pass, with factor_ranks.
 """
 
 from __future__ import annotations
@@ -78,27 +78,28 @@ def covering_radii(
     center_sets: Sequence[np.ndarray], region: Region, resolution: Optional[float] = None
 ) -> List[tuple]:
     """One bracket (lower, upper) per center set for sup over the region of
-    dist(t, centers); (inf, inf) for an empty set.
+    dist(t, centers); (inf, inf) for an empty set. Centers must be finite.
 
     Dimension one is exact (midpoints and endpoints decide the sup). Higher
     dimensions branch and bound over origin-anchored dyadic cubes meeting the
     region, to brackets at most resolution/2 wide with both ends rounded
-    outward. The cells of all sets are refined together, one level at a time;
-    each set keeps its own first side, its own cKDTree and its own cap of
-    COVERING_EVAL_BUDGET distance evaluations, so its bracket is the one it
-    would get alone. Past that cap, or once cells are as fine as floats
-    resolve at the region's coordinates, a bracket comes back wider, still
-    certified. At most COVERING_EVAL_BUDGET cells are live at once: a set
-    that would push past that is dropped from the group and starts over in
-    a later one.
+    outward. The cells of all sets are refined together, one query a level to
+    one cKDTree. Each set keeps its own first side and its own cap of
+    COVERING_EVAL_BUDGET distance evaluations, so its bracket is, bit for
+    bit, the one it would get alone. Past that cap, or once cells are as fine
+    as floats resolve at the region's coordinates, a bracket comes back wider,
+    still certified. At most COVERING_EVAL_BUDGET cells are live at once: a
+    set pushing past that leaves the group and starts over in a later one.
     """
     sets = [np.atleast_2d(np.asarray(c, dtype=float)) for c in center_sets]
     out = [(math.inf, math.inf)] * len(sets)
     todo = [k for k, c in enumerate(sets) if c.shape[0]]
     n = region.dimension
-    if any(sets[k].shape[1] != n for k in todo):
-        raise InvalidArgument("center dimension does not match region")
-    if n == 1:
+    if any(sets[k].shape[1] != n or not np.isfinite(sets[k]).all() for k in todo):
+        raise InvalidArgument("center sets must be finite, in the region's dimension")
+    if resolution is not None and not resolution > 0:  # NaN fails too
+        raise InvalidArgument("resolution must be positive")
+    if n == 1 or not todo:
         for k in todo:
             out[k] = _covering_1d(sets[k], region)
         return out
@@ -111,8 +112,6 @@ def covering_radii(
     lens = hi_box - lo_box
     if resolution is None:
         resolution = max(float(lens.max()) / 100.0, 1e-9)
-    if not resolution > 0:
-        raise InvalidArgument("resolution must be positive")
     # relative slack that rounds every computed distance and ball test outward
     slack = 8.0 * n * math.ulp(1.0)
 
@@ -134,21 +133,28 @@ def covering_radii(
 
     from scipy.spatial import cKDTree
 
+    # set k sits at height k * lift on the tree's extra axis: lift, a power of two past 4n
+    # times every coordinate, puts other sets beyond a point's own and adds 0 within one
     workers = query_workers()
-    trees = {k: cKDTree(sets[k]) for k in todo}
-    # largest distance seen at a point of the region, per set
-    start_best = np.zeros(len(sets))
-    for k in todo:
-        start_best[k] = trees[k].query(c0)[0]
+    reach = float(np.abs([lo_box, hi_box]).max())
+    lift = math.ldexp(1.0, math.frexp(4.0 * n * max([reach] + [np.abs(sets[k]).max() for k in todo]))[1])
+    heights = np.repeat(todo, [sets[k].shape[0] for k in todo]) * lift
+    tree = cKDTree(np.column_stack([np.concatenate([sets[k] for k in todo]), heights]), balanced_tree=False)
+
+    def nearest(points, owners):  # distance from each point to the nearest center of its set
+        points = np.column_stack([points, owners * lift])
+        return tree.query(points, workers=workers if points.shape[0] >= THREADED_QUERY_MIN else 1)[0]
+
+    start_best = np.zeros(len(sets))  # largest distance seen at a point of the region, per set
+    start_best[todo] = nearest(np.tile(c0, (len(todo), 1)), np.array(todo))
     if rad == 0:  # the region is a single point
         for k in todo:
             out[k] = (float(start_best[k] * (1.0 - slack)), float(start_best[k] * (1.0 + slack)))
         return out
 
-    # first level per set: a power of two at most its mean center spacing and the
-    # box side; cells never get finer than `finest`, so every cell center is an
-    # exact float
-    finest = 8.0 * math.ulp(1.0) * float(np.abs([lo_box, hi_box]).max())
+    # first level per set: a power of two at most its mean center spacing and the box
+    # side; cells never get finer than `finest`, so every cell center is an exact float
+    finest = 8.0 * math.ulp(1.0) * reach
     first_side, first_count = np.zeros(len(sets)), np.zeros(len(sets), dtype=np.int64)
     for k in todo:
         spacing = (float(np.prod(lens)) / sets[k].shape[0]) ** (1.0 / n)
@@ -159,8 +165,7 @@ def covering_radii(
     corners = np.indices((2,) * n).reshape(n, -1).T - 0.5
     best, upper = start_best.copy(), np.full(len(sets), -math.inf)
     side, evaluations = first_side.copy(), np.ones(len(sets), dtype=np.int64)
-    small = np.min_scalar_type(len(sets))  # dtype of `owner`, each cell's set; cells sort by it
-    cells, owner = np.zeros((0, n)), np.zeros(0, dtype=small)
+    cells, owner = np.zeros((0, n)), np.zeros(0, np.min_scalar_type(len(sets)))  # owner: each cell's set
     waiting = todo
     while waiting or cells.shape[0]:
         if not cells.shape[0]:
@@ -170,17 +175,12 @@ def covering_radii(
             best[group], upper[group] = start_best[group], -math.inf
             side[group], evaluations[group] = first_side[group], 1
             cells = np.concatenate([first_cells(side[k]) for k in group])
-            owner = np.repeat(np.array(group, dtype=small), first_count[group])
+            owner = np.repeat(np.array(group, dtype=owner.dtype), first_count[group])
 
         keep = meets(cells, (side / 2.0)[owner][:, None], 1.0 + slack)
         cells, owner = cells[keep], owner[keep]
-        sizes = np.bincount(owner, minlength=len(sets))
-        evaluations += sizes
-        d = np.empty(cells.shape[0])
-        for k, end in zip(np.flatnonzero(sizes), np.cumsum(sizes)[sizes > 0]):
-            begin = end - sizes[k]
-            threaded = sizes[k] >= THREADED_QUERY_MIN
-            d[begin:end] = trees[k].query(cells[begin:end], workers=workers if threaded else 1)[0]
+        evaluations += np.bincount(owner, minlength=len(sets))
+        d = nearest(cells, owner)
         inside = meets(cells, 0.0, 1.0 - slack)
         np.maximum.at(best, owner[inside], d[inside])
         bound = (d + (math.sqrt(n) * side / 2.0)[owner]) * (1.0 + slack)

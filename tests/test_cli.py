@@ -253,6 +253,22 @@ class TestGenerateRows:
         assert calls == []
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_address_column_tabled_once(self, fmt, capsys, monkeypatch):
+        # JSON writes the addresses twice, in the rows and in point_set
+        tabled = []
+        orig = cli_mod._column_table
+
+        def counted(column, field):
+            tabled.append(np.asarray(column).dtype.kind)
+            return orig(column, field)
+
+        monkeypatch.setattr(cli_mod, "_column_table", counted)
+        argv = ["generate", "--set", "deleted_lines", "--params", '{"a": [2, 10]}', "--window", "3"]
+        assert run_cli(argv + ["--format", fmt]) == 0
+        capsys.readouterr()
+        assert sorted(tabled) == ["f"] * 3 + ["i"] * 3  # x0..x2, then a0..a2 once each
+
     def test_import_float_rows_match_elementwise(self, tmp_path, capsys):
         src = tmp_path / "pts.json"
         pts = [[0.1, -2.5], [1.0 / 3.0, 7.25], [-0.0, 1e-17]]
@@ -495,6 +511,26 @@ ADDRESS_SHA256 = {
     "deleted-lines-6": (
         "deleted_lines", '{"a": [2, 10]}', [[-10, 2], [-9, 3], [-8, 4]],
         "3ab2e48f01848a6f39eec64086fd9d73683fdf1954c95e989dd7722c8e0b6b8a",
+    ),
+}
+
+# SHA-256 of the `repetitivity` CSV artifact on the three lattices-nd inputs of
+# the benchmark, at fixed windows: (set, params, window, --T, extra flags,
+# digest). Every bracket end counts, so any change to the covering radius's
+# arithmetic shows. The brackets rest on scipy's cKDTree, as the address
+# digests rest on LAPACK.
+REPETITIVITY_SHA256 = {
+    "z2-holes-10": (
+        "zn", '{"deletions": [[0, 0], [3, 1]], "n": 2}', [[-10, 10], [-10, 10]], "2.000001", [],
+        "baa9af2390feca916d01478c6054f11d80fe701b3552d1eaa8975dbd8a13013c",
+    ),
+    "fibxfib-9": (
+        "product", FIBXFIB_PARAMS, [[-9, 9], [-9, 9]], "1.500001", [],
+        "916affdf22e167b372e060e2f72eab2b65ee3ee371521f71aca55b615efd9321",
+    ),
+    "deleted-lines-8": (
+        "deleted_lines", '{"a": [2, 10]}', [[-8, 8]] * 3, "2.000001", ["--resolution", "0.3"],
+        "1cfe72e671e7d3767ebe1a4a5e43a65467a0d89216b07006d9f598becfee900e",
     ),
 }
 
@@ -747,6 +783,16 @@ class TestAnalysisCommands:
         art = tmp_path / "address.csv"
         argv = ["address", "--set", set_name, "--params", params, "--seed", "0"]
         argv += ["--window", json.dumps({"kind": "box", "intervals": window}), "--out", str(art)]
+        assert run_cli(argv) == 0
+        assert hashlib.sha256(art.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(REPETITIVITY_SHA256))
+    def test_repetitivity_artifact_frozen(self, name, tmp_path, monkeypatch):
+        monkeypatch.delenv("DELONE_LAB_THREADS", raising=False)  # the config echoes it
+        set_name, params, window, t_value, extra, digest = REPETITIVITY_SHA256[name]
+        art = tmp_path / "repetitivity.csv"
+        argv = ["repetitivity", "--set", set_name, "--params", params, "--seed", "0", "--T", t_value]
+        argv += ["--window", json.dumps({"kind": "box", "intervals": window}), "--out", str(art), *extra]
         assert run_cli(argv) == 0
         assert hashlib.sha256(art.read_bytes()).hexdigest() == digest
 

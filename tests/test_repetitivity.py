@@ -189,9 +189,15 @@ class TestBranchAndBound:
         assert upper - lower < 1e-14
 
     def test_resolution_must_be_positive(self):
+        # in dimension one too, and for a batch with no center, though neither
+        # refines a cell
         for bad in (0.0, -0.1, math.nan):
             with pytest.raises(InvalidArgument):
                 covering_radius(z2(2), Region.box([(-1, 1)] * 2), resolution=bad)
+            with pytest.raises(InvalidArgument):
+                covering_radius(np.arange(3.0)[:, None], Region.box([(-1, 1)]), resolution=bad)
+            with pytest.raises(InvalidArgument):
+                covering_radii([np.zeros((0, 2))], Region.box([(-1, 1)] * 2), resolution=bad)
 
     @pytest.mark.parametrize("threads", ["abc", "0", "-2"])
     def test_bad_thread_count_rejected_on_small_input(self, threads, monkeypatch):
@@ -296,9 +302,9 @@ class TestBatchedCovering:
         """covering_radii gives each center set the bracket the per-class
         branch and bound gives it, bit for bit: 1-7 sets (empty ones and single
         centers at the region's middle among them), boxes and balls (radius 0
-        too), n = 2 and 3, at the origin and 2^30 away, capped and not."""
+        too), n = 2 and 3, at the origin and 2^30 and 2^40 away, capped and not."""
         n = data.draw(st.sampled_from([2, 3]))
-        shift = data.draw(st.sampled_from([0.0, 2.0**30]))
+        shift = data.draw(st.sampled_from([0.0, 2.0**30, 2.0**40]))
         budget = data.draw(st.sampled_from([3_000, 20_000, repetitivity.COVERING_EVAL_BUDGET]))
         resolution = data.draw(
             st.sampled_from([0.03, 0.1] + ([1e-4] if budget < 100_000 else []))
@@ -324,12 +330,16 @@ class TestBatchedCovering:
             want = [per_class_covering_radius(c, region, resolution) for c in sets]
             assert covering_radii(sets, region, resolution) == want
 
-    def test_each_slice_picks_its_own_thread_count(self, monkeypatch):
+    def test_one_tree_and_a_thread_count_per_query(self, monkeypatch):
         from scipy import spatial
 
-        calls = []
+        built, calls = [], []
 
         class Recorded(spatial.cKDTree):
+            def __init__(self, data, *args, **kwargs):
+                built.append(np.shape(data))
+                super().__init__(data, *args, **kwargs)
+
             def query(self, x, *args, **kwargs):
                 calls.append((np.shape(x), kwargs.get("workers", 1)))
                 return super().query(x, *args, **kwargs)
@@ -339,8 +349,21 @@ class TestBatchedCovering:
         monkeypatch.setenv("DELONE_LAB_THREADS", "2")
         rng = np.random.default_rng(3)
         sets = [rng.uniform(-3.0, 3.0, (m, 2)) for m in (400, 3, 2)]
-        covering_radii(sets, Region.box([(-2.0, 2.0)] * 2), 0.01)
+        region = Region.box([(-2.0, 2.0)] * 2)
+        covering_radii(sets, region, 0.01)
+        # one tree over all 405 centers, each lifted by one coordinate
+        assert built == [(405, 3)]
         batches = [(shape[0], workers) for shape, workers in calls if len(shape) == 2]
+        assert len(batches) == len(calls)
+        # one start query, a row a set, then one query a level: as many levels
+        # as the set that alone runs longest
+        levels = []
+        for c in sets:
+            del calls[:]
+            per_class_covering_radius(c, region, 0.01)
+            levels.append(len(calls) - 1)
+        assert batches[0] == (3, 1)
+        assert len(batches) == 1 + max(levels)
         assert all(workers == (2 if m >= 64 else 1) for m, workers in batches)
         assert {workers for _, workers in batches} == {1, 2}
 
@@ -353,6 +376,15 @@ class TestBatchedCovering:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(InvalidArgument):
             covering_radii([z2(1), np.zeros((2, 3))], Region.box([(-1, 1)] * 2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_non_finite_centers_rejected(self, bad, n):
+        good = np.linspace(-1.0, 1.0, 3 * n).reshape(3, n)
+        spoilt = good.copy()
+        spoilt[1, -1] = bad
+        with pytest.raises(InvalidArgument, match="finite"):
+            covering_radii([good, spoilt], Region.box([(-1.0, 1.0)] * n), 0.1)
 
     def test_1d_sets_are_exact(self):
         fib = gen_fibonacci().materialize(Region.centered_box(1, 40.0)).points
