@@ -19,6 +19,7 @@ from .core import (
     ExactPointSet,
     PairIndex,
     Region,
+    delone_constants,
     lex_order,
     make_patch_key,
     unique_rows,
@@ -189,14 +190,13 @@ def _ladder(ps, rungs, shape, engine):
     read(rows, lo, hi) gives, for the centers at those rows (in lex order),
     the byte columns [lo, hi) of their bits packed little-endian, bit j set
     when the center sees difference j within its reach; a rung reads no bit
-    past its own. A rung's
-    differences are the prefix [0, k) of the table, and its shell is
-    [k_prev, k). A class at a rung is the pair (class at the rung before,
-    shell bits), since a T-patch is the patch at the smaller T plus its
-    shell, so a rung reads only its shell at its own centers, and the key
-    bytes of one center per class. The byte holding bit k_prev, when k_prev
-    is not a multiple of 8, comes from the rung before, which read it: no
-    rung reads a byte column again.
+    past its own. A rung's differences are the prefix [0, k) of the table,
+    and its shell is [k_prev, k). A class at a rung is the pair (class at
+    the rung before, shell bits), since a T-patch is the patch at the
+    smaller T plus its shell, so a rung reads the byte columns
+    [k_prev // 8, ceil(k / 8)) at its own centers, and the key bytes of one
+    center per class. Only the class ids pass from rung to rung: a byte
+    holding bits of two rungs is read by both.
     """
     cidx = np.flatnonzero(rungs[0][2]).astype(np.int32)
     cidx = cidx[lex_order(ps.addresses, cidx)]
@@ -213,7 +213,6 @@ def _ladder(ps, rungs, shape, engine):
     zero = np.flatnonzero(~table.any(axis=1))[:1]  # of reach 0: in the first shell
     lex = lex_order(table)
     ids = np.zeros(cidx.size, dtype=np.int32)
-    last = np.zeros(cidx.size, dtype=np.uint8)  # the unmasked byte holding bit k_prev
     row_type = np.min_scalar_type(len(ps) - 1)
     k_prev = 0
     out = {}
@@ -227,13 +226,9 @@ def _ladder(ps, rungs, shape, engine):
         # the classes; bits below k_prev repeat the class before, bits past k go
         lo, hi = k_prev >> 3, (k + 7) >> 3
         shell = np.zeros((sel.size, (hi - lo + 7) // 8 * 8), dtype=np.uint8)
-        kept = 1 if k_prev & 7 else 0
-        if kept:
-            shell[:, 0] = np.take(last, sel)
-        if hi > lo + kept:
-            shell[:, kept : hi - lo] = read(sel, lo + kept, hi)
+        if hi > lo:
+            shell[:, : hi - lo] = read(sel, lo, hi)
         if k & 7:
-            last[sel] = shell[:, hi - lo - 1]
             shell[:, hi - lo - 1] &= (1 << (k & 7)) - 1
         if not k_prev and not (zero.size and np.all(shell[:, zero[0] >> 3] >> (zero[0] & 7) & 1)):
             raise InvalidArgument("patch key must contain the zero vector")
@@ -404,8 +399,6 @@ class ProfileEntry:
 def estimate_R(source: PointSetSource) -> float:
     if source.declared_R is not None:
         return source.declared_R
-    from .core import delone_constants
-
     probe = source.materialize(Region.centered_box(source.dimension, 25.0))
     return delone_constants(probe)[1]
 

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .atlas import AtlasResult, PatchClass, atlas_ladder, compute_atlas
+from .atlas import AtlasResult, PatchClass, atlas_ladder, compute_atlas, estimate_R
 from .core import ExactPointSet, Region, packing_radius, unique_rows
 from .errors import InsufficientData, InvalidArgument, WindowTooSmall
 from .generators import PointSetSource
@@ -256,7 +256,7 @@ def repetitivity_function(
     if not atlas.classes:
         raise WindowTooSmall("no certified patch centers in the window")
     if resolution is None and ps.dimension > 1:
-        resolution = min(packing_radius(ps) / 4.0, T / 100.0)
+        resolution = _resolution(packing_radius(ps), T)
     brackets = covering_radii(
         [cls.centers.astype(float) @ ps.projection for cls in atlas.classes],
         eval_region,
@@ -296,7 +296,8 @@ def repetitivity_function(
 def repetitivity_ladder(
     ps: ExactPointSet, T_values: Sequence[float], resolution: Optional[float] = None
 ) -> List[RepetitivityResult]:
-    """repetitivity_function for each T, in order, over one atlas ladder.
+    """repetitivity_function for each T, in order, over one atlas ladder
+    and at most one packing radius.
 
     A resolution that is not positive is rejected first. Otherwise errors are
     those of a loop over T_values: the ladder stops short of the first T that
@@ -315,10 +316,17 @@ def repetitivity_ladder(
             break
         k += 1
     atlases = atlas_ladder(ps, T_values[:k]) + [None] * (len(T_values) - k)
-    return [
-        repetitivity_function(ps, T, resolution=resolution, atlas=atlas)
-        for T, atlas in zip(T_values, atlases)
-    ]
+    out, r = [], None  # the packing radius, taken at the first rung that needs it
+    for T, atlas in zip(T_values, atlases):
+        auto = resolution is None and ps.dimension > 1 and atlas is not None and atlas.classes
+        r = packing_radius(ps) if auto and r is None else r
+        out.append(repetitivity_function(ps, T, _resolution(r, T) if auto else resolution, atlas))
+    return out
+
+
+def _resolution(r: float, T: float) -> float:
+    """The covering-radius tolerance when none is given: packing radius r / 4, at most T / 100."""
+    return min(r / 4.0, T / 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +356,6 @@ def growth_classification(source: PointSetSource, T_values: Sequence[float]) -> 
         raise InsufficientData(
             "need >= 4 positive T values spanning at least a factor of 8"
         )
-    from .atlas import estimate_R
-
     R = estimate_R(source)
     # the T values that share a window share one atlas ladder
     windows: Dict[float, tuple] = {}

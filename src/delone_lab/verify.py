@@ -593,7 +593,7 @@ def suite_two_color(seed: int = 0) -> List[CheckResult]:
 
     def proportions_exact():
         recursion, closed = rho_sequence(1, [16, 32, 64, 128])
-        sides, count_ok = [], True
+        count_ok = True
         side = 1
         details = []
         for k in range(1, 5):

@@ -575,14 +575,14 @@ class TestLadder:
         assert held <= 2e6
 
     @pytest.mark.parametrize(
-        "a1, T_values, columns",
-        [(4, [1.0, 2.0, 3.0, 4.0], 33), (2, [1.0, 2.0], 5), (2, [2.0, 2.0000001, 2.5], 11)],
+        "a1, T_values", [(4, [1.0, 2.0, 3.0, 4.0]), (2, [1.0, 2.0]), (2, [2.0, 2.0000001, 2.5])]
     )
-    def test_no_rung_reads_a_byte_column_again(self, a1, T_values, columns, monkeypatch):
-        """The shells' byte columns read at the rungs' centers, summed: the
-        offsets within the largest T fill `columns` bytes (257 offsets within
-        4, 33 within 2, 81 within 2.5), and a byte that holds the last bit of
-        one rung and the first of the next is read once."""
+    def test_each_rung_reads_its_shell_byte_columns(self, a1, T_values, monkeypatch):
+        """Each rung reads the byte columns [k_prev // 8, ceil(k / 8)) at
+        its own centers, then [0, ceil(k / 8)) at one center per class for
+        the keys, where k counts the offsets within its T (7, 33, 123, 257
+        within 1, 2, 3, 4; 81 within 2.5): a byte holding bits of two rungs
+        is read by both."""
         ps = gen_deleted_lines([a1]).materialize(Region.box([(-12, 12)] * 3))
         read = []
 
@@ -590,7 +590,7 @@ class TestLadder:
             table, reach, per, reader, name = _engine_lattice(ps, cidx, shape, thresh2)
 
             def counted(rows, lo, hi):
-                read.append((rows.size, hi - lo))
+                read.append((rows.size, lo, hi))
                 return reader(rows, lo, hi)
 
             return table, reach, per, counted, name
@@ -598,8 +598,14 @@ class TestLadder:
         monkeypatch.setattr(atlas_mod, "_engine_lattice", counting)
         ladder = atlas_ladder(ps, T_values)
         monkeypatch.undo()
-        centers = {at.total_centers for at in ladder}
-        assert sum(cols for rows, cols in read if rows in centers) == columns
+        offs = np.stack(np.meshgrid(*[np.arange(-4, 5)] * 3), axis=-1).reshape(-1, 3)
+        want, k_prev = [], 0
+        for T, at in zip(T_values, ladder):
+            k = int(np.count_nonzero((offs * offs).sum(axis=1) <= T * T + 1e-9))
+            hi = -(-k // 8)
+            want += [(at.total_centers, k_prev // 8, hi), (at.n_lower, 0, hi)]
+            k_prev = k
+        assert read == want
         for T, at in zip(T_values, ladder):
             assert as_dict(at) == as_dict(compute_atlas(ps, T))
 

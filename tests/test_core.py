@@ -575,9 +575,10 @@ def grid_rows(n):
     )
 
 
-def scipy_spatial_imports() -> set:
-    """(module, outermost function, imported name) for each import from
-    scipy.spatial in the package; None for a module-level import."""
+def package_imports() -> set:
+    """(module, outermost function, imported name) for each import in the
+    package; None for a module-level import, leading dots for a relative
+    one."""
     found = set()
 
     def walk(node, module, where):
@@ -588,15 +589,23 @@ def scipy_spatial_imports() -> set:
             if isinstance(child, ast.Import):
                 names = [a.name for a in child.names]
             elif isinstance(child, ast.ImportFrom):
-                names = ["%s.%s" % (child.module, a.name) for a in child.names]
+                head = "." * child.level + (child.module + "." if child.module else "")
+                names = [head + a.name for a in child.names]
             else:
                 names = []
-            found.update((module, where, m) for m in names if m.startswith("scipy.spatial"))
+            found.update((module, where, m) for m in names)
             walk(child, module, where)
 
     for path in sorted(Path(core_mod.__file__).parent.glob("*.py")):
         walk(ast.parse(path.read_text()), path.stem, None)
     return found
+
+
+def test_one_function_level_import_within_the_package():
+    # delone_constants imports repetitivity late: repetitivity imports core,
+    # so a module-level import would be a cycle
+    late = {i for i in package_imports() if i[1] is not None and i[2].startswith(".")}
+    assert late == {("core", "delone_constants", ".repetitivity.covering_radius")}
 
 
 class TestPairsWithin:
@@ -724,7 +733,7 @@ class TestPairsWithin:
     def test_only_pairs_within_builds_a_tree(self):
         # the covering radius keeps its own nearest queries and the Lipschitz
         # scan its cdist; any other neighbour query goes through PairIndex
-        assert scipy_spatial_imports() == {
+        assert {i for i in package_imports() if i[2].startswith("scipy.spatial")} == {
             ("core", "PairIndex", "scipy.spatial.cKDTree"),
             ("repetitivity", "covering_radii", "scipy.spatial.cKDTree"),
             ("address", "lipschitz_constant", "scipy.spatial.distance.cdist"),

@@ -499,6 +499,21 @@ class TestRepetitivityFunction:
         res = repetitivity_function(close, 1.0)
         assert res.resolution == packing_radius(close) / 4.0 < 1.0 / 100.0
 
+    def test_ladder_takes_one_packing_radius(self, monkeypatch):
+        # every rung's default resolution comes from one packing radius
+        ps = gen_integer_lattice(2, deletions=[(0, 0)]).materialize(Region.box([(-10, 10)] * 2))
+        T_values = [1.0, 2.0, 3.0]
+        want = [repetitivity_function(ps, T) for T in T_values]
+        calls = []
+
+        def counted(ps):
+            calls.append(ps)
+            return packing_radius(ps)
+
+        monkeypatch.setattr(repetitivity, "packing_radius", counted)
+        assert repetitivity.repetitivity_ladder(ps, T_values) == want
+        assert len(calls) == 1
+
     def test_resolution_is_none_in_1d(self):
         ps = gen_fibonacci().materialize(Region.centered_box(1, 40.0))
         assert repetitivity_function(ps, 1.2).resolution is None
