@@ -9,7 +9,6 @@ operational cut-and-project signature.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -250,22 +249,27 @@ def lipschitz_constant(
     first coordinate lies within that cutoff. So the value is bitwise that
     of a scan of every covered pair, and pairs_scanned counts the pairs
     whose ratio was computed. On a lattice rho is about 0 and no ratio
-    exceeds |L|, so the cutoff stays infinite and every pair is scanned.
+    exceeds |L|, so the cutoff stays infinite and every pair is scanned. An
+    identity projection and basis with addresses below 2^52 scan none: both
+    distances see the same exact differences, so every ratio is exactly 1.
     """
     if amap is None:
         amap = build_address_map(ps)
     if len(ps) < 2:
         raise InsufficientData("need two points")
-    coords = amap.phi(ps.addresses).astype(float)
-    pts = ps.points
-    P = len(ps)
-    _, head, tail, slack = _ratio_bound(coords, pts - amap.origin_address.astype(float) @ ps.projection)
-    mode = "all-pairs"
+    P, mode = len(ps), "all-pairs"
     if P > LIPSCHITZ_EXACT_LIMIT:
         # m (m - 1) <= 2 N exactly when 2 m - 1 <= isqrt(8 N + 1)
-        P = min(P, (math.isqrt(8 * LIPSCHITZ_SAMPLE_PAIRS + 1) + 1) // 2)
+        P, mode = min(P, (math.isqrt(8 * LIPSCHITZ_SAMPLE_PAIRS + 1) + 1) // 2), "sampled"
+    identity = all(np.array_equal(m, np.eye(ps.dimension)) for m in (ps.projection, amap.basis))
+    if identity and np.abs(ps.addresses).max() < 2**52:
+        return LipschitzReport(value=1.0, pairs_used=P * (P - 1) // 2, mode=mode, pairs_scanned=0)
+    coords = amap.phi(ps.addresses).astype(float)
+    pts = ps.points
+    _, head, tail, slack = _ratio_bound(coords, pts - amap.origin_address.astype(float) @ ps.projection)
+    if mode == "sampled":
         pick = np.random.default_rng(seed).choice(len(ps), P, replace=False)
-        pts, coords, mode = pts[pick], coords[pick], "sampled"
+        pts, coords = pts[pick], coords[pick]
 
     def cutoff(best):
         # B(d) < best for every d beyond this; the slack covers its own
@@ -487,10 +491,8 @@ def path_displacement_distribution(
         nodes, weights = [np.zeros((0, n))], []
         for box in boxes:
             faces = np.delete(box, axis, axis=0)
-            grids = [np.arange(math.ceil(a - 1e-9), math.floor(b + 1e-9) + 1) for a, b in faces]
             # cross-section nodes in C order, each as a near-face then a far-face node
-            cross = np.array(list(itertools.product(*grids)), dtype=float)
-            cross = cross.reshape(math.prod(map(len, grids)), n - 1)  # -1 fails for n = 1
+            cross = _int_grid([(a - 1e-9, b + 1e-9) for a, b in faces]).astype(float)
             ends = [float(math.floor(c)) for c in box[axis]]
             nodes.append(np.insert(np.repeat(cross, 2, axis=0), axis, ends * len(cross), axis=1))
             weights.append(0.5 ** (np.abs(cross[:, :, None] - faces) < 1e-9).sum(axis=(1, 2)))

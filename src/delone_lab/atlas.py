@@ -166,7 +166,7 @@ def _thresh2(T, shape):
 
 def _reach_order(table, projection, shape):
     """Stable order of the table's address differences by reach, with the
-    sorted reach values and squared coordinates.
+    sorted reach values.
 
     The reach of a difference is its squared length for balls and its
     largest squared coordinate for cubes, so a patch of size T holds exactly
@@ -176,7 +176,7 @@ def _reach_order(table, projection, shape):
     per *= per
     reach = per.sum(axis=1) if shape == "ball" else per.max(axis=1)
     order = np.argsort(reach, kind="stable")
-    return order, reach[order], per[order]
+    return order, reach[order]
 
 
 def _ladder(ps, rungs, shape, engine):
@@ -186,7 +186,7 @@ def _ladder(ps, rungs, shape, engine):
     The engine takes the squared largest T, or for the kdtree engine each
     center's reach, the squared T of the largest rung that holds it. It
     returns a table of K address differences within the largest T, in reach
-    order, with their reach values and squared coordinates, and a reader:
+    order, with their reach values, and a reader:
     read(rows, lo, hi) gives, for the centers at those rows (in lex order),
     the byte columns [lo, hi) of their bits packed little-endian, bit j set
     when the center sees difference j within its reach; a rung reads no bit
@@ -207,7 +207,7 @@ def _ladder(ps, rungs, shape, engine):
         thresh2 = np.full(cidx.size, _thresh2(rungs[0][0], shape))
         for T, _, mask in rungs[1:]:
             thresh2[np.take(mask, cidx)] = _thresh2(T, shape)
-    table, reach, per, read, name = engine(ps, cidx, shape, thresh2)
+    table, reach, read, name = engine(ps, cidx, shape, thresh2)
     # every patch holds its own center; the other key invariants (distinct
     # entries of one width, in lex order) hold by construction of the table
     zero = np.flatnonzero(~table.any(axis=1))[:1]  # of reach 0: in the first shell
@@ -254,11 +254,8 @@ def _ladder(ps, rungs, shape, engine):
         by_key = sorted(range(len(names)), key=names.__getitem__)
         classes = [PatchClass(table, cols[ranks[i]], ps.addresses, members[i]) for i in by_key]
 
-        # near-threshold hits: every center of a class sees its key
-        if shape == "ball":
-            near = np.abs(reach[:k] - t) < BALL_TOL
-        else:
-            near = np.any(np.abs(per[:k] - t) < BALL_TOL, axis=1)
+        # near-threshold hits, by reach for both shapes: every center of a class sees its key
+        near = np.abs(reach[:k] - t) < BALL_TOL
         flags = int(np.count_nonzero(seen[:, near[cols]], axis=1) @ sizes)
         out[T] = AtlasResult(T, shape, certified, classes, flags, name)
     return out
@@ -277,7 +274,7 @@ def _engine_lattice(ps, cidx, shape, thresh2):
     n = ps.dimension
     r = math.floor(math.sqrt(thresh2 + BALL_TOL))
     offs = _int_grid([(-r, r)] * n)
-    order, reach, per = _reach_order(offs, ps.projection, shape)
+    order, reach = _reach_order(offs, ps.projection, shape)
     k = int(np.searchsorted(reach, thresh2 + BALL_TOL, side="right"))
     offs = offs[order[:k]]
 
@@ -316,7 +313,7 @@ def _engine_lattice(ps, cidx, shape, thresh2):
             out[:, b - lo] = byte.ravel()[flat]
         return out
 
-    return offs, reach[:k], per[:k], read, "lattice"
+    return offs, reach[:k], read, "lattice"
 
 
 def _engine_kdtree(ps, cidx, shape, thresh2):
@@ -371,7 +368,7 @@ def _engine_kdtree(ps, cidx, shape, thresh2):
     # the distinct differences in lex order, then stably in reach order
     table = np.concatenate(found)
     lex = lex_order(table)
-    order, reach, per = _reach_order(table[lex], ps.projection, shape)
+    order, reach = _reach_order(table[lex], ps.projection, shape)
     perm = lex[order]
     table = table[perm]
     bits = bits[:, :width]
@@ -380,7 +377,7 @@ def _engine_kdtree(ps, cidx, shape, thresh2):
         seen = np.unpackbits(bits[r : r + step], axis=1, count=perm.size, bitorder="little")
         seen = np.take(seen, perm, axis=1)  # several times faster than seen[:, perm]
         bits[r : r + step] = np.packbits(seen, axis=1, bitorder="little")
-    return table, reach, per, lambda rows, lo, hi: bits[rows, lo:hi], "kdtree"
+    return table, reach, lambda rows, lo, hi: bits[rows, lo:hi], "kdtree"
 
 
 # ---------------------------------------------------------------------------

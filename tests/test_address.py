@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import delone_lab.address as address_mod
@@ -118,13 +118,18 @@ class TestHermiteBasis:
 
     @settings(max_examples=60, deadline=None)
     @given(spanned_rows(st.integers(2**31, 2**37)))
+    @example(([[0, 0], [0, -1]], [0, 0]))  # generators that cancel: int64 suffices
     def test_past_the_int64_bound(self, case):
         rows, origin = case
         want = lattice_basis([[a - o for a, o in zip(r, origin)] for r in rows])
-        assert hermite_basis(np.array(rows, dtype=np.int64), origin) == want
-        if want:  # the residue pass left int64 for Python ints
-            coords, rest = _residues(np.array(rows, dtype=np.int64), origin, want)
-            assert coords.dtype == object and not any(np.any(c) for c in rest)
+        rows = np.array(rows, dtype=np.int64)
+        assert hermite_basis(rows, origin) == want
+        if want:  # the residue pass leaves int64 for Python ints exactly at its bound
+            top = max(max(-int(c.min()), int(c.max())) + abs(o) for c, o in zip(rows.T, origin))
+            big = max(abs(v) for b in want for v in b)
+            coords, rest = _residues(rows, origin, want)
+            assert (coords.dtype == object) == (top * (1 + big) ** len(want) >= 1 << 62)
+            assert not any(np.any(c) for c in rest)
 
     def test_rows_outside_the_first_rounds(self):
         # the first 8 nonzero rows span only 2Z x 4Z; [3, 0] and [0, 6] come later
@@ -323,8 +328,8 @@ class TestLipschitz:
         [
             (gen_fibonacci(), [(-10_000, 10_000)], 0, "1.0", 998_991, 106_959),
             (gen_fibonacci(), [(-10_000, 10_000)], 1, "1.0", 998_991, 106_959),
-            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 0, "1.0", 998_991, 998_991),
-            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 1, "1.0", 998_991, 998_991),
+            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 0, "1.0", 998_991, 0),
+            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, 1, "1.0", 998_991, 0),
         ],
         ids=["fibonacci-0", "fibonacci-1", "z2-holes-0", "z2-holes-1"],
     )
@@ -332,7 +337,7 @@ class TestLipschitz:
         """The default sample, all pairs of 1 414 seeded points: its value
         and pair counts, at a tracemalloc peak of at most 2.5e6 bytes. Two
         seeded 10^6-index pair draws, scanned in blocks, peaked at 5.8e6 and
-        6.6e6 here."""
+        6.6e6 here. Z^2 with holes is an identity map and scans none."""
         import tracemalloc
 
         from scipy.spatial.distance import cdist  # noqa: F401  (its import is no part of the scan)
@@ -405,7 +410,8 @@ class TestLipschitz:
     )
     def test_equals_the_full_scan_bitwise(self, name, half, shift, mode, block, seed):
         """The bound skips pairs, never the maximum: value, pair count and
-        mode are those of the scan over every covered pair."""
+        mode are those of the scan over every covered pair. The identity
+        maps of Z^2 with holes and of deleted lines scan none."""
         ps = lipschitz_set(name, half, shift)
         amap = build_address_map(ps)
         with pytest.MonkeyPatch.context() as mp:
@@ -417,29 +423,45 @@ class TestLipschitz:
             rep = lipschitz_constant(ps, amap, seed=seed)
         assert (rep.pairs_used, rep.mode) == want[1:]
         assert np.float64(rep.value).view(np.uint64) == np.float64(want[0]).view(np.uint64)
-        assert 0 < rep.pairs_scanned <= rep.pairs_used
+        if name in ("z2-holes", "deleted-lines"):
+            assert rep.pairs_scanned == 0
+        else:
+            assert 0 < rep.pairs_scanned <= rep.pairs_used
+
+    def test_identity_past_2_52_still_scans(self):
+        """Z^2 addresses past 2^52 may not all be exact floats, so the
+        identity map takes the scan, and equals the full scan bitwise."""
+        ps = gen_integer_lattice(2).materialize(Region.box([(2.0**52 - 6, 2.0**52 + 6), (-6, 6)]))
+        assert np.abs(ps.addresses).max() >= 2**52
+        amap = build_address_map(ps)
+        want = full_scan(ps, amap)
+        rep = lipschitz_constant(ps, amap)
+        assert (rep.pairs_used, rep.mode) == want[1:]
+        assert np.float64(rep.value).view(np.uint64) == np.float64(want[0]).view(np.uint64)
+        assert rep.pairs_scanned > 0
 
     @pytest.mark.parametrize(
-        "src, window, skips",
+        "src, window, scans",
         [
-            (gen_fibonacci(), [(-2_000, 2_000)], True),
-            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, False),
-            (build_source("deleted_lines", {"a": [2, 10]}), [(-6, 6)] * 3, False),
-            (ExactPointSet(1, 1, [[0.75]], np.arange(-300, 301)[:, None], Region.box([(-300, 300)])), None, False),
-            (ExactPointSet(1, 1, [[0.625]], np.arange(-300, 301)[:, None], Region.box([(-300, 300)])), None, False),
+            (gen_fibonacci(), [(-2_000, 2_000)], "few"),
+            (gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]), [(-60, 60)] * 2, "none"),
+            (build_source("deleted_lines", {"a": [2, 10]}), [(-6, 6)] * 3, "none"),
+            (ExactPointSet(1, 1, [[0.75]], np.arange(-300, 301)[:, None], Region.box([(-300, 300)])), None, "all"),
+            (ExactPointSet(1, 1, [[0.625]], np.arange(-300, 301)[:, None], Region.box([(-300, 300)])), None, "all"),
         ],
         ids=["fibonacci-allpairs", "z2-holes-sampled", "deleted-lines", "lattice-0.75", "lattice-0.625"],
     )
-    def test_pairs_scanned(self, src, window, skips):
+    def test_pairs_scanned(self, src, window, scans):
         """Fibonacci ±2000 scans under 5 % of its 4.19 M pairs. On a lattice
         every ratio is the same and the bound never falls below it, so every
-        pair is scanned, as on deleted lines."""
+        pair is scanned; an identity map (Z^2 with holes, deleted lines)
+        needs no scan, as every ratio is exactly 1."""
         ps = src if window is None else src.materialize(Region.box(window))
         rep = lipschitz_constant(ps)
-        if skips:
+        if scans == "few":
             assert rep.pairs_scanned < 0.05 * rep.pairs_used
         else:
-            assert rep.pairs_scanned == rep.pairs_used
+            assert rep.pairs_scanned == {"none": 0, "all": rep.pairs_used}[scans]
 
     @pytest.mark.parametrize(
         "name, half, shift",

@@ -22,7 +22,7 @@ from delone_lab.atlas import (
     estimate_R,
     patch_count_profile,
 )
-from delone_lab.core import ExactPointSet, Region, lex_order, make_patch_key
+from delone_lab.core import BALL_TOL, ExactPointSet, Region, lex_order, make_patch_key
 from delone_lab.errors import InvalidArgument, WindowTooSmall
 from delone_lab.generators import (
     gen_cut_project_1d,
@@ -467,6 +467,60 @@ class TestEnginesAgree:
         ]
 
 
+class TestCubeFlags:
+    """A cube patch's near-threshold pairs, by brute force: those whose
+    largest squared coordinate difference lies within BALL_TOL of (T/2)^2."""
+
+    SETS = {
+        # cube faces at T = 2 and 4 pass through lattice points
+        "z2-holes": (
+            lambda: gen_integer_lattice(2, deletions=[(0, 0), (3, 1)]).materialize(
+                Region.box([(-12, 12)] * 2)
+            ),
+            (2.0, 3.0, 4.0),
+        ),
+        "fibxfib": (
+            lambda: gen_product([gen_fibonacci(), gen_fibonacci()]).materialize(
+                Region.box([(-12, 12)] * 2)
+            ),
+            (2.0, 1 + math.sqrt(5.0), 4.0),  # T = 2 and 2 tau: faces through points
+        ),
+        "deleted-lines": (
+            lambda: gen_deleted_lines([2, 10]).materialize(Region.box([(-6, 6)] * 3)),
+            (2.0, 4.0),
+        ),
+    }
+
+    @staticmethod
+    def oracle(ps, rungs):
+        count = {}
+        for T, _, mask in rungs:
+            count[T] = 0
+            for c in np.flatnonzero(mask):
+                sq = ((ps.addresses - ps.addresses[c]).astype(float) @ ps.projection) ** 2
+                count[T] += int(np.count_nonzero(np.abs(sq.max(axis=1) - (T / 2.0) ** 2) < BALL_TOL))
+        return count
+
+    @pytest.mark.parametrize(
+        "name, engine",
+        [
+            ("z2-holes", _engine_lattice),
+            ("z2-holes", _engine_kdtree),
+            ("fibxfib", _engine_kdtree),  # not an identity projection: no lattice engine
+            ("deleted-lines", _engine_lattice),
+            ("deleted-lines", _engine_kdtree),
+        ],
+    )
+    def test_flags_equal_the_brute_force_count(self, name, engine):
+        make, T_values = self.SETS[name]
+        ps = make()
+        rungs = per_T_rungs(ps, T_values, "cube")
+        want = self.oracle(ps, rungs)
+        got = _ladder(ps, rungs, "cube", engine)
+        assert {T: at.boundary_flag_count for T, at in got.items()} == want
+        assert want[2.0] > 0 and any(want[T] for T in T_values[1:])
+
+
 FAR = 10**6
 # two runs of ten integers; the box of the centers, grown by 2T + 1, holds
 # exactly 64 cells per point at T = 1 and T = 2 and more at T = 2.000001
@@ -587,13 +641,13 @@ class TestLadder:
         read = []
 
         def counting(ps, cidx, shape, thresh2):
-            table, reach, per, reader, name = _engine_lattice(ps, cidx, shape, thresh2)
+            table, reach, reader, name = _engine_lattice(ps, cidx, shape, thresh2)
 
             def counted(rows, lo, hi):
                 read.append((rows.size, lo, hi))
                 return reader(rows, lo, hi)
 
-            return table, reach, per, counted, name
+            return table, reach, counted, name
 
         monkeypatch.setattr(atlas_mod, "_engine_lattice", counting)
         ladder = atlas_ladder(ps, T_values)
@@ -638,7 +692,7 @@ def engine_rows(ps, T_values, shape, engine):
 def read_all(engine_out, m):
     """Every byte column an engine's reader gives at its m centers: the
     packed bit matrix, one row per center."""
-    table, _, _, read, _ = engine_out
+    table, _, read, _ = engine_out
     return read(np.arange(m), 0, -(-table.shape[0] // 8))
 
 
@@ -667,10 +721,9 @@ class TestReachOrder:
         ps = REACH_SETS[n]()
         T_values = (1.0, 1.5, 2.0, 3.000001)
         cidx, out = engine_rows(ps, T_values, shape, engine)
-        table, reach, per, _, _ = out
+        table, reach, _, _ = out
         bits = read_all(out, cidx.size)
         sq = (table.astype(float) @ ps.projection) ** 2
-        assert np.array_equal(per, sq)
         assert np.array_equal(reach, sq.sum(axis=1) if shape == "ball" else sq.max(axis=1))
         assert np.all(np.diff(reach) >= 0)
         assert len(set(map(tuple, table.tolist()))) == table.shape[0]
@@ -694,7 +747,7 @@ class TestReachOrder:
         ps = REACH_SETS[2]()
 
         def drops_zero(ps, cidx, shape, thresh2):
-            table, reach, per, read, name = engine(ps, cidx, shape, thresh2)
+            table, reach, read, name = engine(ps, cidx, shape, thresh2)
             z = int(np.flatnonzero(~table.any(axis=1))[0])
 
             def read_without_zero(rows, lo, hi):
@@ -703,7 +756,7 @@ class TestReachOrder:
                     out[rows == 5, (z >> 3) - lo] &= ~np.uint8(1 << (z & 7))
                 return out
 
-            return table, reach, per, read_without_zero, name
+            return table, reach, read_without_zero, name
 
         rungs = per_T_rungs(ps, [1.0, 2.0])
         assert _ladder(ps, rungs, "ball", engine)[2.0].n_lower > 1
@@ -718,7 +771,7 @@ class TestReachOrder:
         ps = REACH_SETS[n]()
         cidx, out = engine_rows(ps, (1.0, 3.000001), "ball", _engine_lattice)
         bits = read_all(out, cidx.size)
-        read = out[3]
+        read = out[2]
         for rows in (np.array([0, cidx.size - 1]), np.arange(0, cidx.size, 7), np.arange(9)):
             for lo, hi in ((0, bits.shape[1]), (1, 3), (2, 3)):
                 assert np.array_equal(read(rows, lo, hi), bits[rows, lo:hi])
@@ -727,7 +780,7 @@ class TestReachOrder:
         # (k, 0) and (k - 1, 1) coincide, so (-1, 1), (0, 0) and (1, -1) all
         # have reach 0 and tie in lex order
         ps = coincident_pairs(0)
-        _, (table, reach, _, _, _) = engine_rows(ps, [1.5], "ball", _engine_kdtree)
+        _, (table, reach, _, _) = engine_rows(ps, [1.5], "ball", _engine_kdtree)
         assert table[:3].tolist() == [[-1, 1], [0, 0], [1, -1]]
         assert reach[:3].tolist() == [0.0, 0.0, 0.0]
 
@@ -797,13 +850,13 @@ def kdtree_by_row_scalars(ps, cidx, shape, thresh2):
     )
     table = diffs[first]
     lex = lex_order(table)
-    order, reach, per = atlas_mod._reach_order(table[lex], ps.projection, shape)
+    order, reach = atlas_mod._reach_order(table[lex], ps.projection, shape)
     perm = lex[order]
     table = table[perm]
     col = np.argsort(perm)[col]
     hit = np.zeros((cidx.size, table.shape[0]), dtype=bool)
     hit[row, col] = True
-    return table, reach, per, np.packbits(hit, axis=1, bitorder="little"), "kdtree"
+    return table, reach, np.packbits(hit, axis=1, bitorder="little"), "kdtree"
 
 
 GROUPING_SETS = {
@@ -822,8 +875,7 @@ class TestEngineGrouping:
     """_engine_kdtree groups each block's differences with unique_rows: a
     dense count or one sort of their lex codes, or a lexsort of the columns
     when their box is too large for one int64. Each route gives the table,
-    reach, squared coordinates and bits of the row-scalar grouping it
-    replaced."""
+    reach and bits of the row-scalar grouping it replaced."""
 
     @pytest.mark.parametrize("route", ["dense", "unique", "ranks"])
     @pytest.mark.parametrize("shape", ["ball", "cube"])
@@ -849,12 +901,12 @@ class TestEngineGrouping:
         thresh2 = T * T if shape == "ball" else (T / 2.0) ** 2
         want = kdtree_by_row_scalars(ps, cidx, shape, thresh2)
         got = _engine_kdtree(ps, cidx, shape, thresh2)
-        assert got[4] == want[4]
-        for a, b in zip([*got[:3], read_all(got, cidx.size)], want[:4]):
+        assert got[3] == want[3]
+        for a, b in zip([*got[:2], read_all(got, cidx.size)], want[:3]):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         # the route taken: the differences' box against the number of pairs
         cells = np.prod(np.ptp(want[0], axis=0) + 1)
-        pairs = np.unpackbits(want[3]).sum()
+        pairs = np.unpackbits(want[2]).sum()
         assert (cells <= pairs) == (route != "unique")
 
     def test_engine_peak_is_bounded(self, monkeypatch):

@@ -32,7 +32,9 @@ def test_dump_artifacts_writes_every_operation(tmp_path):
     codes = json.loads((tmp_path / "exit_codes.json").read_text())
     want = {"verify-all"}
     for workload in ("chains-1d", "lattices-nd"):
-        for name in workload_ops(workload):
+        names = workload_ops(workload)
+        # an operation is named after its command; each atlas one also runs on cubes
+        for name in names + [name + "-cube" for name in names if name.startswith("atlas-")]:
             for fmt in ("csv", "json"):
                 want.add("%s/%s.%s" % (workload, name, fmt))
                 assert (tmp_path / workload / ("%s.%s" % (name, fmt))).stat().st_size > 0

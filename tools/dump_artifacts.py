@@ -5,7 +5,8 @@ one `diff -r`.
 
 For each operation of the chains-1d and lattices-nd workloads
 (`perfbench/workloads.py`) at the seed, DIR/<workload>/<op>.csv and .json
-receive the artifact in that format. DIR/exit_codes.json holds each run's
+receive the artifact in that format; each atlas operation also writes
+<op>-cube.csv and .json, run with `--shape cube`. DIR/exit_codes.json holds each run's
 exit code and the message it wrote to stderr, and DIR/verify-all.txt the
 stdout of `verify all --seed N`. The library is imported from this
 checkout's src/, so
@@ -60,10 +61,14 @@ def main(argv=None) -> int:
     for name in ("chains-1d", "lattices-nd"):
         os.makedirs(os.path.join(args.out, name), exist_ok=True)
         for op in workloads.WORKLOADS[name](args.seed):
-            for fmt in ("csv", "json"):
-                path = os.path.join(args.out, name, "%s.%s" % (op.name, fmt))
-                code, _, err = run(op.argv(args.seed) + ["--format", fmt, "--out", path])
-                codes["%s/%s.%s" % (name, op.name, fmt)] = [code, err]
+            runs = [(op.name, [])]
+            if op.command == "atlas":
+                runs.append((op.name + "-cube", ["--shape", "cube"]))
+            for label, extra in runs:
+                for fmt in ("csv", "json"):
+                    path = os.path.join(args.out, name, "%s.%s" % (label, fmt))
+                    code, _, err = run(op.argv(args.seed) + extra + ["--format", fmt, "--out", path])
+                    codes["%s/%s.%s" % (name, label, fmt)] = [code, err]
     code, out, err = run(["verify", "all", "--seed", str(args.seed)])
     codes["verify-all"] = [code, err]
     with open(os.path.join(args.out, "verify-all.txt"), "w") as fh:
